@@ -12,7 +12,6 @@ from fmeda_uq import (
     Subpart,
     lfm,
     spfm,
-    total_lambda,
     validate,
 )
 from fmeda_uq.model import iter_rows
@@ -39,7 +38,7 @@ table = FmedaTable((Part("CPU_EXEC", (muldiv, control)),))
 problems = validate(table)
 print(f"violations: {problems if problems else 'none'}")
 
-print(f"total failure rate: {total_lambda(table):.1f} FIT")
+print(f"total failure rate: {table.lambda_tot:.1f} FIT")
 print(f"SPFM = {spfm(table).value:.4f}")
 print(f"LFM  = {lfm(table).value:.4f}")
 

@@ -12,11 +12,11 @@ from fmeda_uq import (
     FmedaTable,
     Part,
     Subpart,
-    apply_faultsim_sigmas,
     margin_to_sigma,
     sample_size,
     sigma_spfm,
 )
+from fmeda_uq.model import table_arrays
 
 # How many faults must actually be injected?
 print(f"{'population':>12s} {'margin':>7s} {'conf':>5s} {'inject':>8s} {'saving':>8s}")
@@ -43,9 +43,7 @@ table = FmedaTable((Part("CPU", (Subpart("EXEC", failure_modes=(
     FailureModeRow(id="FM2", lambda_fm=40.0, dc=0.90, sigma_dc=0.02),
 )),)),))
 
-enriched = apply_faultsim_sigmas(table)
-for part in enriched.parts:
-    for sub in part.subparts:
-        for row in sub.failure_modes:
-            print(f"  {row.id}: sigma_dc = {row.sigma_dc:.6f}")
-print(f"sigma_SPFM with campaign margins folded in: {sigma_spfm(enriched):.6f}")
+arr = table_arrays(table)
+for row_id, sigma_dc in zip(arr.ids, arr.sigma_dc):
+    print(f"  {row_id}: sigma_dc = {sigma_dc:.6f}")
+print(f"sigma_SPFM with campaign margins folded in: {sigma_spfm(table):.6f}")

@@ -19,7 +19,6 @@ from .model import (
     Subpart,
     Violation,
     materialize_direct,
-    total_lambda,
     validate,
 )
 from .metrics import (
@@ -33,23 +32,19 @@ from .metrics import (
 from .uncertainty import (
     Interval,
     PropagationMode,
-    UncertaintyResult,
     confidence_interval,
-    propagate,
     sigma_lfm,
     sigma_spfm,
 )
 from .eii import EiiEntry, eii_table, total_per_failure_mode
 from .sampling import (
     SampleSizePlan,
-    apply_faultsim_sigmas,
     margin_to_sigma,
     sample_size,
 )
 from .mc_oracle import McConfig, McVerdict, mc_sigma_lfm, mc_sigma_spfm
 from .ingest import (
     ParseError,
-    TableSchema,
     emit_csv,
     emit_json,
     emit_result,
@@ -77,12 +72,9 @@ __all__ = [
     "ReportRow",
     "SampleSizePlan",
     "Subpart",
-    "TableSchema",
-    "UncertaintyResult",
     "UndefinedMetricError",
     "Violation",
     "analyze",
-    "apply_faultsim_sigmas",
     "asil_verdict",
     "confidence_interval",
     "eii_table",
@@ -96,12 +88,10 @@ __all__ = [
     "mc_sigma_spfm",
     "parse_csv",
     "parse_json",
-    "propagate",
     "sample_size",
     "sigma_lfm",
     "sigma_spfm",
     "spfm",
-    "total_lambda",
     "total_per_failure_mode",
     "validate",
     "__version__",

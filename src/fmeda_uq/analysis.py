@@ -3,9 +3,11 @@
 analyze() runs the whole pipeline on a validated table: nominal SPFM and
 LFM, the three propagation variants of sigma_SPFM, sigma_LFM, confidence
 intervals, the error-importance ranking with per-failure-mode totals, and
-the ASIL verdict when a target applies.  Rows whose DC was measured by a
-sampled fault-injection campaign get their sigma_dc derived from the
-campaign margin first (unless already explicit or disabled).
+the ASIL verdict when a target applies.  It validates and extracts the
+table once and runs the propagation kernel once; everything else is read
+off that one result.  Rows whose DC was measured by a sampled
+fault-injection campaign get their sigma_dc derived from the campaign
+margin during extraction (unless already explicit).
 
 LFM can be legitimately undefined (a table where every fault is residual
 has no detected pool); the result then carries lfm=None with a note
@@ -15,31 +17,16 @@ instead of failing, so SPFM reporting still works.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import SimpleNamespace
 
-from .eii import (
-    EiiEntry,
-    INPUT_DC,
-    NO_UNCERTAINTY_NOTE,
-    eii_table,
-    total_per_failure_mode,
-)
-from .metrics import (
-    AsilVerdict,
-    UndefinedMetricError,
-    asil_verdict,
-    lfm,
-    spfm,
-)
-from .model import FmedaTable, iter_rows, require_valid
-from .sampling import apply_faultsim_sigmas
+from .eii import EiiEntry, INPUT_DC, NO_UNCERTAINTY_NOTE, _entries, total_per_failure_mode
+from .metrics import AsilVerdict, asil_verdict
+from .model import FmedaTable, cutoff, iter_rows, table_arrays
 from .uncertainty import (
     Interval,
     PropagationMode,
+    _by_mode,
+    _propagate,
     confidence_interval,
-    cutoff,
-    sigma_lfm,
-    sigma_spfm,
 )
 
 
@@ -90,11 +77,8 @@ class AnalysisResult:
     @property
     def sigma_spfm(self) -> float:
         """The sigma selected by the propagation mode (drives the verdict)."""
-        if self.mode is PropagationMode.DC_ONLY:
-            return self.sigma_spfm_dc_only
-        if self.mode is PropagationMode.LAMBDA_ONLY:
-            return self.sigma_spfm_lambda_only
-        return self.sigma_spfm_full
+        return _by_mode(self.mode, self.sigma_spfm_full, self.sigma_spfm_dc_only,
+                        self.sigma_spfm_lambda_only)
 
     def to_dict(self) -> dict:
         doc = {
@@ -173,54 +157,31 @@ def analyze(
     confidence_level: float = 0.95,
     mode: PropagationMode = PropagationMode.FULL,
     asil_target: str | None = None,
-    derive_faultsim_sigma: bool = True,
     stamp: dict | None = None,
 ) -> AnalysisResult:
     """Run the full analysis on a valid table.
 
     asil_target overrides the table's own target; None falls back to it.
     """
-    require_valid(table)
-    if derive_faultsim_sigma:
-        table = apply_faultsim_sigmas(table)
-
+    arr = table_arrays(table)
+    prop = _propagate(arr)
     k = cutoff(confidence_level)
-    spfm_value = spfm(table).value
-    s_full = sigma_spfm(table, PropagationMode.FULL)
-    s_dc = sigma_spfm(table, PropagationMode.DC_ONLY)
-    s_lam = sigma_spfm(table, PropagationMode.LAMBDA_ONLY)
-    selected = {
-        PropagationMode.FULL: s_full,
-        PropagationMode.DC_ONLY: s_dc,
-        PropagationMode.LAMBDA_ONLY: s_lam,
-    }[mode]
-    interval_spfm = confidence_interval(spfm_value, selected, confidence_level)
+    selected = prop.sigma_spfm(mode)
+    interval_spfm = confidence_interval(prop.spfm, selected, confidence_level)
 
-    lfm_value: float | None
-    lfm_note = None
-    s_lfm: float | None
-    interval_lfm: Interval | None
-    try:
-        lfm_value = lfm(table).value
-        s_lfm = sigma_lfm(table)
-        interval_lfm = confidence_interval(lfm_value, s_lfm, confidence_level)
-    except UndefinedMetricError as exc:
-        lfm_value = None
-        lfm_note = str(exc)
-        s_lfm = None
-        interval_lfm = None
+    interval_lfm: Interval | None = None
+    if prop.lfm is not None:
+        interval_lfm = confidence_interval(prop.lfm, prop.sigma_lfm, confidence_level)
 
-    entries = tuple(eii_table(table))
+    entries = tuple(_entries(arr.ids, prop))
     totals = tuple(total_per_failure_mode(list(entries)))
     eii_note = None if entries else NO_UNCERTAINTY_NOTE
 
     target = asil_target if asil_target is not None else table.asil_target
     verdict = None
     if target is not None:
-        probe = SimpleNamespace(
-            spfm=spfm_value, sigma_spfm=selected, lfm=lfm_value, sigma_lfm=s_lfm, k=k
-        )
-        verdict = asil_verdict(probe, target)
+        verdict = asil_verdict(target, spfm=prop.spfm, sigma_spfm=selected,
+                               lfm=prop.lfm, sigma_lfm=prop.sigma_lfm, k=k)
 
     by_row: dict[int, dict[str, float]] = {}
     for e in entries:
@@ -238,7 +199,7 @@ def analyze(
             lambda_fm=row.lambda_fm,
             sigma_lambda_fm=row.sigma_lambda_fm,
             dc=row.dc,
-            sigma_dc=row.sigma_dc,
+            sigma_dc=float(arr.sigma_dc[i]),
             dc_latent=row.dc_latent,
             sigma_dc_latent=row.sigma_dc_latent,
             eii_dc_percent=dc_pct,
@@ -246,16 +207,15 @@ def analyze(
             eii_total_percent=dc_pct + lam_pct,
         ))
 
-    arr_total = sum(r.lambda_fm for r in rows)
     return AnalysisResult(
-        lambda_tot=arr_total,
-        spfm=spfm_value,
-        lfm=lfm_value,
-        lfm_note=lfm_note,
-        sigma_spfm_full=s_full,
-        sigma_spfm_dc_only=s_dc,
-        sigma_spfm_lambda_only=s_lam,
-        sigma_lfm=s_lfm,
+        lambda_tot=arr.lambda_tot,
+        spfm=prop.spfm,
+        lfm=prop.lfm,
+        lfm_note=prop.lfm_note,
+        sigma_spfm_full=prop.sigma_spfm_full,
+        sigma_spfm_dc_only=prop.sigma_spfm_dc_only,
+        sigma_spfm_lambda_only=prop.sigma_spfm_lambda_only,
+        sigma_lfm=prop.sigma_lfm,
         mode=mode,
         confidence_level=confidence_level,
         k=k,

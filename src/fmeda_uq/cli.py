@@ -80,9 +80,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_table(path_text: str):
     path = Path(path_text)
     try:
-        text = path.read_text(encoding="utf-8")
+        # utf-8-sig drops the byte-order mark that spreadsheet exports put first.
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from None
     if path.suffix.lower() == ".json" or text.lstrip().startswith("{"):
         return parse_json(text)
     return parse_csv(text)

@@ -8,7 +8,8 @@ reported side by side:
 * variance_share = term / (lambda_tot^2 * sigma_SPFM^2)
 
 where term is lambda_i^2*sigma_DC_i^2 for DC entries and
-(1-DC_i)^2*sigma_lambda_i^2 for rate entries.  The shares partition the
+(1-DC_i)^2*sigma_lambda_i^2 for rate entries; the propagation kernel
+returns term / lambda_tot^2 directly.  The shares partition the
 variance, so they sum to 1 and back the percentage report columns; the
 raw values divide by sigma_SPFM only once and do not sum to anything
 meaningful, but rank identically (same numerators, positive constant
@@ -19,8 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import FmedaTable, require_valid, table_arrays
-from .uncertainty import PropagationMode, _spfm_variance_terms, sigma_spfm_from_arrays
+from .model import FmedaTable, table_arrays
+from .uncertainty import _propagate, _Propagation
 
 INPUT_DC = "dc"
 INPUT_LAMBDA = "lambda_fm"
@@ -48,20 +49,20 @@ def eii_table(table: FmedaTable) -> list[EiiEntry]:
     there is nothing to attribute and the list is empty; see
     NO_UNCERTAINTY_NOTE for the report wording.
     """
-    require_valid(table)
     arr = table_arrays(table)
-    s_full = sigma_spfm_from_arrays(arr, PropagationMode.FULL)
+    return _entries(arr.ids, _propagate(arr))
+
+
+def _entries(ids: tuple[str, ...], prop: _Propagation) -> list[EiiEntry]:
+    s_full = prop.sigma_spfm_full
     if s_full == 0.0:
         return []
-
-    terms_dc, terms_lam = _spfm_variance_terms(arr)
-    total = float(terms_dc.sum() + terms_lam.sum())
-    raw_den = arr.lambda_tot**2 * s_full
+    total = float(prop.terms_dc.sum() + prop.terms_lam.sum())
 
     entries: list[EiiEntry] = []
-    for i, fm_id in enumerate(arr.ids):
-        for input_kind, term in ((INPUT_DC, float(terms_dc[i])),
-                                 (INPUT_LAMBDA, float(terms_lam[i]))):
+    for i, fm_id in enumerate(ids):
+        for input_kind, term in ((INPUT_DC, float(prop.terms_dc[i])),
+                                 (INPUT_LAMBDA, float(prop.terms_lam[i]))):
             if term <= 0.0:
                 continue
             share = term / total
@@ -70,7 +71,7 @@ def eii_table(table: FmedaTable) -> list[EiiEntry]:
                     failure_mode_id=fm_id,
                     input=input_kind,
                     row_index=i,
-                    raw_eii=term / raw_den,
+                    raw_eii=term / s_full,
                     variance_share=share,
                     percent=share * 100.0,
                 )

@@ -48,13 +48,6 @@ CSV_COLUMNS = (
 FORMAT_VERSION = "fmeda-uq/1"
 
 
-class TableSchema:
-    """The fixed column order and document version of the table formats."""
-
-    columns: tuple[str, ...] = CSV_COLUMNS
-    version: str = FORMAT_VERSION
-
-
 class ParseError(ValueError):
     """A malformed document, with 1-based line / key-path context."""
 
@@ -328,6 +321,8 @@ def parse_json(text: str) -> FmedaTable:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
 
     _expect_keys(doc, "$", required={"version", "parts"}, optional={"asil_target"})
     version = _expect_str(doc["version"], "$.version")

@@ -8,13 +8,14 @@ empirical sigma against the analytic one at a relative tolerance (3% for
 SPFM; 5% for LFM, whose ratio form makes first-order propagation carry
 genuine truncation error).
 
-Conventions shared with the analytic model so the two routes agree:
-lambda_tot stays fixed at its nominal value while individual rates are
-perturbed, and inputs are mutually independent.  With truncation enabled
-(the default), DC draws clamp to [0, 1] and rate draws to [0, inf); the
-clamp rate is reported, and above 0.1% the verdict carries a warning
-because boundary effects then bias the comparison.  Disable truncation
-for mathematical-fidelity checks.
+Conventions shared with the analytic model so the two routes agree: both
+read the same model.table_arrays extraction (fault-simulation rows carry
+sigma_DC = e/t), lambda_tot stays fixed at its nominal value while
+individual rates are perturbed, and inputs are mutually independent.
+With truncation enabled (the default), DC draws clamp to [0, 1] and rate
+draws to [0, inf); the clamp rate is reported, and above 0.1% the verdict
+carries a warning because boundary effects then bias the comparison.
+Disable truncation for mathematical-fidelity checks.
 
 Sampling uses numpy's PCG64 generator, seeded from the config, with a
 fixed chunking scheme, so a given (table, config) reproduces bit-identical
@@ -28,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import uncertainty
-from .model import FmedaTable, require_valid, table_arrays
+from .model import FmedaTable, TableArrays, table_arrays
+from .uncertainty import _propagate
 
 RNG_ALGORITHM = "numpy-pcg64"
 MIN_VERDICT_SAMPLES = 1000
@@ -89,9 +90,8 @@ class McVerdict:
         }
 
 
-def _simulate(table: FmedaTable, config: McConfig, metric: str) -> tuple[np.ndarray, float, int]:
+def _simulate(arr: TableArrays, config: McConfig, metric: str) -> tuple[np.ndarray, float, int]:
     """Per-sample metric values, truncation rate, and dropped-sample count."""
-    arr = table_arrays(table)
     n_rows = arr.lam.size
     rng = np.random.default_rng(config.seed)
 
@@ -201,9 +201,9 @@ def mc_sigma_spfm(
     tolerance: float = DEFAULT_SPFM_TOLERANCE,
 ) -> McVerdict:
     """Compare the empirical SPFM spread against the analytic sigma."""
-    require_valid(table)
-    analytic = uncertainty.sigma_spfm(table, uncertainty.PropagationMode.FULL)
-    values, rate, dropped = _simulate(table, config, "SPFM")
+    arr = table_arrays(table)
+    analytic = _propagate(arr).sigma_spfm_full
+    values, rate, dropped = _simulate(arr, config, "SPFM")
     return _verdict("SPFM", analytic, values, rate, dropped, config, tolerance)
 
 
@@ -217,7 +217,8 @@ def mc_sigma_lfm(
     Raises UndefinedMetricError when the table has no detected pool at
     its nominal values.
     """
-    require_valid(table)
-    analytic = uncertainty.sigma_lfm(table)
-    values, rate, dropped = _simulate(table, config, "LFM")
-    return _verdict("LFM", analytic, values, rate, dropped, config, tolerance)
+    arr = table_arrays(table)
+    prop = _propagate(arr)
+    prop.require_lfm()
+    values, rate, dropped = _simulate(arr, config, "LFM")
+    return _verdict("LFM", prop.sigma_lfm, values, rate, dropped, config, tolerance)

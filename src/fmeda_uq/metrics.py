@@ -12,6 +12,8 @@ the pool that the single-point mechanisms already detect or control:
               -----------------------------------------
               lambda_tot - sum_i (1 - DC_i) * lambda_i
 
+LFM is undefined when no row has DC_i * lambda_i > 0 (no detected pool).
+
 ASIL thresholds are ISO 26262-5 defaults (ASIL A carries no quantitative
 target) and can be overridden per call.  A verdict is three-state: a
 metric can clear its threshold robustly (value - k*sigma still clears),
@@ -21,11 +23,11 @@ not), or fail outright.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .model import FmedaTable, require_valid, table_arrays
+from .model import FmedaTable, table_arrays
+from .uncertainty import UndefinedMetricError, _propagate  # noqa: F401 (re-exported)
 
 SPFM_KIND = "SPFM"
 LFM_KIND = "LFM"
@@ -41,10 +43,6 @@ ASIL_THRESHOLDS: dict[str, tuple[float, float] | None] = {
     "C": (0.97, 0.80),
     "D": (0.99, 0.90),
 }
-
-
-class UndefinedMetricError(ValueError):
-    """The metric's denominator is zero, so the ratio is undefined."""
 
 
 @dataclass(frozen=True)
@@ -65,63 +63,38 @@ class AsilVerdict:
     overall: str
 
 
-def spfm_from_arrays(dc: np.ndarray, lam: np.ndarray, lambda_tot: float) -> float:
-    """SPFM with lambda_tot supplied explicitly (held fixed by callers that
-    perturb lam)."""
-    if lambda_tot <= 0.0:
-        raise UndefinedMetricError("lambda_tot must be > 0 to compute SPFM")
-    residual = float(np.dot(1.0 - dc, lam))
-    return 1.0 - residual / lambda_tot
-
-
-def lfm_from_arrays(
-    dc: np.ndarray, dc_lat: np.ndarray, lam: np.ndarray, lambda_tot: float
-) -> float:
-    """LFM with lambda_tot supplied explicitly."""
-    residual = float(np.dot(1.0 - dc, lam))
-    detected = lambda_tot - residual
-    if detected <= 0.0:
-        raise UndefinedMetricError(
-            "LFM is undefined: every fault is residual (no detected pool; "
-            "lambda_tot - sum((1-DC)*lambda) <= 0)"
-        )
-    latent = float(np.dot((1.0 - dc_lat) * dc, lam))
-    return 1.0 - latent / detected
-
-
 def spfm(table: FmedaTable) -> MetricValue:
     """Single point fault metric of a valid table."""
-    require_valid(table)
-    arr = table_arrays(table)
-    return MetricValue(spfm_from_arrays(arr.dc, arr.lam, arr.lambda_tot), SPFM_KIND)
+    return MetricValue(_propagate(table_arrays(table)).spfm, SPFM_KIND)
 
 
 def lfm(table: FmedaTable) -> MetricValue:
     """Latent fault metric of a valid table."""
-    require_valid(table)
-    arr = table_arrays(table)
-    return MetricValue(
-        lfm_from_arrays(arr.dc, arr.dc_lat, arr.lam, arr.lambda_tot), LFM_KIND
-    )
+    prop = _propagate(table_arrays(table))
+    prop.require_lfm()
+    return MetricValue(prop.lfm, LFM_KIND)
 
 
 def metric_verdict(value: float, sigma: float, k: float, threshold: float) -> str:
-    """Three-state check of one metric against one threshold."""
-    if value < threshold:
+    """Three-state check of one metric against one threshold.
+
+    A value or sigma that is not finite fails: it cannot support a pass.
+    """
+    if not (math.isfinite(value) and math.isfinite(sigma)) or value < threshold:
         return FAIL
     if value - k * sigma >= threshold:
         return PASS_ROBUST
     return PASS_FRAGILE
 
 
-def asil_verdict(result, target: str,
+def asil_verdict(target: str, *, spfm: float, sigma_spfm: float,
+                 lfm: float | None, sigma_lfm: float | None, k: float,
                  thresholds: dict[str, tuple[float, float] | None] | None = None
                  ) -> AsilVerdict:
-    """Judge an analysis result against an ASIL target.
+    """Judge metric values and their sigmas against an ASIL target.
 
-    `result` must expose spfm, sigma_spfm, lfm (None when undefined),
-    sigma_lfm and the cut-off k.  The sigma driving the verdict is
-    whichever propagation mode the result was built with.
+    lfm is None when LFM is undefined; sigma_spfm is the sigma of whichever
+    propagation mode should drive the verdict, and k the interval cut-off.
     """
     table = thresholds if thresholds is not None else ASIL_THRESHOLDS
     if target not in table:
@@ -131,10 +104,10 @@ def asil_verdict(result, target: str,
         # No quantitative targets at this level; nothing can fail.
         return AsilVerdict(target, PASS_ROBUST, PASS_ROBUST, PASS_ROBUST)
     spfm_min, lfm_min = limits
-    v_spfm = metric_verdict(result.spfm, result.sigma_spfm, result.k, spfm_min)
+    v_spfm = metric_verdict(spfm, sigma_spfm, k, spfm_min)
     v_lfm = None
-    if result.lfm is not None:
-        v_lfm = metric_verdict(result.lfm, result.sigma_lfm, result.k, lfm_min)
+    if lfm is not None:
+        v_lfm = metric_verdict(lfm, sigma_lfm, k, lfm_min)
     order = {PASS_ROBUST: 0, PASS_FRAGILE: 1, FAIL: 2}
     worst = max((v for v in (v_spfm, v_lfm) if v is not None), key=order.__getitem__)
     return AsilVerdict(target, v_spfm, v_lfm, worst)

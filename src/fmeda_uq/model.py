@@ -40,9 +40,34 @@ DISTRIBUTION = "Distribution"
 
 EXPERT = "expert"
 FAULT_SIMULATION = "faultsim"
-FAULTSIM_CONFIDENCE_LEVELS = (0.90, 0.95, 0.99)
+
+# Two-sided standard-normal cut-offs, 5 significant digits.
+NORMAL_CUTOFFS: dict[float, float] = {
+    0.90: 1.6449,
+    0.95: 1.9600,
+    0.99: 2.5758,
+}
+FAULTSIM_CONFIDENCE_LEVELS = tuple(NORMAL_CUTOFFS)
 
 ASIL_LEVELS = ("A", "B", "C", "D")
+
+
+def cutoff(confidence_level: float) -> float:
+    """Standard-normal two-sided cut-off for one of the supported levels."""
+    try:
+        return NORMAL_CUTOFFS[confidence_level]
+    except KeyError:
+        raise ValueError(
+            f"unsupported confidence level {confidence_level!r}; "
+            f"expected one of {sorted(NORMAL_CUTOFFS)}"
+        ) from None
+
+
+def margin_to_sigma(margin: float, confidence_level: float) -> float:
+    """Standard deviation implied by a campaign margin: sigma = e / t."""
+    if not 0.0 <= margin < 1.0:
+        raise ValueError(f"margin must lie in [0, 1), got {margin!r}")
+    return margin / cutoff(confidence_level)
 
 
 class FmedaValidationError(ValueError):
@@ -179,23 +204,11 @@ class FmedaTable:
 
     @property
     def lambda_tot(self) -> float:
-        """Total failure rate in FIT, derived as the sum of all row rates."""
-        total = 0.0
-        for _, _, row in iter_rows(self):
-            if row.lambda_fm is None:
-                raise FmedaValidationError(
-                    [
-                        Violation(
-                            location=row.id,
-                            field="lambda_fm",
-                            rule="lambda.missing",
-                            observed=None,
-                            message="row has no failure rate (unresolved FMD fraction?)",
-                        )
-                    ]
-                )
-            total += row.lambda_fm
-        return total
+        """Total failure rate in FIT, derived as the sum of all row rates.
+
+        Requires a valid table; the value is table_arrays(self).lambda_tot.
+        """
+        return table_arrays(self).lambda_tot
 
 
 def iter_rows(table: FmedaTable) -> Iterator[tuple[Part, Subpart, FailureModeRow]]:
@@ -346,6 +359,9 @@ def validate(table: FmedaTable) -> list[Violation]:
     if lambda_known and total <= 0.0:
         bad("table", "lambda_tot", "table.lambda_tot_positive", total,
             "total failure rate must be > 0 for an analyzable table")
+    elif lambda_known and not math.isfinite(total):
+        bad("table", "lambda_tot", "table.lambda_tot_finite", total,
+            "total failure rate overflows the float range")
 
     return out
 
@@ -355,12 +371,6 @@ def require_valid(table: FmedaTable) -> None:
     violations = validate(table)
     if violations:
         raise FmedaValidationError(violations)
-
-
-def total_lambda(table: FmedaTable) -> float:
-    """Sum of all failure-mode rates in FIT.  Requires a valid table."""
-    require_valid(table)
-    return table.lambda_tot
 
 
 def materialize_direct(table: FmedaTable) -> FmedaTable:
@@ -388,7 +398,12 @@ def materialize_direct(table: FmedaTable) -> FmedaTable:
 
 @dataclass(frozen=True)
 class TableArrays:
-    """Row-aligned numeric view of a table (float64), plus row identity."""
+    """Row-aligned numeric view of a table (float64), plus row identity.
+
+    sigma_dc already carries the fault-simulation sigma e/t for rows whose
+    DC came from a sampled campaign without an explicit sigma_dc.
+    lambda_tot is the only total rate of the package: lam.sum().
+    """
 
     ids: tuple[str, ...]
     lam: np.ndarray
@@ -401,19 +416,24 @@ class TableArrays:
 
 
 def table_arrays(table: FmedaTable) -> TableArrays:
-    """Extract per-row vectors in table order.  Rows must have resolved rates."""
+    """Validate once, then extract the per-row vectors in table order.
+
+    Raises FmedaValidationError when validate() reports anything.  A
+    fault-simulation row with sigma_dc == 0 gets sigma_dc = e/t from its
+    campaign; an explicit sigma_dc is kept.
+    """
+    require_valid(table)
     ids, lam, slam, dc, sdc, lat, slat = [], [], [], [], [], [], []
     for _, _, row in iter_rows(table):
-        if row.lambda_fm is None:
-            raise FmedaValidationError(
-                [Violation(row.id, "lambda_fm", "lambda.missing", None,
-                           "row has no resolved failure rate")]
-            )
+        sigma_dc = row.sigma_dc
+        src = row.dc_source
+        if src.is_fault_simulation and sigma_dc == 0.0:
+            sigma_dc = margin_to_sigma(src.margin_e, src.confidence_level)
         ids.append(row.id)
         lam.append(row.lambda_fm)
         slam.append(row.sigma_lambda_fm)
         dc.append(row.dc)
-        sdc.append(row.sigma_dc)
+        sdc.append(sigma_dc)
         lat.append(row.dc_latent)
         slat.append(row.sigma_dc_latent)
     lam_arr = np.asarray(lam, dtype=np.float64)

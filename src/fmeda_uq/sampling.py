@@ -17,15 +17,18 @@ estimator, so sigma_DC = e / t.  This is the bridge between statistical
 fault simulation and the uncertainty analysis, and the single most
 consequential interpretation in this package: a campaign quoted as
 "e = 1% at 95%" contributes sigma_DC = 0.01/1.96 = 0.0051 per row.
+margin_to_sigma lives in the model, because model.table_arrays applies it
+to every fault-simulation row without an explicit sigma_dc, so analyze,
+the public metric functions and the Monte Carlo oracle all see it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .model import FmedaTable, Part, Subpart, require_valid
-from .uncertainty import cutoff
+from .model import cutoff
+from .model import margin_to_sigma  # noqa: F401 (re-exported)
 
 
 @dataclass(frozen=True)
@@ -69,36 +72,3 @@ def sample_size(
         cutoff=t,
         sample_size=max(n, 1),
     )
-
-
-def margin_to_sigma(margin: float, confidence_level: float) -> float:
-    """Standard deviation implied by a campaign margin: sigma = e / t."""
-    if not 0.0 <= margin < 1.0:
-        raise ValueError(f"margin must lie in [0, 1), got {margin!r}")
-    return margin / cutoff(confidence_level)
-
-
-def apply_faultsim_sigmas(table: FmedaTable) -> FmedaTable:
-    """Fill in sigma_dc for rows whose DC came from a sampled campaign.
-
-    Rows with a fault-simulation source and sigma_dc == 0 get the sigma
-    implied by the campaign's margin and confidence; rows with an explicit
-    sigma_dc are left untouched.  Returns a new table.
-    """
-    require_valid(table)
-    parts = []
-    for part in table.parts:
-        subs = []
-        for sub in part.subparts:
-            rows = []
-            for row in sub.failure_modes:
-                src = row.dc_source
-                if src.is_fault_simulation and row.sigma_dc == 0.0:
-                    row = replace(
-                        row,
-                        sigma_dc=margin_to_sigma(src.margin_e, src.confidence_level),
-                    )
-                rows.append(row)
-            subs.append(Subpart(sub.name, sub.lambda_subpart, sub.fmd_mode, tuple(rows)))
-        parts.append(Part(part.name, tuple(subs)))
-    return FmedaTable(tuple(parts), table.asil_target)

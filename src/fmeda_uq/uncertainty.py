@@ -21,6 +21,13 @@ sigma_LFM has no compact closed form; it is assembled from the analytic
 partial derivatives of the LFM ratio (again with lambda_tot fixed), which
 are exposed for finite-difference cross-checking.
 
+One kernel, _propagate, computes every metric, sigma, variance term and
+partial from a TableArrays.  It works on the normalized weights
+w_i = lambda_i/lambda_tot and sigma_lambda_i/lambda_tot, so its results do
+not depend on the scale of the rates, from subnormal to near-overflow
+FIT values.  The public functions each extract the arrays
+once and read one field of the kernel's result.
+
 Cross-covariances between inputs are deliberately not modeled; the data
 model carries no covariance inputs.
 """
@@ -33,26 +40,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import UndefinedMetricError
-from .model import FmedaTable, TableArrays, require_valid, table_arrays
+from .model import FmedaTable, TableArrays, cutoff, table_arrays
 
-# Two-sided standard-normal cut-offs, 5 significant digits.
-NORMAL_CUTOFFS: dict[float, float] = {
-    0.90: 1.6449,
-    0.95: 1.9600,
-    0.99: 2.5758,
-}
-
-
-def cutoff(confidence_level: float) -> float:
-    """Standard-normal two-sided cut-off for one of the supported levels."""
-    try:
-        return NORMAL_CUTOFFS[confidence_level]
-    except KeyError:
-        raise ValueError(
-            f"unsupported confidence level {confidence_level!r}; "
-            f"expected one of {sorted(NORMAL_CUTOFFS)}"
-        ) from None
+class UndefinedMetricError(ValueError):
+    """The metric's denominator is zero, so the ratio is undefined."""
 
 
 class PropagationMode(str, enum.Enum):
@@ -61,6 +52,16 @@ class PropagationMode(str, enum.Enum):
     FULL = "full"
     DC_ONLY = "dc_only"
     LAMBDA_ONLY = "lambda_only"
+
+
+def _by_mode(mode: PropagationMode, full: float, dc_only: float,
+             lambda_only: float) -> float:
+    """The sigma_SPFM variant a propagation mode selects."""
+    return {
+        PropagationMode.FULL: full,
+        PropagationMode.DC_ONLY: dc_only,
+        PropagationMode.LAMBDA_ONLY: lambda_only,
+    }[PropagationMode(mode)]
 
 
 @dataclass(frozen=True)
@@ -73,91 +74,114 @@ class Interval:
 
 
 @dataclass(frozen=True)
-class UncertaintyResult:
-    """Propagated sigmas and the intervals they imply at one confidence level."""
+class _Propagation:
+    """Everything the kernel derives from one TableArrays.
 
-    sigma_spfm: float
+    Variance terms and sigmas are dimensionless.  Rate partials are per
+    unit of normalized weight w_i; divide by lambda_tot for per-FIT values.
+    The LFM fields are None when no row has DC_i * w_i > 0.
+    """
+
+    spfm: float
+    lfm: float | None
+    lfm_note: str | None   # why LFM is undefined
+    terms_dc: np.ndarray   # (w_i * sigma_DC_i)^2
+    terms_lam: np.ndarray  # ((1 - DC_i) * sigma_lambda_i / lambda_tot)^2
+    sigma_spfm_full: float
+    sigma_spfm_dc_only: float
+    sigma_spfm_lambda_only: float
     sigma_lfm: float | None
-    mode: PropagationMode
-    confidence_level: float
-    k: float
-    interval_spfm: Interval
-    interval_lfm: Interval | None
+    spfm_partials: tuple[np.ndarray, np.ndarray]  # d/dDC, d/dw
+    lfm_partials: tuple[np.ndarray, np.ndarray, np.ndarray] | None  # d/dDC, d/dDC_lat, d/dw
+
+    def sigma_spfm(self, mode: PropagationMode) -> float:
+        return _by_mode(mode, self.sigma_spfm_full, self.sigma_spfm_dc_only,
+                        self.sigma_spfm_lambda_only)
+
+    def require_lfm(self) -> None:
+        if self.lfm is None:
+            raise UndefinedMetricError(self.lfm_note)
 
 
-def _spfm_variance_terms(arr: TableArrays) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row variance contributions (DC side, rate side), in FIT^2."""
-    terms_dc = (arr.lam * arr.sigma_dc) ** 2
-    terms_lam = ((1.0 - arr.dc) * arr.sigma_lam) ** 2
-    return terms_dc, terms_lam
+def _propagate(arr: TableArrays) -> _Propagation:
+    """SPFM, LFM, their first-order sigmas and partials, lambda_tot fixed."""
+    lambda_tot = arr.lambda_tot
+    if not (math.isfinite(lambda_tot) and lambda_tot > 0.0):
+        raise UndefinedMetricError("lambda_tot must be finite and > 0 to compute SPFM")
+    w = arr.lam / lambda_tot
+    sigma_w = arr.sigma_lam / lambda_tot
+    undetected = 1.0 - arr.dc
 
+    spfm_value = 1.0 - float(np.dot(undetected, w))
+    terms_dc = (w * arr.sigma_dc) ** 2
+    terms_lam = (undetected * sigma_w) ** 2
+    var_dc = float(terms_dc.sum())
+    var_lam = float(terms_lam.sum())
 
-def sigma_spfm_from_arrays(arr: TableArrays, mode: PropagationMode = PropagationMode.FULL) -> float:
-    if arr.lambda_tot <= 0.0:
-        raise UndefinedMetricError("lambda_tot must be > 0 to propagate SPFM uncertainty")
-    terms_dc, terms_lam = _spfm_variance_terms(arr)
-    if mode is PropagationMode.FULL:
-        var = float(terms_dc.sum() + terms_lam.sum())
-    elif mode is PropagationMode.DC_ONLY:
-        var = float(terms_dc.sum())
-    elif mode is PropagationMode.LAMBDA_ONLY:
-        var = float(terms_lam.sum())
-    else:
-        raise ValueError(f"unknown propagation mode {mode!r}")
-    return math.sqrt(var) / arr.lambda_tot
+    lfm_value = s_lfm = lfm_grads = None
+    lfm_note = ("LFM is undefined: every fault is residual "
+                "(no detected pool: no row has DC*lambda > 0)")
+    detected_w = arr.dc * w
+    # With lambda_tot fixed the detected pool is 1 - sum((1-DC)*w); written
+    # as sum(DC*w) plus the gap between lambda_tot and the row sum, which is
+    # exactly 0 for the arrays of a table, so it is > 0 iff some DC_i*w_i is.
+    detected = float(detected_w.sum()) + (1.0 - float(arr.lam.sum()) / lambda_tot)
+    if (detected_w > 0.0).any() and detected > 0.0:
+        latent = float(np.dot(1.0 - arr.dc_lat, detected_w))
+        lfm_value = 1.0 - latent / detected
+        # LFM = 1 - latent/detected; quotient rule, lambda_tot constant.
+        d_dc = w * (latent - (1.0 - arr.dc_lat) * detected) / detected**2
+        d_dc_lat = detected_w / detected
+        d_w = -((1.0 - arr.dc_lat) * arr.dc * detected + latent * undetected) / detected**2
+        lfm_grads = (d_dc, d_dc_lat, d_w)
+        lfm_note = None
+        s_lfm = math.sqrt(float(
+            np.dot(d_dc**2, arr.sigma_dc**2)
+            + np.dot(d_dc_lat**2, arr.sigma_dc_lat**2)
+            + np.dot(d_w**2, sigma_w**2)
+        ))
+
+    return _Propagation(
+        spfm=spfm_value,
+        lfm=lfm_value,
+        lfm_note=lfm_note,
+        terms_dc=terms_dc,
+        terms_lam=terms_lam,
+        sigma_spfm_full=math.sqrt(var_dc + var_lam),
+        sigma_spfm_dc_only=math.sqrt(var_dc),
+        sigma_spfm_lambda_only=math.sqrt(var_lam),
+        sigma_lfm=s_lfm,
+        spfm_partials=(w, -undetected),
+        lfm_partials=lfm_grads,
+    )
 
 
 def sigma_spfm(table: FmedaTable, mode: PropagationMode = PropagationMode.FULL) -> float:
     """Standard deviation of SPFM under the selected propagation mode."""
-    require_valid(table)
-    return sigma_spfm_from_arrays(table_arrays(table), mode)
+    return _propagate(table_arrays(table)).sigma_spfm(mode)
 
 
 def spfm_partials(table: FmedaTable) -> tuple[np.ndarray, np.ndarray]:
     """Analytic (dSPFM/dDC_i, dSPFM/dlambda_i) with lambda_tot held fixed."""
-    require_valid(table)
     arr = table_arrays(table)
-    d_dc = arr.lam / arr.lambda_tot
-    d_lam = -(1.0 - arr.dc) / arr.lambda_tot
-    return d_dc, d_lam
-
-
-def lfm_partials_from_arrays(arr: TableArrays) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    residual = float(np.dot(1.0 - arr.dc, arr.lam))
-    den = arr.lambda_tot - residual
-    if den <= 0.0:
-        raise UndefinedMetricError(
-            "LFM is undefined: no detected pool to propagate uncertainty over"
-        )
-    num = float(np.dot((1.0 - arr.dc_lat) * arr.dc, arr.lam))
-    # LFM = 1 - num/den with den = lambda_tot - sum((1-DC)*lambda); quotient
-    # rule, lambda_tot constant.
-    d_dc_lat = arr.dc * arr.lam / den
-    d_dc = arr.lam * (num - (1.0 - arr.dc_lat) * den) / den**2
-    d_lam = -((1.0 - arr.dc_lat) * arr.dc * den + num * (1.0 - arr.dc)) / den**2
-    return d_dc, d_dc_lat, d_lam
+    d_dc, d_w = _propagate(arr).spfm_partials
+    return d_dc, d_w / arr.lambda_tot
 
 
 def lfm_partials(table: FmedaTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Analytic (dLFM/dDC_i, dLFM/dDC_lat_i, dLFM/dlambda_i), lambda_tot fixed."""
-    require_valid(table)
-    return lfm_partials_from_arrays(table_arrays(table))
-
-
-def sigma_lfm_from_arrays(arr: TableArrays) -> float:
-    d_dc, d_dc_lat, d_lam = lfm_partials_from_arrays(arr)
-    var = float(
-        np.dot(d_dc**2, arr.sigma_dc**2)
-        + np.dot(d_dc_lat**2, arr.sigma_dc_lat**2)
-        + np.dot(d_lam**2, arr.sigma_lam**2)
-    )
-    return math.sqrt(var)
+    arr = table_arrays(table)
+    prop = _propagate(arr)
+    prop.require_lfm()
+    d_dc, d_dc_lat, d_w = prop.lfm_partials
+    return d_dc, d_dc_lat, d_w / arr.lambda_tot
 
 
 def sigma_lfm(table: FmedaTable) -> float:
     """Standard deviation of LFM from the analytic partial derivatives."""
-    require_valid(table)
-    return sigma_lfm_from_arrays(table_arrays(table))
+    prop = _propagate(table_arrays(table))
+    prop.require_lfm()
+    return prop.sigma_lfm
 
 
 def confidence_interval(value: float, sigma: float, confidence_level: float) -> Interval:
@@ -169,44 +193,3 @@ def confidence_interval(value: float, sigma: float, confidence_level: float) -> 
     hi = value + k * sigma
     clamped = lo < 0.0 or hi > 1.0
     return Interval(max(lo, 0.0), min(hi, 1.0), clamped)
-
-
-def propagate(
-    table: FmedaTable,
-    mode: PropagationMode = PropagationMode.FULL,
-    confidence_level: float = 0.95,
-) -> UncertaintyResult:
-    """Propagate all row sigmas and build the confidence intervals.
-
-    The SPFM interval uses the requested mode's sigma.  When LFM is
-    undefined for the table (no detected pool), its sigma and interval
-    are None rather than an error, so callers can still report SPFM.
-    """
-    require_valid(table)
-    arr = table_arrays(table)
-    from .metrics import lfm_from_arrays, spfm_from_arrays
-
-    k = cutoff(confidence_level)
-    s_spfm = sigma_spfm_from_arrays(arr, mode)
-    spfm_value = spfm_from_arrays(arr.dc, arr.lam, arr.lambda_tot)
-    interval_spfm = confidence_interval(spfm_value, s_spfm, confidence_level)
-
-    s_lfm: float | None
-    interval_lfm: Interval | None
-    try:
-        lfm_value = lfm_from_arrays(arr.dc, arr.dc_lat, arr.lam, arr.lambda_tot)
-        s_lfm = sigma_lfm_from_arrays(arr)
-        interval_lfm = confidence_interval(lfm_value, s_lfm, confidence_level)
-    except UndefinedMetricError:
-        s_lfm = None
-        interval_lfm = None
-
-    return UncertaintyResult(
-        sigma_spfm=s_spfm,
-        sigma_lfm=s_lfm,
-        mode=mode,
-        confidence_level=confidence_level,
-        k=k,
-        interval_spfm=interval_spfm,
-        interval_lfm=interval_lfm,
-    )

@@ -7,6 +7,7 @@ summary line makes the outcome visible in `pytest -s` output.
 import json
 import math
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,9 +33,8 @@ from fmeda_uq import (
     sample_size,
     sigma_spfm,
 )
-from fmeda_uq.metrics import lfm_from_arrays, spfm_from_arrays
 from fmeda_uq.model import table_arrays
-from fmeda_uq.uncertainty import lfm_partials, spfm_partials
+from fmeda_uq.uncertainty import _propagate, lfm_partials, spfm_partials
 from conftest import make_table, random_table
 
 DATA = Path(__file__).parent / "data"
@@ -108,17 +108,12 @@ def test_acceptance_3_gradient_checks():
         l_dc, l_lat, l_lam = lfm_partials(table)
         for i in range(arr.dc.size):
             checks = [
-                (s_dc[i], fd(lambda u: spfm_from_arrays(u, arr.lam, arr.lambda_tot),
-                             arr.dc, i)),
-                (s_lam[i], fd(lambda u: spfm_from_arrays(arr.dc, u, arr.lambda_tot),
-                              arr.lam, i)),
-                (l_dc[i], fd(lambda u: lfm_from_arrays(u, arr.dc_lat, arr.lam,
-                                                       arr.lambda_tot), arr.dc, i)),
-                (l_lat[i], fd(lambda u: lfm_from_arrays(arr.dc, u, arr.lam,
-                                                        arr.lambda_tot),
+                (s_dc[i], fd(lambda u: _propagate(replace(arr, dc=u)).spfm, arr.dc, i)),
+                (s_lam[i], fd(lambda u: _propagate(replace(arr, lam=u)).spfm, arr.lam, i)),
+                (l_dc[i], fd(lambda u: _propagate(replace(arr, dc=u)).lfm, arr.dc, i)),
+                (l_lat[i], fd(lambda u: _propagate(replace(arr, dc_lat=u)).lfm,
                               arr.dc_lat, i)),
-                (l_lam[i], fd(lambda u: lfm_from_arrays(arr.dc, arr.dc_lat, u,
-                                                        arr.lambda_tot), arr.lam, i)),
+                (l_lam[i], fd(lambda u: _propagate(replace(arr, lam=u)).lfm, arr.lam, i)),
             ]
             for analytic, numeric in checks:
                 if not close(analytic, numeric):

@@ -123,6 +123,91 @@ def test_analyze_json_input(tmp_path, capsys):
     assert json.loads(out)["spfm"] == 0.945
 
 
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-finite number {token} in JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def _write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def test_analyze_overflowing_total_rate_is_an_input_error(tmp_path, capsys):
+    # Each rate is finite, their sum is not: no verdict can rest on it.
+    path = _write(tmp_path, "huge.csv", TWO_FM_CSV.replace(",50,0,", ",1e308,0,"))
+    code, out, err = run(capsys, ["analyze", "--input", path, "--asil", "D"])
+    assert code == 1
+    assert out == ""
+    assert "table.lambda_tot_finite" in err
+
+
+def test_analyze_huge_rates_match_unit_rates(table_csv, tmp_path, capsys):
+    # Rates of 1e200 FIT square to inf; the normalized weights do not.
+    path = _write(tmp_path, "big.csv", TWO_FM_CSV.replace(",50,0,", ",1e200,0,"))
+    code_ref, ref, _ = run(capsys, ["analyze", "--input", table_csv, "--asil", "B"])
+    code, out, err = run(capsys, ["analyze", "--input", path, "--asil", "B"])
+    assert (code, err) == (code_ref, "")
+    doc, want = _strict_json(out), json.loads(ref)
+    assert doc["lambda_tot_fit"] == 2e200
+    for key in ("spfm", "lfm", "sigma_spfm", "sigma_lfm", "interval_spfm",
+                "interval_lfm", "eii", "eii_totals", "asil"):
+        assert doc[key] == want[key], key
+
+
+def test_analyze_subnormal_rate(tmp_path, capsys):
+    path = _write(tmp_path, "tiny.csv", TWO_FM_CSV.splitlines()[0] + "\n"
+                  "CPU,EXEC,FM1,1e-320,0,,0.9,0.02,0,0,expert,\n")
+    code, out, err = run(capsys, ["analyze", "--input", path])
+    assert (code, err) == (0, "")
+    doc = _strict_json(out)
+    assert doc["spfm"] == 0.9
+    assert doc["sigma_spfm"] == {"full": 0.02, "dc_only": 0.02, "lambda_only": 0.0}
+
+
+def test_faultsim_sigma_is_the_same_for_analyze_and_verify(tmp_path, capsys):
+    # An empty sigma_dc on a fault-simulation row means e/t in every command.
+    path = _write(tmp_path, "faultsim.csv", TWO_FM_CSV.splitlines()[0] + "\n"
+                  "CPU,EXEC,FM1,60,0,,0.97,,0.6,0,faultsim:e=0.01:cl=0.95,\n"
+                  "CPU,EXEC,FM2,40,0,,0.9,0.02,0.8,0,expert,\n")
+    code, out, _ = run(capsys, ["analyze", "--input", path])
+    assert code == 0
+    analyzed = json.loads(out)["sigma_spfm"]["full"]
+    assert analyzed == pytest.approx(
+        ((60 * 0.01 / 1.96) ** 2 + (40 * 0.02) ** 2) ** 0.5 / 100, rel=1e-11)
+    code, out, _ = run(capsys, ["verify", "--input", path, "--samples", "20000"])
+    assert code == 0
+    assert json.loads(out)["spfm"]["analytic_sigma"] == pytest.approx(analyzed, rel=1e-11)
+
+
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
+    path = _write(tmp_path, "deep.json", "[" * 100_000 + "]" * 100_000)
+    for command in ("analyze", "verify"):
+        code, out, err = run(capsys, [command, "--input", path])
+        assert code == 1
+        assert out == ""
+        assert "nested too deeply" in err
+
+
+def test_csv_byte_order_mark_is_ignored(table_csv, tmp_path, capsys):
+    path = _write(tmp_path, "bom.csv", "\ufeff" + TWO_FM_CSV)
+    _, plain, _ = run(capsys, ["analyze", "--input", table_csv])
+    code, out, err = run(capsys, ["analyze", "--input", path])
+    assert (code, err) == (0, "")
+    assert out == plain
+
+
+def test_non_utf8_file_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(TWO_FM_CSV.replace("CPU", "CPU\xe9").encode("latin-1"))
+    code, out, err = run(capsys, ["analyze", "--input", str(path)])
+    assert code == 1
+    assert out == ""
+    assert "not UTF-8" in err
+
+
 def test_sample_size_worked_example(capsys):
     code, out, err = run(capsys, ["sample-size", "--population", "1000000",
                                   "--margin", "0.01", "--confidence", "0.95"])
@@ -176,11 +261,17 @@ def test_verify_zero_sigma_trivially_passes(tmp_path, capsys):
 
 def test_verify_corrupted_analytic_path_exits_four(table_csv, capsys, monkeypatch):
     # Negative control: break the analytic route and the oracle must notice.
-    import fmeda_uq.uncertainty as unc
+    import dataclasses
 
-    real = unc.sigma_spfm
-    monkeypatch.setattr(unc, "sigma_spfm",
-                        lambda table, mode=None: real(table) * 2.0)
+    import fmeda_uq.mc_oracle as mc
+
+    real = mc._propagate
+
+    def doubled(arr):
+        prop = real(arr)
+        return dataclasses.replace(prop, sigma_spfm_full=prop.sigma_spfm_full * 2.0)
+
+    monkeypatch.setattr(mc, "_propagate", doubled)
     code, out, _ = run(capsys, ["verify", "--input", table_csv,
                                 "--samples", "20000"])
     assert code == 4

@@ -1,6 +1,7 @@
 """SPFM/LFM point estimates and ASIL verdicts."""
 
-from types import SimpleNamespace
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from fmeda_uq import (
     lfm,
     spfm,
 )
-from fmeda_uq.metrics import lfm_from_arrays, spfm_from_arrays
-from fmeda_uq.model import iter_rows, table_arrays
+from fmeda_uq.model import TableArrays, iter_rows, table_arrays
+from fmeda_uq.uncertainty import _propagate
 from conftest import make_table, random_table, two_fm_table
 
 
@@ -30,8 +31,11 @@ def test_spfm_two_mode_example():
 
 
 def test_spfm_undefined_for_zero_total_rate():
+    zero = np.array([0.0])
+    arr = TableArrays(ids=("FM1",), lam=zero, sigma_lam=zero, dc=np.array([0.5]),
+                      sigma_dc=zero, dc_lat=zero, sigma_dc_lat=zero, lambda_tot=0.0)
     with pytest.raises(UndefinedMetricError):
-        spfm_from_arrays(np.array([0.5]), np.array([0.0]), 0.0)
+        _propagate(arr)
 
 
 def test_lfm_full_latent_coverage():
@@ -53,6 +57,17 @@ def test_lfm_undefined_when_everything_residual():
     table = make_table([dict(lambda_fm=10.0, dc=0.0)])
     with pytest.raises(UndefinedMetricError, match="residual"):
         lfm(table)
+
+
+def test_lfm_undefined_when_every_dc_is_zero(rng):
+    # Decided by structure, not by the sign of a rounded difference: the
+    # residual sum of large tables can land a few ulps below lambda_tot
+    # (testing the sign of that difference defines LFM on 5 of these 12).
+    for _ in range(12):
+        table = random_table(rng, n_range=(100, 5000), lam_range=(0.1, 50.0),
+                             dc_range=(0.0, 0.0))
+        with pytest.raises(UndefinedMetricError):
+            lfm(table)
 
 
 def test_spfm_invariant_under_splitting_a_mode(rng):
@@ -80,7 +95,7 @@ def test_spfm_monotone_in_dc(rng):
         for i in range(arrs.dc.size):
             bumped = arrs.dc.copy()
             bumped[i] = min(bumped[i] + 0.01, 1.0)
-            assert spfm_from_arrays(bumped, arrs.lam, arrs.lambda_tot) >= base - 1e-15
+            assert _propagate(replace(arrs, dc=bumped)).spfm >= base - 1e-15
 
 
 def test_spfm_decreases_when_worst_mode_grows(rng):
@@ -89,11 +104,11 @@ def test_spfm_decreases_when_worst_mode_grows(rng):
     for _ in range(20):
         table = random_table(rng, n_range=(2, 8))
         arrs = table_arrays(table)
-        base = spfm_from_arrays(arrs.dc, arrs.lam, arrs.lambda_tot)
+        base = _propagate(arrs).spfm
         worst = int(np.argmin(arrs.dc))
         lam = arrs.lam.copy()
         lam[worst] += 10.0
-        grown = spfm_from_arrays(arrs.dc, lam, float(lam.sum()))
+        grown = _propagate(replace(arrs, lam=lam, lambda_tot=float(lam.sum()))).spfm
         assert grown <= base + 1e-12
 
 
@@ -113,9 +128,10 @@ def test_lfm_matches_spfm_structure_on_detected_pool(rng):
     for _ in range(20):
         table = random_table(rng, n_range=(2, 8), dc_range=(0.2, 1.0))
         arrs = table_arrays(table)
-        direct = lfm_from_arrays(arrs.dc, arrs.dc_lat, arrs.lam, arrs.lambda_tot)
+        direct = _propagate(arrs).lfm
         detected = arrs.dc * arrs.lam
-        structural = spfm_from_arrays(arrs.dc_lat, detected, float(detected.sum()))
+        structural = _propagate(replace(arrs, dc=arrs.dc_lat, lam=detected,
+                                        lambda_tot=float(detected.sum()))).spfm
         assert direct == pytest.approx(structural, rel=1e-12)
 
 
@@ -125,37 +141,46 @@ def test_lfm_matches_spfm_structure_on_detected_pool(rng):
 
 
 def _probe(spfm_v, sigma, lfm_v=1.0, sigma_lfm=0.0, k=1.96):
-    return SimpleNamespace(spfm=spfm_v, sigma_spfm=sigma, lfm=lfm_v,
-                           sigma_lfm=sigma_lfm, k=k)
+    return dict(spfm=spfm_v, sigma_spfm=sigma, lfm=lfm_v, sigma_lfm=sigma_lfm, k=k)
 
 
 def test_verdict_robust_with_zero_sigma():
-    v = asil_verdict(_probe(0.95, 0.0), "B")
+    v = asil_verdict("B", **_probe(0.95, 0.0))
     assert v.spfm == "PassRobust"
     assert v.overall == "PassRobust"
 
 
 def test_verdict_fragile_when_lower_bound_crosses_threshold():
     # 0.905 - 1.96*0.0053 = 0.8946 < 0.90 although the nominal value passes
-    v = asil_verdict(_probe(0.905, 0.0053), "B")
+    v = asil_verdict("B", **_probe(0.905, 0.0053))
     assert v.spfm == "PassFragile"
 
 
 def test_verdict_fail_below_threshold():
-    v = asil_verdict(_probe(0.88, 0.2), "B")
+    v = asil_verdict("B", **_probe(0.88, 0.2))
     assert v.spfm == "Fail"
     assert v.overall == "Fail"
+    # A value or sigma that is not finite cannot support a pass.
+    for value, sigma in ((math.nan, 0.0), (0.95, math.nan), (math.inf, 0.0),
+                         (0.95, math.inf), (-math.inf, 0.0)):
+        v = asil_verdict("B", **_probe(value, sigma))
+        assert v.spfm == "Fail"
+        assert v.overall == "Fail"
+    for lfm_v, sigma_lfm in ((math.nan, 0.0), (math.inf, 0.0), (0.95, math.nan)):
+        v = asil_verdict("B", **_probe(0.95, 0.0, lfm_v=lfm_v, sigma_lfm=sigma_lfm))
+        assert v.lfm == "Fail"
+        assert v.overall == "Fail"
 
 
 def test_verdict_thresholds_per_level():
-    assert asil_verdict(_probe(0.98, 0.0), "C").spfm == "PassRobust"
-    assert asil_verdict(_probe(0.98, 0.0), "D").spfm == "Fail"
+    assert asil_verdict("C", **_probe(0.98, 0.0)).spfm == "PassRobust"
+    assert asil_verdict("D", **_probe(0.98, 0.0)).spfm == "Fail"
     # A has no quantitative targets
-    assert asil_verdict(_probe(0.10, 0.0), "A").overall == "PassRobust"
+    assert asil_verdict("A", **_probe(0.10, 0.0)).overall == "PassRobust"
 
 
 def test_verdict_overall_is_worst_metric():
-    v = asil_verdict(_probe(0.95, 0.0, lfm_v=0.55, sigma_lfm=0.0), "B")
+    v = asil_verdict("B", **_probe(0.95, 0.0, lfm_v=0.55, sigma_lfm=0.0))
     assert v.spfm == "PassRobust"
     assert v.lfm == "Fail"
     assert v.overall == "Fail"
@@ -163,9 +188,9 @@ def test_verdict_overall_is_worst_metric():
 
 def test_verdict_unknown_target_rejected():
     with pytest.raises(ValueError):
-        asil_verdict(_probe(0.95, 0.0), "E")
+        asil_verdict("E", **_probe(0.95, 0.0))
 
 
 def test_verdict_custom_thresholds():
-    v = asil_verdict(_probe(0.85, 0.0), "B", thresholds={"B": (0.80, 0.50)})
+    v = asil_verdict("B", **_probe(0.85, 0.0), thresholds={"B": (0.80, 0.50)})
     assert v.spfm == "PassRobust"

@@ -14,7 +14,6 @@ from fmeda_uq import (
     Subpart,
     materialize_direct,
     spfm,
-    total_lambda,
     validate,
 )
 from conftest import make_table
@@ -23,7 +22,7 @@ from conftest import make_table
 def test_minimal_valid_table():
     table = make_table([dict(lambda_fm=100.0, dc=0.9)])
     assert validate(table) == []
-    assert total_lambda(table) == 100.0
+    assert table.lambda_tot == 100.0
 
 
 def test_dc_out_of_range_flagged():
@@ -60,13 +59,24 @@ def test_zero_total_lambda_flagged():
     assert any(v.rule == "table.lambda_tot_positive" for v in validate(table))
 
 
+def test_overflowing_total_lambda_flagged():
+    # Each rate is finite, but their sum is not.
+    table = make_table([
+        dict(lambda_fm=1e308, dc=0.99),
+        dict(lambda_fm=1e308, dc=0.99),
+    ])
+    assert [v.rule for v in validate(table)] == ["table.lambda_tot_finite"]
+    with pytest.raises(FmedaValidationError):
+        table.lambda_tot
+
+
 def test_zero_lambda_rows_permitted():
     table = make_table([
         dict(lambda_fm=0.0, dc=0.5),
         dict(lambda_fm=10.0, dc=0.5),
     ])
     assert validate(table) == []
-    assert total_lambda(table) == 10.0
+    assert table.lambda_tot == 10.0
 
 
 def test_faultsim_source_rules():
@@ -100,7 +110,7 @@ def test_distribution_mode_materializes_rates():
     assert rows[0].lambda_fm == 50.0
     assert rows[0].sigma_lambda_fm == 2.0
     assert rows[1].lambda_fm == 150.0
-    assert total_lambda(table) == 200.0
+    assert table.lambda_tot == 200.0
 
 
 def test_distribution_fractions_must_sum_to_one():
@@ -142,7 +152,7 @@ def test_direct_mode_subpart_rate_must_match_rows():
 def test_total_lambda_requires_valid_table():
     table = make_table([dict(lambda_fm=100.0, dc=1.2)])
     with pytest.raises(FmedaValidationError):
-        total_lambda(table)
+        table.lambda_tot
 
 
 def test_validate_is_idempotent_and_pure():
@@ -168,7 +178,7 @@ def test_total_lambda_invariant_under_reordering(order):
         FailureModeRow(id=f"FM{i}", lambda_fm=lams[i], dc=0.5) for i in order
     )
     table = FmedaTable((Part("P", (Subpart("S", None, None, rows),)),))
-    assert total_lambda(table) == sum(lams)
+    assert table.lambda_tot == sum(lams)
 
 
 def test_reordering_subparts_and_parts_preserves_total():
@@ -181,7 +191,7 @@ def test_reordering_subparts_and_parts_preserves_total():
     ))
     t1 = FmedaTable((Part("P1", (sub_a, sub_b)),))
     t2 = FmedaTable((Part("P1", (sub_b,)), Part("P2", (sub_a,))))
-    assert total_lambda(t1) == total_lambda(t2) == 50.0
+    assert t1.lambda_tot == t2.lambda_tot == 50.0
 
 
 def test_materialize_direct_preserves_totals_and_spfm():
@@ -195,7 +205,7 @@ def test_materialize_direct_preserves_totals_and_spfm():
     direct = materialize_direct(dist)
     assert validate(direct) == []
     assert direct.parts[0].subparts[0].fmd_mode == "DirectLambda"
-    assert total_lambda(direct) == total_lambda(dist)
+    assert direct.lambda_tot == dist.lambda_tot
     s_dist = spfm(dist).value
     s_direct = spfm(direct).value
     assert abs(s_direct - s_dist) <= 1e-12 * max(abs(s_dist), 1.0)

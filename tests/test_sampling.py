@@ -8,11 +8,10 @@ from hypothesis import given, strategies as st
 
 from fmeda_uq import (
     DcSource,
-    apply_faultsim_sigmas,
     margin_to_sigma,
     sample_size,
 )
-from fmeda_uq.model import iter_rows
+from fmeda_uq.model import iter_rows, table_arrays
 from conftest import make_table
 
 # Exact rational cut-offs matching the published 5-digit table.
@@ -120,7 +119,7 @@ def test_margin_to_sigma_rejects_bad_inputs():
         margin_to_sigma(0.01, 0.50)
 
 
-def test_apply_faultsim_sigmas_fills_empty_sigma():
+def test_table_arrays_fills_faultsim_sigma():
     table = make_table([
         dict(lambda_fm=10.0, dc=0.9,
              dc_source=DcSource.fault_simulation(0.01, 0.95)),
@@ -128,10 +127,9 @@ def test_apply_faultsim_sigmas_fills_empty_sigma():
              dc_source=DcSource.fault_simulation(0.01, 0.95)),
         dict(lambda_fm=10.0, dc=0.7, sigma_dc=0.0),
     ])
-    enriched = apply_faultsim_sigmas(table)
-    rows = [r for _, _, r in iter_rows(enriched)]
-    assert rows[0].sigma_dc == pytest.approx(0.01 / 1.96, rel=1e-12)
-    assert rows[1].sigma_dc == 0.02          # explicit value wins
-    assert rows[2].sigma_dc == 0.0           # expert row untouched
+    sigma_dc = table_arrays(table).sigma_dc
+    assert sigma_dc[0] == pytest.approx(0.01 / 1.96, rel=1e-12)
+    assert sigma_dc[1] == 0.02               # explicit value wins
+    assert sigma_dc[2] == 0.0                # expert row untouched
     # original table untouched (immutability)
     assert [r.sigma_dc for _, _, r in iter_rows(table)] == [0.0, 0.02, 0.0]

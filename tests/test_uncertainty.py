@@ -1,6 +1,7 @@
 """Propagated sigmas: closed forms, decomposition, gradients, intervals."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,14 +9,13 @@ import pytest
 from fmeda_uq import (
     PropagationMode,
     UndefinedMetricError,
+    analyze,
     confidence_interval,
-    propagate,
     sigma_lfm,
     sigma_spfm,
 )
-from fmeda_uq.metrics import lfm_from_arrays, spfm_from_arrays
 from fmeda_uq.model import table_arrays
-from fmeda_uq.uncertainty import lfm_partials, spfm_partials
+from fmeda_uq.uncertainty import _propagate, lfm_partials, spfm_partials
 from conftest import make_table, random_table, two_fm_table
 
 FULL = PropagationMode.FULL
@@ -66,11 +66,13 @@ def test_quadrature_decomposition(rng):
 
 
 def test_scale_invariance(rng):
-    from dataclasses import replace
+    from fmeda_uq import spfm
     from fmeda_uq.model import FmedaTable, Part, Subpart
 
-    for scale in (0.001, 7.0, 4096.0):
-        table = random_table(rng, n_range=(3, 10))
+    # Over the whole float range of FIT rates: the kernel works on lambda_i/lambda_tot.
+    for scale in (1e-300, 1e-150, 0.001, 7.0, 4096.0, 1e150, 1e300):
+        table = random_table(rng, n_range=(3, 10), dc_range=(0.2, 1.0),
+                             sigma_dc_latent_max=0.02)
         sub = table.parts[0].subparts[0]
         scaled_rows = tuple(
             replace(r, lambda_fm=r.lambda_fm * scale,
@@ -78,13 +80,14 @@ def test_scale_invariance(rng):
             for r in sub.failure_modes
         )
         scaled = FmedaTable((Part("PART", (Subpart("SUB", None, None, scaled_rows),)),))
-        from fmeda_uq import spfm
         assert spfm(scaled).value == pytest.approx(spfm(table).value, rel=1e-12)
-        assert sigma_spfm(scaled) == pytest.approx(sigma_spfm(table), rel=1e-12)
+        for mode in (FULL, DC_ONLY, LAMBDA_ONLY):
+            assert sigma_spfm(scaled, mode) == pytest.approx(sigma_spfm(table, mode),
+                                                             rel=1e-12)
+        assert sigma_lfm(scaled) == pytest.approx(sigma_lfm(table), rel=1e-12)
 
 
 def test_sigma_spfm_monotone_in_each_sigma(rng):
-    from dataclasses import replace
     from fmeda_uq.model import FmedaTable, Part, Subpart
 
     table = random_table(rng, n_fm=6)
@@ -118,11 +121,11 @@ def test_spfm_partials_match_finite_differences(rng):
         d_dc, d_lam = spfm_partials(table)
         for i in range(arr.dc.size):
             fd = _fd_gradient(
-                lambda dc: spfm_from_arrays(dc, arr.lam, arr.lambda_tot), arr.dc, i
+                lambda dc: _propagate(replace(arr, dc=dc)).spfm, arr.dc, i
             )
             _check_grad(d_dc[i], fd)
             fd = _fd_gradient(
-                lambda lam: spfm_from_arrays(arr.dc, lam, arr.lambda_tot), arr.lam, i
+                lambda lam: _propagate(replace(arr, lam=lam)).spfm, arr.lam, i
             )
             _check_grad(d_lam[i], fd)
 
@@ -134,17 +137,17 @@ def test_lfm_partials_match_finite_differences(rng):
         d_dc, d_lat, d_lam = lfm_partials(table)
         for i in range(arr.dc.size):
             fd = _fd_gradient(
-                lambda dc: lfm_from_arrays(dc, arr.dc_lat, arr.lam, arr.lambda_tot),
+                lambda dc: _propagate(replace(arr, dc=dc)).lfm,
                 arr.dc, i,
             )
             _check_grad(d_dc[i], fd)
             fd = _fd_gradient(
-                lambda lat: lfm_from_arrays(arr.dc, lat, arr.lam, arr.lambda_tot),
+                lambda lat: _propagate(replace(arr, dc_lat=lat)).lfm,
                 arr.dc_lat, i,
             )
             _check_grad(d_lat[i], fd)
             fd = _fd_gradient(
-                lambda lam: lfm_from_arrays(arr.dc, arr.dc_lat, lam, arr.lambda_tot),
+                lambda lam: _propagate(replace(arr, lam=lam)).lfm,
                 arr.lam, i,
             )
             _check_grad(d_lam[i], fd)
@@ -166,13 +169,13 @@ def test_sigma_lfm_matches_finite_difference_quadrature(rng):
         var = 0.0
         for i in range(3):
             fd_dc = _fd_gradient(
-                lambda dc: lfm_from_arrays(dc, arr.dc_lat, arr.lam, arr.lambda_tot),
+                lambda dc: _propagate(replace(arr, dc=dc)).lfm,
                 arr.dc, i)
             fd_lat = _fd_gradient(
-                lambda lat: lfm_from_arrays(arr.dc, lat, arr.lam, arr.lambda_tot),
+                lambda lat: _propagate(replace(arr, dc_lat=lat)).lfm,
                 arr.dc_lat, i)
             fd_lam = _fd_gradient(
-                lambda lam: lfm_from_arrays(arr.dc, arr.dc_lat, lam, arr.lambda_tot),
+                lambda lam: _propagate(replace(arr, lam=lam)).lfm,
                 arr.lam, i)
             var += (fd_dc * arr.sigma_dc[i])**2 + (fd_lat * arr.sigma_dc_lat[i])**2 \
                 + (fd_lam * arr.sigma_lam[i])**2
@@ -226,8 +229,8 @@ def test_negative_sigma_rejected():
         confidence_interval(0.5, -0.01, 0.95)
 
 
-def test_propagate_bundles_everything():
-    res = propagate(two_fm_table(), FULL, 0.95)
+def test_analyze_bundles_everything():
+    res = analyze(two_fm_table(), mode=FULL, confidence_level=0.95)
     assert res.k == 1.9600
     assert res.sigma_spfm == pytest.approx(0.010012492197, rel=1e-9)
     assert res.interval_spfm.lo <= 0.945 <= res.interval_spfm.hi
@@ -235,9 +238,9 @@ def test_propagate_bundles_everything():
     assert res.interval_lfm.lo <= 1.0 - 27.9 / 94.5 <= res.interval_lfm.hi
 
 
-def test_propagate_survives_undefined_lfm():
+def test_analyze_survives_undefined_lfm():
     table = make_table([dict(lambda_fm=10.0, dc=0.0, sigma_dc=0.01)])
-    res = propagate(table)
+    res = analyze(table)
     assert res.sigma_lfm is None
     assert res.interval_lfm is None
     assert res.sigma_spfm > 0
