@@ -23,8 +23,8 @@ from pathlib import Path
 from . import __version__
 from .analysis import analyze
 from .ingest import FmedaValidationError, ParseError, emit_result, parse_csv, parse_json
-from .mc_oracle import MIN_VERDICT_SAMPLES, McConfig, mc_sigma_lfm, mc_sigma_spfm
-from .metrics import FAIL, PASS_FRAGILE, UndefinedMetricError
+from .mc_oracle import McConfig, _verify
+from .metrics import FAIL, PASS_FRAGILE
 from .sampling import sample_size
 from .uncertainty import PropagationMode
 
@@ -102,24 +102,25 @@ def _report_input_error(exc: Exception) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    try:
-        table = _load_table(args.input)
-    except (ParseError, FmedaValidationError) as exc:
-        return _report_input_error(exc)
     stamp = None
     if args.stamp:
         stamp = {
             "tool": f"fmeda-uq {__version__}",
             "created": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         }
-    result = analyze(
-        table,
-        confidence_level=args.confidence,
-        mode=_MODES[args.mode],
-        asil_target=args.asil,
-        stamp=stamp,
-    )
-    sys.stdout.write(emit_result(result, args.format))
+    try:
+        table = _load_table(args.input)
+        result = analyze(
+            table,
+            confidence_level=args.confidence,
+            mode=_MODES[args.mode],
+            asil_target=args.asil,
+            stamp=stamp,
+        )
+        document = emit_result(result, args.format)
+    except ValueError as exc:  # ParseError, FmedaValidationError
+        return _report_input_error(exc)
+    sys.stdout.write(document)
     if result.verdict is None:
         return 0
     if result.verdict.overall == FAIL:
@@ -163,27 +164,18 @@ def _cmd_verify(args) -> int:
         table = _load_table(args.input)
         config = McConfig(samples=args.samples, seed=args.seed,
                           truncate=not args.no_truncate)
-        if config.samples < MIN_VERDICT_SAMPLES:
-            raise ValueError(
-                f"at least {MIN_VERDICT_SAMPLES} samples are required for a verdict"
-            )
-    except (ParseError, FmedaValidationError, ValueError) as exc:
+        spfm_verdict, lfm_verdict, lfm_note = _verify(table, config)
+    except ValueError as exc:  # ParseError, FmedaValidationError, bad samples
         return _report_input_error(exc)
 
-    spfm_verdict = mc_sigma_spfm(table, config)
-    try:
-        lfm_verdict = mc_sigma_lfm(table, config)
-        lfm_doc = lfm_verdict.to_dict()
-        lfm_passed = lfm_verdict.passed
-    except UndefinedMetricError as exc:
+    if lfm_verdict is None:
         # No detected pool: nothing to verify on the LFM side.
-        lfm_doc = None
-        lfm_passed = True
-        print(f"note: LFM not verified: {exc}", file=sys.stderr)
-
-    all_pass = spfm_verdict.passed and lfm_passed
-    doc = {"spfm": spfm_verdict.to_dict(), "lfm": lfm_doc, "all_pass": all_pass}
-    sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        print(f"note: LFM not verified: {lfm_note}", file=sys.stderr)
+    all_pass = spfm_verdict.passed and (lfm_verdict is None or lfm_verdict.passed)
+    doc = {"spfm": spfm_verdict.to_dict(),
+           "lfm": None if lfm_verdict is None else lfm_verdict.to_dict(),
+           "all_pass": all_pass}
+    sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
     return 0 if all_pass else 4
 
 

@@ -461,7 +461,7 @@ def emit_json(table: FmedaTable) -> str:
             sd["failure_modes"] = rows
             subs.append(sd)
         doc["parts"].append({"name": part.name, "subparts": subs})
-    return json.dumps(_round_floats(doc), sort_keys=True, indent=2) + "\n"
+    return json.dumps(_round_floats(doc), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +472,8 @@ def emit_json(table: FmedaTable) -> str:
 def emit_result(result, format: str = "json") -> str:
     """Render an AnalysisResult as json, markdown or csv."""
     if format == "json":
-        return json.dumps(_round_floats(result.to_dict()), sort_keys=True, indent=2) + "\n"
+        return json.dumps(_round_floats(result.to_dict()), sort_keys=True, indent=2,
+                          allow_nan=False) + "\n"
     if format == "markdown":
         return _result_markdown(result)
     if format == "csv":

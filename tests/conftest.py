@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from fmeda_uq import FailureModeRow, FmedaTable, Part, Subpart
+
+
+def strict_json(text: str):
+    """json.loads that rejects the bare NaN, Infinity and -Infinity tokens."""
+    def reject(token):
+        raise ValueError(f"non-finite number {token} in JSON")
+    return json.loads(text, parse_constant=reject)
 
 
 def make_table(rows, *, part="CPU", subpart="EXEC", lambda_subpart=None,

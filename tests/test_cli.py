@@ -1,11 +1,11 @@
 """CLI surface: subcommands, exit codes, stream separation, determinism."""
 
-import json
+import warnings
 
 import pytest
 
 from fmeda_uq import cli, emit_json
-from conftest import make_table, two_fm_table
+from conftest import make_table, strict_json, two_fm_table
 
 TWO_FM_CSV = (
     "part,subpart,failure_mode,lambda_fit,sigma_lambda_fit,fmd_fraction,"
@@ -32,7 +32,7 @@ def test_analyze_json_no_target(table_csv, capsys):
     code, out, err = run(capsys, ["analyze", "--input", table_csv])
     assert code == 0
     assert err == ""
-    doc = json.loads(out)
+    doc = strict_json(out)
     assert doc["spfm"] == 0.945
     assert doc["asil"] is None
 
@@ -40,7 +40,7 @@ def test_analyze_json_no_target(table_csv, capsys):
 def test_analyze_pass_robust_at_b(table_csv, capsys):
     code, out, _ = run(capsys, ["analyze", "--input", table_csv, "--asil", "B"])
     assert code == 0
-    doc = json.loads(out)
+    doc = strict_json(out)
     assert doc["asil"]["overall"] == "PassRobust"
     # 0.945 - 1.96 * 0.0100125 = 0.92538 >= 0.90
     assert doc["interval_spfm"]["lo"] >= 0.90
@@ -53,7 +53,7 @@ def test_analyze_fragile_exit_code(tmp_path, capsys):
     path.write_text(emit_json(table), encoding="utf-8")
     code, out, _ = run(capsys, ["analyze", "--input", str(path), "--asil", "B"])
     assert code == 2
-    assert json.loads(out)["asil"]["spfm"] == "PassFragile"
+    assert strict_json(out)["asil"]["spfm"] == "PassFragile"
 
 
 def test_analyze_fail_exit_code(tmp_path, capsys):
@@ -62,7 +62,7 @@ def test_analyze_fail_exit_code(tmp_path, capsys):
     path.write_text(emit_json(table), encoding="utf-8")
     code, out, _ = run(capsys, ["analyze", "--input", str(path), "--asil", "B"])
     assert code == 3
-    assert json.loads(out)["asil"]["overall"] == "Fail"
+    assert strict_json(out)["asil"]["overall"] == "Fail"
 
 
 def test_analyze_malformed_csv_exit_one(tmp_path, capsys):
@@ -110,8 +110,8 @@ def test_analyze_byte_identical_reruns(table_csv, capsys):
 def test_analyze_stamp_adds_metadata(table_csv, capsys):
     _, plain, _ = run(capsys, ["analyze", "--input", table_csv])
     _, stamped, _ = run(capsys, ["analyze", "--input", table_csv, "--stamp"])
-    assert "stamp" not in json.loads(plain)
-    doc = json.loads(stamped)
+    assert "stamp" not in strict_json(plain)
+    doc = strict_json(stamped)
     assert doc["stamp"]["tool"].startswith("fmeda-uq ")
 
 
@@ -120,13 +120,7 @@ def test_analyze_json_input(tmp_path, capsys):
     path.write_text(emit_json(two_fm_table()), encoding="utf-8")
     code, out, _ = run(capsys, ["analyze", "--input", str(path)])
     assert code == 0
-    assert json.loads(out)["spfm"] == 0.945
-
-
-def _strict_json(text):
-    def reject(token):
-        raise ValueError(f"non-finite number {token} in JSON")
-    return json.loads(text, parse_constant=reject)
+    assert strict_json(out)["spfm"] == 0.945
 
 
 def _write(tmp_path, name, text):
@@ -150,7 +144,7 @@ def test_analyze_huge_rates_match_unit_rates(table_csv, tmp_path, capsys):
     code_ref, ref, _ = run(capsys, ["analyze", "--input", table_csv, "--asil", "B"])
     code, out, err = run(capsys, ["analyze", "--input", path, "--asil", "B"])
     assert (code, err) == (code_ref, "")
-    doc, want = _strict_json(out), json.loads(ref)
+    doc, want = strict_json(out), strict_json(ref)
     assert doc["lambda_tot_fit"] == 2e200
     for key in ("spfm", "lfm", "sigma_spfm", "sigma_lfm", "interval_spfm",
                 "interval_lfm", "eii", "eii_totals", "asil"):
@@ -162,9 +156,25 @@ def test_analyze_subnormal_rate(tmp_path, capsys):
                   "CPU,EXEC,FM1,1e-320,0,,0.9,0.02,0,0,expert,\n")
     code, out, err = run(capsys, ["analyze", "--input", path])
     assert (code, err) == (0, "")
-    doc = _strict_json(out)
+    doc = strict_json(out)
     assert doc["spfm"] == 0.9
     assert doc["sigma_spfm"] == {"full": 0.02, "dc_only": 0.02, "lambda_only": 0.0}
+
+
+def test_analyze_overflowing_sigma_is_an_input_error(tmp_path, capsys):
+    # sigma_lambda/lambda_tot is finite, its square is not: no format may
+    # carry the resulting inf/NaN sigmas and EII shares.
+    path = _write(tmp_path, "wild.csv", TWO_FM_CSV.splitlines()[0] + "\n"
+                  "CPU,EXEC,FM1,1e-10,1e300,,0.9,0.02,0.6,0,expert,\n"
+                  "CPU,EXEC,FM2,50,0,,0.99,0.001,0.8,0,expert,\n")
+    for fmt in ("json", "markdown", "csv"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["analyze", "--input", path, "--asil", "B",
+                                          "--format", fmt])
+        assert (code, out) == (1, ""), fmt
+        assert "table.sigma_finite" in err
+        assert "Traceback" not in err
 
 
 def test_faultsim_sigma_is_the_same_for_analyze_and_verify(tmp_path, capsys):
@@ -174,12 +184,12 @@ def test_faultsim_sigma_is_the_same_for_analyze_and_verify(tmp_path, capsys):
                   "CPU,EXEC,FM2,40,0,,0.9,0.02,0.8,0,expert,\n")
     code, out, _ = run(capsys, ["analyze", "--input", path])
     assert code == 0
-    analyzed = json.loads(out)["sigma_spfm"]["full"]
+    analyzed = strict_json(out)["sigma_spfm"]["full"]
     assert analyzed == pytest.approx(
         ((60 * 0.01 / 1.96) ** 2 + (40 * 0.02) ** 2) ** 0.5 / 100, rel=1e-11)
     code, out, _ = run(capsys, ["verify", "--input", path, "--samples", "20000"])
     assert code == 0
-    assert json.loads(out)["spfm"]["analytic_sigma"] == pytest.approx(analyzed, rel=1e-11)
+    assert strict_json(out)["spfm"]["analytic_sigma"] == pytest.approx(analyzed, rel=1e-11)
 
 
 def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
@@ -213,7 +223,7 @@ def test_sample_size_worked_example(capsys):
                                   "--margin", "0.01", "--confidence", "0.95"])
     assert code == 0
     assert err == ""
-    assert json.loads(out)["sample_size"] == 9513
+    assert strict_json(out)["sample_size"] == 9513
 
 
 def test_sample_size_text_format(capsys):
@@ -236,14 +246,14 @@ def test_sample_size_cap(capsys):
     code, out, _ = run(capsys, ["sample-size", "--population", "10",
                                 "--margin", "0.5", "--confidence", "0.90"])
     assert code == 0
-    assert json.loads(out)["sample_size"] <= 10
+    assert strict_json(out)["sample_size"] <= 10
 
 
 def test_verify_passes_on_worked_table(table_csv, capsys):
     code, out, _ = run(capsys, ["verify", "--input", table_csv,
                                 "--samples", "100000", "--seed", "42"])
     assert code == 0
-    doc = json.loads(out)
+    doc = strict_json(out)
     assert doc["all_pass"] is True
     assert doc["spfm"]["relative_gap"] <= 0.03
     assert doc["lfm"]["tolerance"] == 0.05
@@ -256,7 +266,7 @@ def test_verify_zero_sigma_trivially_passes(tmp_path, capsys):
     code, out, _ = run(capsys, ["verify", "--input", str(path),
                                 "--samples", "2000"])
     assert code == 0
-    assert json.loads(out)["spfm"]["empirical_sigma"] == 0.0
+    assert strict_json(out)["spfm"]["empirical_sigma"] == 0.0
 
 
 def test_verify_corrupted_analytic_path_exits_four(table_csv, capsys, monkeypatch):
@@ -275,7 +285,38 @@ def test_verify_corrupted_analytic_path_exits_four(table_csv, capsys, monkeypatc
     code, out, _ = run(capsys, ["verify", "--input", table_csv,
                                 "--samples", "20000"])
     assert code == 4
-    assert json.loads(out)["spfm"]["passed"] is False
+    assert strict_json(out)["spfm"]["passed"] is False
+
+
+def test_verify_rounding_noise_is_not_a_mismatch(tmp_path, capsys):
+    # Equal latent coverages make LFM 0.5 in every sample up to rounding,
+    # and the analytic sigma_LFM is exactly 0.
+    path = _write(tmp_path, "latent.csv", TWO_FM_CSV.splitlines()[0] + "\n"
+                  "CPU,EXEC,FM1,37.3,0,,0.71,0.02,0.5,0,expert,\n"
+                  "CPU,EXEC,FM2,13.7,0,,0.63,0.03,0.5,0,expert,\n")
+    code, out, _ = run(capsys, ["verify", "--input", path, "--samples", "20000",
+                                "--seed", "1"])
+    assert code == 0
+    lfm = strict_json(out)["lfm"]
+    assert lfm["analytic_sigma"] == 0.0
+    assert (lfm["empirical_sigma"], lfm["relative_gap"], lfm["passed"]) == (0.0, 0.0, True)
+
+
+def test_verify_spread_against_zero_analytic_sigma_fails(table_csv, capsys, monkeypatch):
+    # Negative control: an analytic route that claims no spread at all.
+    import dataclasses
+
+    import fmeda_uq.mc_oracle as mc
+
+    real = mc._propagate
+    monkeypatch.setattr(mc, "_propagate", lambda arr: dataclasses.replace(
+        real(arr), sigma_spfm_full=0.0))
+    code, out, _ = run(capsys, ["verify", "--input", table_csv, "--samples", "20000"])
+    assert code == 4
+    doc = strict_json(out)
+    assert doc["spfm"]["relative_gap"] is None
+    assert doc["spfm"]["passed"] is False
+    assert doc["all_pass"] is False
 
 
 def test_verify_input_error(capsys):

@@ -1,10 +1,13 @@
 """Monte Carlo oracle: agreement with the closed forms, determinism, truncation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from fmeda_uq import McConfig, mc_sigma_lfm, mc_sigma_spfm
-from conftest import make_table, random_table, two_fm_table
+import fmeda_uq.mc_oracle as mc
+from fmeda_uq import McConfig, cli, emit_json, mc_sigma_lfm, mc_sigma_spfm
+from conftest import make_table, random_table, strict_json, two_fm_table
 
 
 def test_zero_sigma_table_passes_exactly():
@@ -63,11 +66,58 @@ def test_determinism_bit_identical():
     assert c.empirical_sigma != a.empirical_sigma
 
 
-def test_chunking_does_not_change_the_stream():
+def _all_sigmas_table():
+    return make_table([
+        dict(lambda_fm=50.0, dc=0.90, sigma_dc=0.02, dc_latent=0.6,
+             sigma_dc_latent=0.01),
+        dict(lambda_fm=30.0, sigma_lambda_fm=3.0, dc=0.99, dc_latent=0.8),
+        dict(lambda_fm=20.0, dc=0.7, dc_latent=0.5),
+    ])
+
+
+def test_chunking_does_not_change_the_stream(monkeypatch):
     # A sample count spanning several chunks must still be reproducible.
     table = two_fm_table()
     cfg = McConfig(samples=70_000, seed=5)
     assert mc_sigma_spfm(table, cfg) == mc_sigma_spfm(table, cfg)
+    # And the draws, so the verdicts, do not depend on the chunk size.
+    table = _all_sigmas_table()
+    cfg = McConfig(samples=20_000, seed=5)
+    default = mc_sigma_spfm(table, cfg), mc_sigma_lfm(table, cfg)
+    monkeypatch.setattr(mc, "_BUFFER_ELEMENTS", 5)
+    assert (mc_sigma_spfm(table, cfg), mc_sigma_lfm(table, cfg)) == default
+
+
+def test_verify_verdicts_equal_the_public_ones(tmp_path, capsys):
+    # verify simulates both metrics in one pass; mc_sigma_spfm simulates
+    # SPFM alone.  The draws and so the verdicts are the same bit for bit.
+    cfg = McConfig(samples=20_000, seed=9)
+    no_detected_pool = make_table([dict(lambda_fm=10.0, sigma_dc=0.01),
+                                   dict(lambda_fm=5.0, sigma_lambda_fm=1.0)])
+    for table in (_all_sigmas_table(), no_detected_pool):
+        path = tmp_path / "table.json"
+        path.write_text(emit_json(table), encoding="utf-8")
+        code = cli.main(["verify", "--input", str(path), "--samples", "20000",
+                         "--seed", "9"])
+        doc = strict_json(capsys.readouterr().out)
+        assert code == 0
+        assert doc["spfm"] == mc_sigma_spfm(table, cfg).to_dict()
+        if table is no_detected_pool:
+            assert doc["lfm"] is None
+        else:
+            assert doc["lfm"] == mc_sigma_lfm(table, cfg).to_dict()
+
+
+def test_memory_does_not_grow_with_rows(rng):
+    # Chunks hold a fixed number of elements, not a fixed number of samples.
+    table = random_table(rng, n_fm=10_000, sigma_dc_latent_max=0.01)
+    tracemalloc.start()
+    try:
+        mc_sigma_lfm(table, McConfig(samples=2000, seed=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_convergence_quadrupling_samples_halves_spread():
