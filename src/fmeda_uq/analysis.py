@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .eii import EiiEntry, INPUT_DC, NO_UNCERTAINTY_NOTE, _entries, total_per_failure_mode
 from .metrics import AsilVerdict, asil_verdict
-from .model import FmedaTable, cutoff, iter_rows, table_arrays
+from .model import FmedaTable, _require_finite_sigmas, cutoff, iter_rows, table_arrays
 from .uncertainty import (
     Interval,
     PropagationMode,
@@ -165,6 +165,8 @@ def analyze(
     """
     arr = table_arrays(table)
     prop = _propagate(arr)
+    # sigma_spfm_full bounds the other two variants.
+    _require_finite_sigmas(sigma_spfm=prop.sigma_spfm_full, sigma_lfm=prop.sigma_lfm)
     k = cutoff(confidence_level)
     selected = prop.sigma_spfm(mode)
     interval_spfm = confidence_interval(prop.spfm, selected, confidence_level)

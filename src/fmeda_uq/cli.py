@@ -23,7 +23,7 @@ from pathlib import Path
 from . import __version__
 from .analysis import analyze
 from .ingest import FmedaValidationError, ParseError, emit_result, parse_csv, parse_json
-from .mc_oracle import McConfig, _verify
+from .mc_oracle import MIN_VERDICT_SAMPLES, McConfig, _verify
 from .metrics import FAIL, PASS_FRAGILE
 from .sampling import sample_size
 from .uncertainty import PropagationMode
@@ -118,7 +118,7 @@ def _cmd_analyze(args) -> int:
             stamp=stamp,
         )
         document = emit_result(result, args.format)
-    except ValueError as exc:  # ParseError, FmedaValidationError
+    except (ParseError, FmedaValidationError) as exc:
         return _report_input_error(exc)
     sys.stdout.write(document)
     if result.verdict is None:
@@ -161,11 +161,17 @@ def _cmd_sample_size(args) -> int:
 
 def _cmd_verify(args) -> int:
     try:
-        table = _load_table(args.input)
         config = McConfig(samples=args.samples, seed=args.seed,
                           truncate=not args.no_truncate)
+        if config.samples < MIN_VERDICT_SAMPLES:
+            raise ValueError(f"at least {MIN_VERDICT_SAMPLES} samples are required "
+                             f"for a verdict, got {config.samples}")
+    except ValueError as exc:  # samples or seed out of range
+        return _report_input_error(exc)
+    try:
+        table = _load_table(args.input)
         spfm_verdict, lfm_verdict, lfm_note = _verify(table, config)
-    except ValueError as exc:  # ParseError, FmedaValidationError, bad samples
+    except (ParseError, FmedaValidationError) as exc:
         return _report_input_error(exc)
 
     if lfm_verdict is None:

@@ -32,12 +32,13 @@ the row count (until one sample's row alone exceeds a buffer).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FmedaTable, TableArrays, table_arrays
-from .uncertainty import _Propagation, _propagate
+from .model import FmedaTable, TableArrays, _require_finite_sigmas, table_arrays
+from .uncertainty import _propagate
 
 RNG_ALGORITHM = "numpy-pcg64"
 MIN_VERDICT_SAMPLES = 1000
@@ -76,7 +77,7 @@ class McVerdict:
     metric: str
     empirical_sigma: float
     analytic_sigma: float
-    relative_gap: float | None  # None: spread where the analytic sigma is 0
+    relative_gap: float  # inf: spread where the analytic sigma is 0
     tolerance: float
     passed: bool
     truncation_rate: float
@@ -91,7 +92,8 @@ class McVerdict:
             "metric": self.metric,
             "empirical_sigma": self.empirical_sigma,
             "analytic_sigma": self.analytic_sigma,
-            "relative_gap": self.relative_gap,
+            # JSON has no infinity; null marks a gap with no finite size.
+            "relative_gap": self.relative_gap if math.isfinite(self.relative_gap) else None,
             "tolerance": self.tolerance,
             "passed": self.passed,
             "truncation_rate": self.truncation_rate,
@@ -109,17 +111,16 @@ class _Input:
     Only columns with a nonzero sigma are drawn, sample by sample in row
     order, into one buffer allocated per call; the drawn values are then
     written into the matching columns of dest, the sampled matrix of that
-    input over the varying rows.
+    input.
     """
 
     def __init__(self, rng: np.random.Generator, dest: np.ndarray, nominal: np.ndarray,
-                 sigma: np.ndarray, varying: np.ndarray, upper: float | None):
-        drawn = sigma[varying] > 0
+                 sigma: np.ndarray, upper: float | None):
         self.rng = rng
         self.dest = dest
-        self.cols = np.flatnonzero(drawn)
-        self.mean = nominal[varying][drawn]
-        self.sigma = sigma[varying][drawn]
+        self.cols = np.flatnonzero(sigma > 0)
+        self.mean = nominal[self.cols]
+        self.sigma = sigma[self.cols]
         self.upper = upper
         self.buf = np.empty((dest.shape[0], self.cols.size))
         self.clamped = 0
@@ -157,24 +158,16 @@ def _simulate(arr: TableArrays, config: McConfig, with_lfm: bool) -> _Samples:
             f"at least {MIN_VERDICT_SAMPLES} samples are required for a verdict, "
             f"got {config.samples}"
         )
-    # Rows with any uncertain input are sampled; the others add a constant
-    # to each sum.  The split does not depend on with_lfm, so neither do the
-    # SPFM values.
-    varying = (arr.sigma_dc > 0) | (arr.sigma_lam > 0) | (arr.sigma_dc_lat > 0)
-    fixed = ~varying
-    residual_fixed = float(((1.0 - arr.dc[fixed]) * arr.lam[fixed]).sum())
-    latent_fixed = float(((1.0 - arr.dc_lat[fixed]) * arr.dc[fixed] * arr.lam[fixed]).sum())
-
-    chunk = min(config.samples, max(1, _BUFFER_ELEMENTS // max(int(varying.sum()), 1)))
-    dc, lam, lat = (np.tile(x[varying], (chunk, 1)) for x in (arr.dc, arr.lam, arr.dc_lat))
+    chunk = min(config.samples, max(1, _BUFFER_ELEMENTS // arr.lam.size))
+    dc, lam, lat = (np.tile(x, (chunk, 1)) for x in (arr.dc, arr.lam, arr.dc_lat))
     work = np.empty_like(dc)
     streams = [np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(3)]
     inputs = [
-        _Input(streams[0], dc, arr.dc, arr.sigma_dc, varying, 1.0),
-        _Input(streams[1], lam, arr.lam, arr.sigma_lam, varying, None),
+        _Input(streams[0], dc, arr.dc, arr.sigma_dc, 1.0),
+        _Input(streams[1], lam, arr.lam, arr.sigma_lam, None),
     ]
     if with_lfm:
-        inputs.append(_Input(streams[2], lat, arr.dc_lat, arr.sigma_dc_lat, varying, 1.0))
+        inputs.append(_Input(streams[2], lat, arr.dc_lat, arr.sigma_dc_lat, 1.0))
 
     spfm = np.empty(config.samples)
     lfm = np.empty(config.samples) if with_lfm else None
@@ -186,13 +179,13 @@ def _simulate(arr: TableArrays, config: McConfig, with_lfm: bool) -> _Samples:
         w = work[:m]
         np.subtract(1.0, dc[:m], out=w)
         w *= lam[:m]
-        residual = w.sum(axis=1) + residual_fixed
+        residual = w.sum(axis=1)
         spfm[start:start + m] = 1.0 - residual / arr.lambda_tot
         if with_lfm:
             np.subtract(1.0, lat[:m], out=w)
             w *= dc[:m]
             w *= lam[:m]
-            latent = w.sum(axis=1) + latent_fixed
+            latent = w.sum(axis=1)
             detected = arr.lambda_tot - residual
             with np.errstate(divide="ignore", invalid="ignore"):
                 vals = 1.0 - latent / detected
@@ -227,7 +220,6 @@ def _verdict(
         # noise at the ulp level instead of an exact 0.
         empirical = 0.0
 
-    gap: float | None
     if analytic != 0.0:
         gap = abs(empirical - analytic) / analytic
     else:
@@ -238,7 +230,7 @@ def _verdict(
         if empirical <= _ROUNDING_ULPS * np.finfo(float).eps:
             empirical, gap = 0.0, 0.0
         else:
-            gap = None
+            gap = math.inf
 
     warning = None
     if rate >= TRUNCATION_WARN_RATE:
@@ -256,23 +248,13 @@ def _verdict(
         analytic_sigma=analytic,
         relative_gap=gap,
         tolerance=tolerance,
-        passed=gap is not None and gap <= tolerance,
+        passed=gap <= tolerance,
         truncation_rate=rate,
         samples=config.samples,
         seed=config.seed,
         truncate=config.truncate,
         warning=warning,
     )
-
-
-def _spfm_verdict(prop: _Propagation, s: _Samples, config: McConfig,
-                  tolerance: float) -> McVerdict:
-    return _verdict("SPFM", prop.sigma_spfm_full, s.spfm, s.spfm_rate, 0, config, tolerance)
-
-
-def _lfm_verdict(prop: _Propagation, s: _Samples, config: McConfig,
-                 tolerance: float) -> McVerdict:
-    return _verdict("LFM", prop.sigma_lfm, s.lfm, s.lfm_rate, s.dropped, config, tolerance)
 
 
 def mc_sigma_spfm(
@@ -283,7 +265,9 @@ def mc_sigma_spfm(
     """Compare the empirical SPFM spread against the analytic sigma."""
     arr = table_arrays(table)
     prop = _propagate(arr)
-    return _spfm_verdict(prop, _simulate(arr, config, with_lfm=False), config, tolerance)
+    _require_finite_sigmas(sigma_spfm=prop.sigma_spfm_full)
+    s = _simulate(arr, config, with_lfm=False)
+    return _verdict("SPFM", prop.sigma_spfm_full, s.spfm, s.spfm_rate, 0, config, tolerance)
 
 
 def mc_sigma_lfm(
@@ -299,7 +283,9 @@ def mc_sigma_lfm(
     arr = table_arrays(table)
     prop = _propagate(arr)
     prop.require_lfm()
-    return _lfm_verdict(prop, _simulate(arr, config, with_lfm=True), config, tolerance)
+    _require_finite_sigmas(sigma_lfm=prop.sigma_lfm)
+    s = _simulate(arr, config, with_lfm=True)
+    return _verdict("LFM", prop.sigma_lfm, s.lfm, s.lfm_rate, s.dropped, config, tolerance)
 
 
 def _verify(table: FmedaTable, config: McConfig) -> tuple[McVerdict, McVerdict | None, str | None]:
@@ -311,8 +297,12 @@ def _verify(table: FmedaTable, config: McConfig) -> tuple[McVerdict, McVerdict |
     """
     arr = table_arrays(table)
     prop = _propagate(arr)
+    _require_finite_sigmas(sigma_spfm=prop.sigma_spfm_full, sigma_lfm=prop.sigma_lfm)
     s = _simulate(arr, config, with_lfm=prop.lfm is not None)
-    spfm = _spfm_verdict(prop, s, config, DEFAULT_SPFM_TOLERANCE)
+    spfm = _verdict("SPFM", prop.sigma_spfm_full, s.spfm, s.spfm_rate, 0, config,
+                    DEFAULT_SPFM_TOLERANCE)
     if prop.lfm is None:
         return spfm, None, prop.lfm_note
-    return spfm, _lfm_verdict(prop, s, config, DEFAULT_LFM_TOLERANCE), None
+    lfm = _verdict("LFM", prop.sigma_lfm, s.lfm, s.lfm_rate, s.dropped, config,
+                   DEFAULT_LFM_TOLERANCE)
+    return spfm, lfm, None

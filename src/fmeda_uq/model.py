@@ -366,6 +366,23 @@ def validate(table: FmedaTable) -> list[Violation]:
     return out
 
 
+def _require_finite_sigmas(**sigmas: float | None) -> None:
+    """Raise table.sigma_finite for each propagated sigma that overflowed.
+
+    validate() cannot see this: the sigmas exist only after propagation,
+    so analyze and the Monte Carlo verdicts call this on the ones they
+    report.  None (an undefined LFM) is skipped.
+    """
+    violations = [
+        Violation("table", name, "table.sigma_finite", value,
+                  "propagated sigma overflows the float range")
+        for name, value in sigmas.items()
+        if value is not None and not math.isfinite(value)
+    ]
+    if violations:
+        raise FmedaValidationError(violations)
+
+
 def require_valid(table: FmedaTable) -> None:
     """Raise FmedaValidationError when validate() reports anything."""
     violations = validate(table)

@@ -40,8 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (FmedaTable, FmedaValidationError, TableArrays, Violation, cutoff,
-                    table_arrays)
+from .model import FmedaTable, TableArrays, cutoff, table_arrays
 
 class UndefinedMetricError(ValueError):
     """The metric's denominator is zero, so the ratio is undefined."""
@@ -104,7 +103,8 @@ class _Propagation:
             raise UndefinedMetricError(self.lfm_note)
 
 
-# Overflow shows up as a non-finite sigma, checked at the end, not as a warning.
+# Overflow shows up as a non-finite sigma, not as a warning; the callers that
+# report a sigma reject it (model._require_finite_sigmas).
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _propagate(arr: TableArrays) -> _Propagation:
     """SPFM, LFM, their first-order sigmas and partials, lambda_tot fixed."""
@@ -144,20 +144,13 @@ def _propagate(arr: TableArrays) -> _Propagation:
             + np.dot(d_w**2, sigma_w**2)
         ))
 
-    sigma_spfm_full = math.sqrt(var_dc + var_lam)
-    for name, value in (("sigma_spfm", sigma_spfm_full), ("sigma_lfm", s_lfm)):
-        if value is not None and not math.isfinite(value):
-            raise FmedaValidationError([Violation(
-                "table", name, "table.sigma_finite", value,
-                "propagated sigma overflows the float range")])
-
     return _Propagation(
         spfm=spfm_value,
         lfm=lfm_value,
         lfm_note=lfm_note,
         terms_dc=terms_dc,
         terms_lam=terms_lam,
-        sigma_spfm_full=sigma_spfm_full,
+        sigma_spfm_full=math.sqrt(var_dc + var_lam),
         sigma_spfm_dc_only=math.sqrt(var_dc),
         sigma_spfm_lambda_only=math.sqrt(var_lam),
         sigma_lfm=s_lfm,

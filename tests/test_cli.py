@@ -161,18 +161,20 @@ def test_analyze_subnormal_rate(tmp_path, capsys):
     assert doc["sigma_spfm"] == {"full": 0.02, "dc_only": 0.02, "lambda_only": 0.0}
 
 
-def test_analyze_overflowing_sigma_is_an_input_error(tmp_path, capsys):
+def test_overflowing_sigma_is_an_input_error(tmp_path, capsys):
     # sigma_lambda/lambda_tot is finite, its square is not: no format may
     # carry the resulting inf/NaN sigmas and EII shares.
     path = _write(tmp_path, "wild.csv", TWO_FM_CSV.splitlines()[0] + "\n"
                   "CPU,EXEC,FM1,1e-10,1e300,,0.9,0.02,0.6,0,expert,\n"
                   "CPU,EXEC,FM2,50,0,,0.99,0.001,0.8,0,expert,\n")
-    for fmt in ("json", "markdown", "csv"):
+    runs = [["analyze", "--input", path, "--asil", "B", "--format", fmt]
+            for fmt in ("json", "markdown", "csv")]
+    runs.append(["verify", "--input", path, "--samples", "2000"])
+    for argv in runs:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out, err = run(capsys, ["analyze", "--input", path, "--asil", "B",
-                                          "--format", fmt])
-        assert (code, out) == (1, ""), fmt
+            code, out, err = run(capsys, argv)
+        assert (code, out) == (1, ""), argv
         assert "table.sigma_finite" in err
         assert "Traceback" not in err
 
@@ -317,6 +319,9 @@ def test_verify_spread_against_zero_analytic_sigma_fails(table_csv, capsys, monk
     assert doc["spfm"]["relative_gap"] is None
     assert doc["spfm"]["passed"] is False
     assert doc["all_pass"] is False
+    # The verdict itself keeps a float gap; only its JSON form is null.
+    v = mc.mc_sigma_spfm(two_fm_table(), mc.McConfig(samples=20000))
+    assert (v.relative_gap, v.passed) == (float("inf"), False)
 
 
 def test_verify_input_error(capsys):

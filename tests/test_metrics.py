@@ -1,15 +1,21 @@
 """SPFM/LFM point estimates and ASIL verdicts."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fmeda_uq import (
+    FmedaValidationError,
+    McConfig,
     UndefinedMetricError,
+    analyze,
     asil_verdict,
     lfm,
+    mc_sigma_spfm,
+    sigma_spfm,
     spfm,
 )
 from fmeda_uq.model import TableArrays, iter_rows, table_arrays
@@ -28,6 +34,23 @@ def test_spfm_no_coverage():
 def test_spfm_two_mode_example():
     # 1 - (0.10*50 + 0.01*50)/100 = 1 - 5.5/100
     assert spfm(two_fm_table()).value == pytest.approx(0.945, abs=1e-15)
+
+
+def test_point_metrics_survive_an_overflowing_sigma():
+    # Only the sigmas overflow; SPFM and LFM stay finite, and the point
+    # metrics neither raise nor warn.  analyze and verify reject the sigma.
+    table = make_table([dict(lambda_fm=1e-10, sigma_lambda_fm=1e300, dc=0.9,
+                             sigma_dc=0.02, dc_latent=0.6),
+                        dict(lambda_fm=50.0, dc=0.99, sigma_dc=0.001, dc_latent=0.8)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert spfm(table).value == pytest.approx(1 - (0.1e-10 + 0.5) / (50 + 1e-10))
+        assert math.isfinite(lfm(table).value)
+        assert not math.isfinite(sigma_spfm(table))
+    with pytest.raises(FmedaValidationError, match="table.sigma_finite"):
+        analyze(table)
+    with pytest.raises(FmedaValidationError, match="table.sigma_finite"):
+        mc_sigma_spfm(table, McConfig(samples=2000))
 
 
 def test_spfm_undefined_for_zero_total_rate():
