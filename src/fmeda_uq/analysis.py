@@ -3,11 +3,12 @@
 analyze() runs the whole pipeline on a validated table: nominal SPFM and
 LFM, the three propagation variants of sigma_SPFM, sigma_LFM, confidence
 intervals, the error-importance ranking with per-failure-mode totals, and
-the ASIL verdict when a target applies.  It validates and extracts the
-table once and runs the propagation kernel once; everything else is read
-off that one result.  Rows whose DC was measured by a sampled
-fault-injection campaign get their sigma_dc derived from the campaign
-margin during extraction (unless already explicit).
+the ASIL verdict when a target applies.  It reads the table's arrays
+through model.table_arrays (validated and extracted once per table, by
+the parser when the table was parsed) and runs the propagation kernel
+once; everything else is read off that one result.  Rows whose DC was
+measured by a sampled fault-injection campaign get their sigma_dc derived
+from the campaign margin during extraction (unless already explicit).
 
 LFM can be legitimately undefined (a table where every fault is residual
 has no detected pool); the result then carries lfm=None with a note

@@ -36,8 +36,7 @@ from .model import (
     FmedaValidationError,
     Part,
     Subpart,
-    require_valid,
-    validate,
+    table_arrays,
 )
 
 CSV_COLUMNS = (
@@ -68,19 +67,66 @@ def fmt12(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-def round12(x: float) -> float:
-    """The float actually meant by the 12-significant-digit rendering."""
-    return float(fmt12(x))
+_encode_str = json.encoder.encode_basestring_ascii
 
 
-def _round_floats(obj):
+def _float_token(x: float) -> str:
+    """The JSON token of float(fmt12(x)), as json.dumps writes it.
+
+    For a normal float the 12 digits of fmt12 are already the shortest
+    round-trip digits of float(fmt12(x)), so only the layout differs:
+    repr adds ".0" to an integral value and stays positional up to 1e16,
+    where %g switches to an exponent at 1e12.  Subnormals (decimal
+    exponent <= -308) have fewer digits than that, so they, like the
+    exponents 12-15, take the round trip through float.
+    """
+    s = f"{x:.12g}"  # fmt12(x); x is already a float
+    if "e" in s:
+        exp = int(s[s.index("e") + 1:])
+        return repr(float(s)) if 12 <= exp <= 15 or exp <= -308 else s
+    if "n" in s:  # nan, inf, -inf
+        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+    return s if "." in s else s + ".0"
+
+
+def _json_text(obj, newline: str = "\n") -> str:
+    """JSON text of obj, laid out as json.dumps(sort_keys=True, indent=2).
+
+    Each float x is written as float(fmt12(x)).  NaN and infinities raise
+    ValueError, as allow_nan=False does; newline carries the indent of
+    the enclosing container.
+
+    Each container joins its own members, so the pieces of one report row
+    are freed once the row's text is built.
+    """
     if isinstance(obj, float):
-        return round12(obj)
+        return _float_token(obj)
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = newline + "  "
     if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
+        if not obj:
+            return "{}"
+        items = []
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(_encode_str(key) + ": " + _json_text(obj[key], inner))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
     if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return obj
+        if not obj:
+            return "[]"
+        items = [_json_text(item, inner) for item in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _parse_float(cell: str, line: int | None, column: str) -> float:
@@ -242,15 +288,13 @@ def parse_csv(text: str) -> FmedaTable:
             for pname, subs in parts.items()
         )
     )
-    violations = validate(table)
-    if violations:
-        raise FmedaValidationError(violations)
+    table_arrays(table)  # validates, and caches the arrays for analyze
     return table
 
 
 def emit_csv(table: FmedaTable) -> str:
     """Serialize a valid table to the flat CSV layout."""
-    require_valid(table)
+    table_arrays(table)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
@@ -367,9 +411,7 @@ def parse_json(text: str) -> FmedaTable:
         parts.append(Part(_expect_str(pd["name"], f"{ppath}.name"), tuple(subs)))
 
     table = FmedaTable(tuple(parts), asil)
-    violations = validate(table)
-    if violations:
-        raise FmedaValidationError(violations)
+    table_arrays(table)  # validates, and caches the arrays for analyze
     return table
 
 
@@ -425,7 +467,7 @@ def _parse_json_row(fd, path: str) -> FailureModeRow:
 
 def emit_json(table: FmedaTable) -> str:
     """Serialize a valid table to the nested JSON document."""
-    require_valid(table)
+    table_arrays(table)
     doc: dict = {"version": FORMAT_VERSION}
     if table.asil_target is not None:
         doc["asil_target"] = table.asil_target
@@ -461,7 +503,7 @@ def emit_json(table: FmedaTable) -> str:
             sd["failure_modes"] = rows
             subs.append(sd)
         doc["parts"].append({"name": part.name, "subparts": subs})
-    return json.dumps(_round_floats(doc), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return _json_text(doc) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +514,7 @@ def emit_json(table: FmedaTable) -> str:
 def emit_result(result, format: str = "json") -> str:
     """Render an AnalysisResult as json, markdown or csv."""
     if format == "json":
-        return json.dumps(_round_floats(result.to_dict()), sort_keys=True, indent=2,
-                          allow_nan=False) + "\n"
+        return _json_text(result.to_dict()) + "\n"
     if format == "markdown":
         return _result_markdown(result)
     if format == "csv":

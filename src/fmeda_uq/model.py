@@ -202,6 +202,13 @@ class FmedaTable:
     def __post_init__(self):
         object.__setattr__(self, "parts", tuple(self.parts))
 
+    def __getstate__(self):
+        # A copy or an unpickled table validates afresh: the cached arrays
+        # (table_arrays) are not part of the state.
+        state = dict(self.__dict__)
+        state.pop("_arrays", None)
+        return state
+
     @property
     def lambda_tot(self) -> float:
         """Total failure rate in FIT, derived as the sum of all row rates.
@@ -383,13 +390,6 @@ def _require_finite_sigmas(**sigmas: float | None) -> None:
         raise FmedaValidationError(violations)
 
 
-def require_valid(table: FmedaTable) -> None:
-    """Raise FmedaValidationError when validate() reports anything."""
-    violations = validate(table)
-    if violations:
-        raise FmedaValidationError(violations)
-
-
 def materialize_direct(table: FmedaTable) -> FmedaTable:
     """Rewrite Distribution subparts as DirectLambda with derived FIT rows."""
     parts = []
@@ -438,8 +438,18 @@ def table_arrays(table: FmedaTable) -> TableArrays:
     Raises FmedaValidationError when validate() reports anything.  A
     fault-simulation row with sigma_dc == 0 gets sigma_dc = e/t from its
     campaign; an explicit sigma_dc is kept.
+
+    The result is cached on the (frozen) table, outside its dataclass
+    fields, and returned by every later call, so a table is validated and
+    extracted once however many operations read it.  Its arrays are
+    read-only for that reason.
     """
-    require_valid(table)
+    cached = getattr(table, "_arrays", None)
+    if cached is not None:
+        return cached
+    violations = validate(table)
+    if violations:
+        raise FmedaValidationError(violations)
     ids, lam, slam, dc, sdc, lat, slat = [], [], [], [], [], [], []
     for _, _, row in iter_rows(table):
         sigma_dc = row.sigma_dc
@@ -453,14 +463,11 @@ def table_arrays(table: FmedaTable) -> TableArrays:
         sdc.append(sigma_dc)
         lat.append(row.dc_latent)
         slat.append(row.sigma_dc_latent)
-    lam_arr = np.asarray(lam, dtype=np.float64)
-    return TableArrays(
-        ids=tuple(ids),
-        lam=lam_arr,
-        sigma_lam=np.asarray(slam, dtype=np.float64),
-        dc=np.asarray(dc, dtype=np.float64),
-        sigma_dc=np.asarray(sdc, dtype=np.float64),
-        dc_lat=np.asarray(lat, dtype=np.float64),
-        sigma_dc_lat=np.asarray(slat, dtype=np.float64),
-        lambda_tot=float(lam_arr.sum()),
-    )
+    columns = []
+    for values in (lam, slam, dc, sdc, lat, slat):  # the field order of TableArrays
+        column = np.asarray(values, dtype=np.float64)
+        column.flags.writeable = False
+        columns.append(column)
+    arrays = TableArrays(tuple(ids), *columns, lambda_tot=float(columns[0].sum()))
+    object.__setattr__(table, "_arrays", arrays)
+    return arrays

@@ -128,21 +128,32 @@ def _propagate(arr: TableArrays) -> _Propagation:
     # With lambda_tot fixed the detected pool is 1 - sum((1-DC)*w); written
     # as sum(DC*w) plus the gap between lambda_tot and the row sum, which is
     # exactly 0 for the arrays of a table, so it is > 0 iff some DC_i*w_i is.
-    detected = float(detected_w.sum()) + (1.0 - float(arr.lam.sum()) / lambda_tot)
+    gap = 1.0 - float(arr.lam.sum()) / lambda_tot
+    detected = float(detected_w.sum()) + gap
     if (detected_w > 0.0).any() and detected > 0.0:
         latent = float(np.dot(1.0 - arr.dc_lat, detected_w))
         lfm_value = 1.0 - latent / detected
         # LFM = 1 - latent/detected; quotient rule, lambda_tot constant.
-        d_dc = w * (latent - (1.0 - arr.dc_lat) * detected) / detected**2
+        # The dLFM/dDC numerator latent - (1-c_i)*detected (c = DC_lat) is
+        # rewritten relative to c0, the first row's latent DC: the same
+        # algebra, gap term included, but every term is exactly 0 when all
+        # latent DCs are equal, where LFM does not depend on DC and the
+        # direct form leaves rounding noise.
+        # Dividing by detected twice, not by detected**2, and squaring the
+        # products partial*sigma, keeps a tiny detected pool from
+        # underflowing to 0/0 or overflowing to inf*0.
+        c = arr.dc_lat - arr.dc_lat[0]
+        numerator = (c * detected - float(np.dot(c, detected_w))
+                     - (1.0 - float(arr.dc_lat[0])) * gap)
+        d_dc = w * (numerator / detected) / detected
         d_dc_lat = detected_w / detected
-        d_w = -((1.0 - arr.dc_lat) * arr.dc * detected + latent * undetected) / detected**2
+        d_w = -((1.0 - arr.dc_lat) * arr.dc + (latent / detected) * undetected) / detected
         lfm_grads = (d_dc, d_dc_lat, d_w)
         lfm_note = None
-        s_lfm = math.sqrt(float(
-            np.dot(d_dc**2, arr.sigma_dc**2)
-            + np.dot(d_dc_lat**2, arr.sigma_dc_lat**2)
-            + np.dot(d_w**2, sigma_w**2)
-        ))
+        s_lfm = math.sqrt(float(sum(
+            np.dot(t, t) for t in (d_dc * arr.sigma_dc, d_dc_lat * arr.sigma_dc_lat,
+                                   d_w * sigma_w)
+        )))
 
     return _Propagation(
         spfm=spfm_value,

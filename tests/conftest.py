@@ -6,8 +6,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
-from fmeda_uq import FailureModeRow, FmedaTable, Part, Subpart
+from fmeda_uq import DcSource, FailureModeRow, FmedaTable, Part, Subpart
+
+# Tests that drive the CLI with generated inputs run under this profile:
+# the same examples on every run, and no per-example deadline, since one
+# example may parse, validate and sample.  Each test bounds max_examples.
+settings.register_profile("fuzz", derandomize=True, deadline=None)
 
 
 def strict_json(text: str):
@@ -107,6 +113,51 @@ def random_table(
         ))
     sub = Subpart("SUB", None, None, tuple(rows))
     return FmedaTable((Part("PART", (sub,)),))
+
+
+def fixture_corpus() -> list[tuple[str, FmedaTable, bool]]:
+    """(name, table, csv_expressible) triples; >= 20 tables."""
+    rng = np.random.default_rng(808)
+    corpus = []
+    for i in range(20):
+        corpus.append((f"random_{i}",
+                       random_table(rng, n_range=(2, 12),
+                                    sigma_dc_latent_max=0.02, stable_digits=9),
+                       True))
+    corpus.append((
+        "distribution",
+        make_table(
+            [dict(fmd_fraction=0.25, sigma_fmd=0.01, dc=0.9, sigma_dc=0.02),
+             dict(fmd_fraction=0.75, sigma_fmd=0.02, dc=0.8, dc_latent=0.5)],
+            lambda_subpart=200.0),
+        True))
+    corpus.append((
+        "faultsim",
+        make_table([dict(lambda_fm=10.0, dc=0.9,
+                         dc_source=DcSource.fault_simulation(0.01, 0.95),
+                         safety_mechanisms=("ECC",))]),
+        True))
+    corpus.append((
+        "multi_part",
+        FmedaTable((
+            Part("CPU", (
+                Subpart("EXEC", 60.0, None, (
+                    make_table([dict(lambda_fm=60.0, dc=0.9)])
+                    .parts[0].subparts[0].failure_modes)),
+            )),
+            Part("MEM", (
+                Subpart("ARRAY", None, None, (
+                    make_table([dict(id="M1", lambda_fm=40.0, dc=0.7,
+                                     dc_latent=0.4)])
+                    .parts[0].subparts[0].failure_modes)),
+            )),
+        )),
+        True))
+    corpus.append((
+        "asil_target",
+        make_table([dict(lambda_fm=10.0, dc=0.9)], asil_target="C"),
+        False))  # the flat CSV layout has no ASIL field
+    return corpus
 
 
 @pytest.fixture

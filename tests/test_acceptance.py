@@ -15,12 +15,8 @@ import numpy as np
 import pytest
 
 from fmeda_uq import (
-    DcSource,
-    FmedaTable,
     McConfig,
-    Part,
     PropagationMode,
-    Subpart,
     analyze,
     cli,
     eii_table,
@@ -35,7 +31,7 @@ from fmeda_uq import (
 )
 from fmeda_uq.model import table_arrays
 from fmeda_uq.uncertainty import _propagate, lfm_partials, spfm_partials
-from conftest import make_table, random_table
+from conftest import fixture_corpus, make_table, random_table
 
 DATA = Path(__file__).parent / "data"
 
@@ -215,55 +211,10 @@ def test_acceptance_7_half_proportion_maximizes_n():
     _report(7, "p = 0.5 is the conservative maximum", started, 1.0, failures)
 
 
-def _fixture_corpus() -> list[tuple[str, FmedaTable, bool]]:
-    """(name, table, csv_expressible) triples; >= 20 tables."""
-    rng = np.random.default_rng(808)
-    corpus = []
-    for i in range(20):
-        corpus.append((f"random_{i}",
-                       random_table(rng, n_range=(2, 12),
-                                    sigma_dc_latent_max=0.02, stable_digits=9),
-                       True))
-    corpus.append((
-        "distribution",
-        make_table(
-            [dict(fmd_fraction=0.25, sigma_fmd=0.01, dc=0.9, sigma_dc=0.02),
-             dict(fmd_fraction=0.75, sigma_fmd=0.02, dc=0.8, dc_latent=0.5)],
-            lambda_subpart=200.0),
-        True))
-    corpus.append((
-        "faultsim",
-        make_table([dict(lambda_fm=10.0, dc=0.9,
-                         dc_source=DcSource.fault_simulation(0.01, 0.95),
-                         safety_mechanisms=("ECC",))]),
-        True))
-    corpus.append((
-        "multi_part",
-        FmedaTable((
-            Part("CPU", (
-                Subpart("EXEC", 60.0, None, (
-                    make_table([dict(lambda_fm=60.0, dc=0.9)])
-                    .parts[0].subparts[0].failure_modes)),
-            )),
-            Part("MEM", (
-                Subpart("ARRAY", None, None, (
-                    make_table([dict(id="M1", lambda_fm=40.0, dc=0.7,
-                                     dc_latent=0.4)])
-                    .parts[0].subparts[0].failure_modes)),
-            )),
-        )),
-        True))
-    corpus.append((
-        "asil_target",
-        make_table([dict(lambda_fm=10.0, dc=0.9)], asil_target="C"),
-        False))  # the flat CSV layout has no ASIL field
-    return corpus
-
-
 def test_acceptance_8_round_trip_and_determinism(capsys):
     started = time.perf_counter()
     failures = []
-    corpus = _fixture_corpus()
+    corpus = fixture_corpus()
     if len(corpus) < 20:
         failures.append("corpus too small")
     for name, table, csv_ok in corpus:

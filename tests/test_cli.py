@@ -1,8 +1,13 @@
 """CLI surface: subcommands, exit codes, stream separation, determinism."""
 
+import contextlib
+import io
+import os
+import tempfile
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fmeda_uq import cli, emit_json
 from conftest import make_table, strict_json, two_fm_table
@@ -304,6 +309,19 @@ def test_verify_rounding_noise_is_not_a_mismatch(tmp_path, capsys):
     assert (lfm["empirical_sigma"], lfm["relative_gap"], lfm["passed"]) == (0.0, 0.0, True)
 
 
+def test_verify_equal_latent_coverage_is_not_a_mismatch(tmp_path, capsys):
+    # LFM is constant when every latent DC is equal; the analytic sigma_LFM
+    # used to come out as rounding noise (7.7e-19) here, and verify exit 4.
+    path = _write(tmp_path, "latent.csv", TWO_FM_CSV.splitlines()[0] + "\n"
+                  "CPU,EXEC,FM1,15.7,0,,0.82,0.02,0.7,0,expert,\n"
+                  "CPU,EXEC,FM2,1.3,0,,0.79,0.02,0.7,0,expert,\n")
+    code, out, _ = run(capsys, ["verify", "--input", path, "--samples", "20000",
+                                "--seed", "1"])
+    assert code == 0
+    lfm = strict_json(out)["lfm"]
+    assert (lfm["analytic_sigma"], lfm["relative_gap"], lfm["passed"]) == (0.0, 0.0, True)
+
+
 def test_verify_spread_against_zero_analytic_sigma_fails(table_csv, capsys, monkeypatch):
     # Negative control: an analytic route that claims no spread at all.
     import dataclasses
@@ -345,3 +363,47 @@ def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["analyze", "--input", "x.csv", "--confidence", "0.80"])
     assert exc.value.code == 1
+
+
+# ---------------------------------------------------------------------------
+# Any bytes in, a documented outcome out
+# ---------------------------------------------------------------------------
+
+_VALID_INPUTS = (TWO_FM_CSV.encode(), emit_json(two_fm_table()).encode())
+
+
+@st.composite
+def _edited(draw, base: bytes) -> bytes:
+    """base with a few short spans replaced by arbitrary bytes."""
+    data = bytearray(base)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        data[at:at + draw(st.integers(0, 3))] = draw(st.binary(max_size=3))
+    return bytes(data)
+
+
+@settings(settings.get_profile("fuzz"), max_examples=150)
+@given(data=st.one_of(st.binary(max_size=400), *map(_edited, _VALID_INPUTS)),
+       suffix=st.sampled_from([".csv", ".json"]))
+def test_any_bytes_give_a_documented_outcome(data, suffix):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input" + suffix)
+        with open(path, "wb") as fh:
+            fh.write(data)
+        commands = [(["analyze", "--input", path, "--format", fmt], fmt == "json")
+                    for fmt in ("json", "markdown", "csv")]
+        commands.append((["verify", "--input", path, "--samples", "1000"], True))
+        for argv, is_json in commands:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = cli.main(argv)
+            assert code in {0, 1, 2, 3, 4}, argv
+            assert "Traceback" not in err.getvalue()
+            if code == 1:
+                assert out.getvalue() == "" and err.getvalue() != ""
+            elif is_json:
+                strict_json(out.getvalue())
+            else:
+                assert out.getvalue() != ""

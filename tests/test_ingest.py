@@ -1,8 +1,11 @@
 """Parsing, emission, and round-trip identity of both table formats."""
 
 import json
+import math
+import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 from fmeda_uq import (
     DcSource,
@@ -15,7 +18,9 @@ from fmeda_uq import (
     parse_csv,
     parse_json,
 )
-from conftest import make_table, random_table, two_fm_table
+from fmeda_uq import ingest
+from fmeda_uq.ingest import fmt12
+from conftest import fixture_corpus, make_table, random_table, two_fm_table
 
 HEADER = ("part,subpart,failure_mode,lambda_fit,sigma_lambda_fit,fmd_fraction,"
           "dc,sigma_dc,dc_latent,sigma_dc_latent,dc_source,sm_list")
@@ -261,3 +266,78 @@ def test_result_csv_has_rows_and_summary():
 def test_unknown_result_format_rejected():
     with pytest.raises(ValueError):
         emit_result(analyze(two_fm_table()), "yaml")
+
+
+# ---------------------------------------------------------------------------
+# The JSON writer: json.dumps(sort_keys=True, indent=2) of 12-digit floats
+# ---------------------------------------------------------------------------
+
+
+def _reference(doc) -> str:
+    """The writer's contract, spelled with the standard library."""
+    def rounded(obj):
+        if isinstance(obj, float):
+            return float(fmt12(obj))
+        if isinstance(obj, dict):
+            return {k: rounded(v) for k, v in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            return [rounded(v) for v in obj]
+        return obj
+    return json.dumps(rounded(doc), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True))
+def test_float_token_is_the_json_of_the_12_digit_float(x):
+    assert ingest._float_token(x) == json.dumps(float(fmt12(x)))
+
+
+@pytest.mark.parametrize("x", [
+    0.0, 5e-324, 1e-310, sys.float_info.min, sys.float_info.max,
+    1e12, 1.5e13, 9.99999999999e15, 1e16,
+    999999999999.5,  # rounds up into the exponent-12 band
+    123456789012345.0, 2.5, 1e-5, 1e100,
+])
+def test_float_token_pinned_cases(x):
+    for v in (x, -x):
+        assert ingest._float_token(v) == json.dumps(float(fmt12(v)))
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_non_finite_floats_are_rejected(x):
+    with pytest.raises(ValueError):
+        ingest._float_token(x)
+    with pytest.raises(ValueError):
+        ingest._json_text({"spfm": [1.0, x]})
+
+
+def test_writer_rejects_what_json_cannot_encode():
+    with pytest.raises(TypeError):
+        ingest._json_text({"x": object()})
+    with pytest.raises(TypeError):
+        ingest._json_text({1: 2.0})
+
+
+def test_writer_layout_matches_json_dumps():
+    doc = {"b": [], "a": {}, "c": [{"z": None, "y": True, "x": False}, 3, -0.0],
+           "\u00e9\n\"": "caf\u00e9\t\\", "d": (1.5, "x")}
+    assert ingest._json_text(doc) + "\n" == _reference(doc)
+
+
+def test_documents_equal_json_dumps_on_the_acceptance_corpus(monkeypatch):
+    captured = []
+    real = ingest._json_text
+
+    def capture(obj, newline="\n"):
+        if newline == "\n":  # the document, not one of its members
+            captured.append(obj)
+        return real(obj, newline)
+
+    monkeypatch.setattr(ingest, "_json_text", capture)
+    for name, table, _ in fixture_corpus():
+        for confidence in (0.90, 0.99):
+            result = analyze(table, confidence_level=confidence, asil_target="D")
+            assert emit_result(result, "json") == _reference(result.to_dict()), name
+        captured.clear()
+        text = emit_json(table)
+        assert len(captured) == 1
+        assert text == _reference(captured[0]), name

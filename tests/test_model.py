@@ -1,6 +1,8 @@
 """Model construction, validation rules, and structural invariants."""
 
+import copy
 import dataclasses
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,11 +14,15 @@ from fmeda_uq import (
     FmedaValidationError,
     Part,
     Subpart,
+    emit_csv,
+    emit_json,
     materialize_direct,
     spfm,
     validate,
 )
-from conftest import make_table
+from fmeda_uq import cli, model
+from fmeda_uq.model import table_arrays
+from conftest import make_table, two_fm_table
 
 
 def test_minimal_valid_table():
@@ -215,3 +221,80 @@ def test_lambda_tot_is_derived_not_stored():
     table = make_table([dict(lambda_fm=42.5, dc=0.9)])
     assert table.lambda_tot == 42.5
     assert "lambda_tot" not in {f.name for f in dataclasses.fields(FmedaTable)}
+
+
+# ---------------------------------------------------------------------------
+# table_arrays caches its validated result on the table
+# ---------------------------------------------------------------------------
+
+
+def _counting_validate(monkeypatch) -> list:
+    calls = []
+    real = model.validate
+    monkeypatch.setattr(model, "validate", lambda table: calls.append(table) or real(table))
+    return calls
+
+
+def test_table_arrays_validates_once_per_table(monkeypatch):
+    calls = _counting_validate(monkeypatch)
+    table = two_fm_table()
+    first = table_arrays(table)
+    assert table_arrays(table) is first
+    assert table.lambda_tot == 100.0
+    assert spfm(table).value == pytest.approx(0.945)
+    assert len(calls) == 1
+
+
+def test_cached_arrays_are_read_only():
+    arr = table_arrays(two_fm_table())
+    for column in (arr.lam, arr.sigma_lam, arr.dc, arr.sigma_dc, arr.dc_lat,
+                   arr.sigma_dc_lat):
+        with pytest.raises(ValueError):
+            column[0] = 0.5
+    assert table_arrays(two_fm_table()).dc[0] == 0.9
+
+
+def test_replaced_table_is_validated_afresh():
+    table = two_fm_table()
+    table_arrays(table)
+    with pytest.raises(FmedaValidationError):
+        table_arrays(dataclasses.replace(table, asil_target="E"))
+    bad_row = dataclasses.replace(table.parts[0].subparts[0].failure_modes[0], dc=1.5)
+    bad_sub = dataclasses.replace(table.parts[0].subparts[0], failure_modes=(bad_row,))
+    bad = dataclasses.replace(table, parts=(Part("CPU", (bad_sub,)),))
+    with pytest.raises(FmedaValidationError):
+        table_arrays(bad)
+    with pytest.raises(FmedaValidationError):
+        bad.lambda_tot
+
+
+def test_cache_is_invisible_to_equality_repr_and_hash():
+    table = two_fm_table()
+    before = (repr(table), hash(table))
+    table_arrays(table)
+    assert (repr(table), hash(table)) == before
+    assert table == two_fm_table()
+    assert dataclasses.replace(table) == table
+    assert not hasattr(dataclasses.replace(table), "_arrays")
+
+
+def test_copies_do_not_carry_the_cache():
+    table = two_fm_table()
+    table_arrays(table)
+    for other in (copy.copy(table), copy.deepcopy(table),
+                  pickle.loads(pickle.dumps(table))):
+        assert other == table
+        assert not hasattr(other, "_arrays")
+        assert table_arrays(other).lambda_tot == 100.0
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".json"])
+def test_cli_analyze_validates_once(suffix, tmp_path, monkeypatch, capsys):
+    path = tmp_path / f"table{suffix}"
+    table = two_fm_table()
+    path.write_text(emit_csv(table) if suffix == ".csv" else emit_json(table),
+                    encoding="utf-8")
+    calls = _counting_validate(monkeypatch)
+    assert cli.main(["analyze", "--input", str(path), "--asil", "B"]) == 0
+    assert capsys.readouterr().out
+    assert len(calls) == 1

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fmeda_uq import (
     PropagationMode,
@@ -250,3 +251,25 @@ def test_deterministic_bit_identical():
     t = two_fm_table()
     assert sigma_spfm(t) == sigma_spfm(t)
     assert sigma_lfm(t) == sigma_lfm(t)
+
+
+@settings(settings.get_profile("fuzz"), max_examples=200)
+# A detected pool of ~1e-256: detected**2 used to underflow, giving 0/0.
+@example(rows=[(1.0, 0.0, 0.0), (1.0, 1.8710328867273246e-256, 0.0)], latent=0.0)
+@given(
+    rows=st.lists(st.tuples(st.floats(0.1, 500.0), st.floats(0.0, 1.0),
+                            st.floats(0.0, 0.05)),
+                  min_size=2, max_size=60),
+    latent=st.floats(0.0, 1.0),
+)
+def test_equal_latent_coverage_gives_an_exactly_constant_lfm(rows, latent):
+    # With one latent DC for every row and no rate or latent sigma, LFM does
+    # not depend on any uncertain input: its DC partials and sigma are
+    # exactly 0, not rounding noise.
+    table = make_table([dict(lambda_fm=lam, dc=dc, sigma_dc=s, dc_latent=latent)
+                        for lam, dc, s in rows])
+    if analyze(table).lfm is None:
+        return
+    d_dc, _, _ = lfm_partials(table)
+    assert not d_dc.any()
+    assert sigma_lfm(table) == 0.0
