@@ -10,8 +10,7 @@ from fmeda_uq import (
     FmedaTable,
     Part,
     Subpart,
-    lfm,
-    spfm,
+    analyze,
     validate,
 )
 from fmeda_uq.model import iter_rows
@@ -38,9 +37,10 @@ table = FmedaTable((Part("CPU_EXEC", (muldiv, control)),))
 problems = validate(table)
 print(f"violations: {problems if problems else 'none'}")
 
-print(f"total failure rate: {table.lambda_tot:.1f} FIT")
-print(f"SPFM = {spfm(table).value:.4f}")
-print(f"LFM  = {lfm(table).value:.4f}")
+result = analyze(table)
+print(f"total failure rate: {result.lambda_tot:.1f} FIT")
+print(f"SPFM = {result.spfm:.4f}")
+print(f"LFM  = {result.lfm:.4f}")
 
 # SPFM is the lambda-weighted mean coverage, so improving the coverage of
 # the largest contributor moves the metric the most.

@@ -13,8 +13,6 @@ from fmeda_uq import (
     Subpart,
     analyze,
     confidence_interval,
-    sigma_spfm,
-    spfm,
 )
 
 
@@ -28,20 +26,20 @@ def build(sigma_dc_1):
 
 
 table = build(sigma_dc_1=0.02)
-value = spfm(table).value
-print(f"nominal SPFM = {value:.4f}")
+result = analyze(table, asil_target="B")
+print(f"nominal SPFM = {result.spfm:.4f}")
 
 # The variance splits additively between the two uncertainty families:
-# sigma_full^2 = sigma_dc_only^2 + sigma_lambda_only^2.
+# sigma_full^2 = sigma_dc_only^2 + sigma_lambda_only^2.  The mode picks
+# which one drives the interval and the verdict.
 for mode in PropagationMode:
-    print(f"sigma_SPFM [{mode.value:11s}] = {sigma_spfm(table, mode):.6f}")
+    print(f"sigma_SPFM [{mode.value:11s}] = {analyze(table, mode=mode).sigma_spfm:.6f}")
 
-iv = confidence_interval(value, sigma_spfm(table), 0.95)
+iv = confidence_interval(result.spfm, result.sigma_spfm_full, 0.95)
 print(f"95% interval: [{iv.lo:.4f}, {iv.hi:.4f}]")
 
 # Robust at B: even the lower bound clears 0.90.
 print()
-result = analyze(table, asil_target="B")
 print(f"verdict at sigma_dc=0.02:  {result.verdict.overall}")
 
 # Blow up the first coverage's uncertainty and the same nominal value no

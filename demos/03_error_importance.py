@@ -12,9 +12,7 @@ from fmeda_uq import (
     FmedaTable,
     Part,
     Subpart,
-    eii_table,
-    sigma_spfm,
-    total_per_failure_mode,
+    analyze,
 )
 
 rows = (
@@ -26,14 +24,15 @@ rows = (
 )
 table = FmedaTable((Part("CORE", (Subpart("PIPE", failure_modes=rows),)),))
 
-print(f"sigma_SPFM = {sigma_spfm(table):.6f}\n")
+result = analyze(table)
+print(f"sigma_SPFM = {result.sigma_spfm_full:.6f}\n")
 print(f"{'failure mode':14s} {'input':10s} {'share %':>8s}   raw EII")
-entries = eii_table(table)
+entries = result.eii_entries
 for e in entries:
     print(f"{e.failure_mode_id:14s} {e.input:10s} {e.percent:8.2f}   {e.raw_eii:.3e}")
 
 print("\nper failure mode (the report's total column):")
-for fm_id, pct in total_per_failure_mode(entries):
+for fm_id, pct in result.eii_totals:
     print(f"  {fm_id:8s} {pct:6.2f} %")
 
 # Act on the ranking: re-measure the dominant input (ALU coverage) and
@@ -45,6 +44,7 @@ fixed_rows[top.row_index] = replace(fixed_rows[top.row_index], sigma_dc=0.005)
 better = FmedaTable((Part("CORE", (Subpart("PIPE",
                                            failure_modes=tuple(fixed_rows)),)),))
 print(f"\nafter re-measuring {top.failure_mode_id} coverage:")
-print(f"  sigma_SPFM {sigma_spfm(table):.6f} -> {sigma_spfm(better):.6f}")
-for e in eii_table(better)[:3]:
+after = analyze(better)
+print(f"  sigma_SPFM {result.sigma_spfm_full:.6f} -> {after.sigma_spfm_full:.6f}")
+for e in after.eii_entries[:3]:
     print(f"  {e.failure_mode_id:8s} {e.input:10s} {e.percent:6.2f} %")

@@ -12,9 +12,9 @@ from fmeda_uq import (
     FmedaTable,
     Part,
     Subpart,
+    analyze,
     margin_to_sigma,
     sample_size,
-    sigma_spfm,
 )
 from fmeda_uq.model import table_arrays
 
@@ -46,4 +46,4 @@ table = FmedaTable((Part("CPU", (Subpart("EXEC", failure_modes=(
 arr = table_arrays(table)
 for row_id, sigma_dc in zip(arr.ids, arr.sigma_dc):
     print(f"  {row_id}: sigma_dc = {sigma_dc:.6f}")
-print(f"sigma_SPFM with campaign margins folded in: {sigma_spfm(table):.6f}")
+print(f"sigma_SPFM with campaign margins folded in: {analyze(table).sigma_spfm_full:.6f}")

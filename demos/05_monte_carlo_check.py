@@ -12,8 +12,7 @@ from fmeda_uq import (
     McConfig,
     Part,
     Subpart,
-    mc_sigma_lfm,
-    mc_sigma_spfm,
+    verify,
 )
 
 table = FmedaTable((Part("CPU", (Subpart("EXEC", failure_modes=(
@@ -33,23 +32,24 @@ def show(verdict):
 
 config = McConfig(samples=200_000, seed=42)
 print(f"{config.samples} samples, seed {config.seed}:")
-show(mc_sigma_spfm(table, config))
-show(mc_sigma_lfm(table, config))
+# One pass draws every uncertain input once and judges both metrics.
+spfm_verdict, lfm_verdict, _ = verify(table, config)
+show(spfm_verdict)
+show(lfm_verdict)
 
-# Same seed, same verdict, bit for bit.
-again = mc_sigma_spfm(table, config)
-print(f"\nreproducible: {again == mc_sigma_spfm(table, config)}")
+# Same seed, same verdicts, bit for bit.
+print(f"\nreproducible: {verify(table, config) == (spfm_verdict, lfm_verdict, None)}")
 
 # Push an input against its physical bound and the clamping starts to
 # bias the comparison; the verdict reports the truncation rate and warns.
 edgy = FmedaTable((Part("CPU", (Subpart("EXEC", failure_modes=(
     FailureModeRow(id="FM1", lambda_fm=100.0, dc=0.985, sigma_dc=0.02),
 )),)),))
-v = mc_sigma_spfm(edgy, McConfig(samples=100_000, seed=7))
+v = verify(edgy, McConfig(samples=100_000, seed=7))[0]
 print(f"\ncoverage one sigma below 1.0: truncation rate {v.truncation_rate:.1%}")
 print(f"  warning: {v.warning}")
 
 # With truncation off the draw is unbounded and the linear theory is
 # exact, so the gap collapses at high sample counts.
-v = mc_sigma_spfm(edgy, McConfig(samples=1_000_000, seed=7, truncate=False))
+v = verify(edgy, McConfig(samples=1_000_000, seed=7, truncate=False))[0]
 print(f"untruncated at 1e6 samples: gap {v.relative_gap:.3%}")

@@ -18,31 +18,17 @@ from .model import (
     Part,
     Subpart,
     Violation,
-    materialize_direct,
     validate,
 )
-from .metrics import (
-    AsilVerdict,
-    MetricValue,
-    UndefinedMetricError,
-    asil_verdict,
-    lfm,
-    spfm,
-)
-from .uncertainty import (
-    Interval,
-    PropagationMode,
-    confidence_interval,
-    sigma_lfm,
-    sigma_spfm,
-)
-from .eii import EiiEntry, eii_table, total_per_failure_mode
+from .metrics import AsilVerdict, asil_verdict
+from .uncertainty import Interval, PropagationMode, confidence_interval
+from .eii import EiiEntry
 from .sampling import (
     SampleSizePlan,
     margin_to_sigma,
     sample_size,
 )
-from .mc_oracle import McConfig, McVerdict, mc_sigma_lfm, mc_sigma_spfm
+from .mc_oracle import McConfig, McVerdict, verify
 from .ingest import (
     ParseError,
     emit_csv,
@@ -65,34 +51,24 @@ __all__ = [
     "Interval",
     "McConfig",
     "McVerdict",
-    "MetricValue",
     "ParseError",
     "Part",
     "PropagationMode",
     "ReportRow",
     "SampleSizePlan",
     "Subpart",
-    "UndefinedMetricError",
     "Violation",
     "analyze",
     "asil_verdict",
     "confidence_interval",
-    "eii_table",
     "emit_csv",
     "emit_json",
     "emit_result",
-    "lfm",
     "margin_to_sigma",
-    "materialize_direct",
-    "mc_sigma_lfm",
-    "mc_sigma_spfm",
     "parse_csv",
     "parse_json",
     "sample_size",
-    "sigma_lfm",
-    "sigma_spfm",
-    "spfm",
-    "total_per_failure_mode",
     "validate",
+    "verify",
     "__version__",
 ]

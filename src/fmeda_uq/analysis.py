@@ -1,9 +1,10 @@
 """One-call assembly of the full analysis result.
 
-analyze() runs the whole pipeline on a validated table: nominal SPFM and
-LFM, the three propagation variants of sigma_SPFM, sigma_LFM, confidence
-intervals, the error-importance ranking with per-failure-mode totals, and
-the ASIL verdict when a target applies.  It reads the table's arrays
+analyze() is the one analytic entry point.  It runs the whole pipeline
+on a validated table: nominal SPFM and LFM, the three propagation
+variants of sigma_SPFM, sigma_LFM, confidence intervals, the
+error-importance ranking with per-failure-mode totals, and the ASIL
+verdict when a target applies.  It reads the table's arrays
 through model.table_arrays (validated and extracted once per table, by
 the parser when the table was parsed) and runs the propagation kernel
 once; everything else is read off that one result.  Rows whose DC was
@@ -169,7 +170,8 @@ def analyze(
     # sigma_spfm_full bounds the other two variants.
     _require_finite_sigmas(sigma_spfm=prop.sigma_spfm_full, sigma_lfm=prop.sigma_lfm)
     k = cutoff(confidence_level)
-    selected = prop.sigma_spfm(mode)
+    selected = _by_mode(mode, prop.sigma_spfm_full, prop.sigma_spfm_dc_only,
+                        prop.sigma_spfm_lambda_only)
     interval_spfm = confidence_interval(prop.spfm, selected, confidence_level)
 
     interval_lfm: Interval | None = None

@@ -23,7 +23,7 @@ from pathlib import Path
 from . import __version__
 from .analysis import analyze
 from .ingest import FmedaValidationError, ParseError, emit_result, parse_csv, parse_json
-from .mc_oracle import MIN_VERDICT_SAMPLES, McConfig, _verify
+from .mc_oracle import McConfig, verify
 from .metrics import FAIL, PASS_FRAGILE
 from .sampling import sample_size
 from .uncertainty import PropagationMode
@@ -163,16 +163,19 @@ def _cmd_verify(args) -> int:
     try:
         config = McConfig(samples=args.samples, seed=args.seed,
                           truncate=not args.no_truncate)
-        if config.samples < MIN_VERDICT_SAMPLES:
-            raise ValueError(f"at least {MIN_VERDICT_SAMPLES} samples are required "
-                             f"for a verdict, got {config.samples}")
     except ValueError as exc:  # samples or seed out of range
         return _report_input_error(exc)
     try:
         table = _load_table(args.input)
-        spfm_verdict, lfm_verdict, lfm_note = _verify(table, config)
     except (ParseError, FmedaValidationError) as exc:
         return _report_input_error(exc)
+    try:
+        spfm_verdict, lfm_verdict, lfm_note = verify(table, config)
+    except FmedaValidationError as exc:  # a propagated sigma overflows
+        return _report_input_error(exc)
+    except MemoryError:  # the sample arrays take 8 bytes per sample and metric
+        return _report_input_error(ValueError(
+            f"--samples {args.samples} is too large: the sample arrays do not fit in memory"))
 
     if lfm_verdict is None:
         # No detected pool: nothing to verify on the LFM side.

@@ -13,15 +13,15 @@ returns term / lambda_tot^2 directly.  The shares partition the
 variance, so they sum to 1 and back the percentage report columns; the
 raw values divide by sigma_SPFM only once and do not sum to anything
 meaningful, but rank identically (same numerators, positive constant
-denominators).
+denominators).  analysis.analyze builds the entries and the
+per-failure-mode totals from its one propagation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import FmedaTable, table_arrays
-from .uncertainty import _propagate, _Propagation
+from .uncertainty import _Propagation
 
 INPUT_DC = "dc"
 INPUT_LAMBDA = "lambda_fm"
@@ -41,7 +41,7 @@ class EiiEntry:
     percent: float
 
 
-def eii_table(table: FmedaTable) -> list[EiiEntry]:
+def _entries(ids: tuple[str, ...], prop: _Propagation) -> list[EiiEntry]:
     """Rank every nonzero-sigma input by its share of the SPFM variance.
 
     Entries come back sorted by descending variance_share, ties broken by
@@ -49,11 +49,6 @@ def eii_table(table: FmedaTable) -> list[EiiEntry]:
     there is nothing to attribute and the list is empty; see
     NO_UNCERTAINTY_NOTE for the report wording.
     """
-    arr = table_arrays(table)
-    return _entries(arr.ids, _propagate(arr))
-
-
-def _entries(ids: tuple[str, ...], prop: _Propagation) -> list[EiiEntry]:
     s_full = prop.sigma_spfm_full
     if s_full == 0.0:
         return []

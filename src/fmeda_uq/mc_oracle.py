@@ -22,12 +22,17 @@ latent DC) has its own numpy PCG64 child stream, spawned from the
 config's seed by np.random.SeedSequence, and only the columns with a
 nonzero sigma are drawn, sample by sample in row order.  So the drawn
 values do not depend on the chunk size, and the SPFM samples do not
-depend on whether LFM is simulated too: verify, mc_sigma_spfm and
-mc_sigma_lfm give the same verdicts bit for bit, and a given (table,
-config) reproduces them across runs and platforms.  Chunks are sized by
-a fixed number of elements per buffer, not a fixed number of samples, and
-the buffers are allocated once per call, so memory does not grow with
-the row count (until one sample's row alone exceeds a buffer).
+depend on whether the table has an LFM to simulate: a given (table,
+config) gives the same verdicts bit for bit across runs and platforms.
+Chunks are sized by a fixed number of elements per buffer, not a fixed
+number of samples, and the buffers are allocated once per call, so
+memory does not grow with the row count (until one sample's row alone
+exceeds a buffer).
+
+Each LFM sample divides by its detected pool summed as sum(DC*lambda)
+plus the gap lambda_tot - sum(lambda), as the kernel does.  Written as
+lambda_tot minus the residual it cancels when every DC is small, and a
+table whose LFM is constant would show a spread of rounding noise.
 """
 
 from __future__ import annotations
@@ -51,8 +56,8 @@ _BUFFER_ELEMENTS = 1 << 15
 # spreads on such tables of 2 to 5000 rows stayed under 2 ulps of 1.0.
 _ROUNDING_ULPS = 8
 
-DEFAULT_SPFM_TOLERANCE = 0.03
-DEFAULT_LFM_TOLERANCE = 0.05
+SPFM_TOLERANCE = 0.03
+LFM_TOLERANCE = 0.05
 
 
 @dataclass(frozen=True)
@@ -64,8 +69,11 @@ class McConfig:
     truncate: bool = True
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError(f"samples must be >= 1, got {self.samples}")
+        if self.samples < MIN_VERDICT_SAMPLES:
+            raise ValueError(
+                f"at least {MIN_VERDICT_SAMPLES} samples are required for a verdict, "
+                f"got {self.samples}"
+            )
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 
@@ -153,14 +161,10 @@ class _Samples:
 
 def _simulate(arr: TableArrays, config: McConfig, with_lfm: bool) -> _Samples:
     """Draw every uncertain input once; SPFM per sample, and LFM if asked."""
-    if config.samples < MIN_VERDICT_SAMPLES:
-        raise ValueError(
-            f"at least {MIN_VERDICT_SAMPLES} samples are required for a verdict, "
-            f"got {config.samples}"
-        )
     chunk = min(config.samples, max(1, _BUFFER_ELEMENTS // arr.lam.size))
     dc, lam, lat = (np.tile(x, (chunk, 1)) for x in (arr.dc, arr.lam, arr.dc_lat))
     work = np.empty_like(dc)
+    det = np.empty_like(dc) if with_lfm else None
     streams = [np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(3)]
     inputs = [
         _Input(streams[0], dc, arr.dc, arr.sigma_dc, 1.0),
@@ -182,11 +186,12 @@ def _simulate(arr: TableArrays, config: McConfig, with_lfm: bool) -> _Samples:
         residual = w.sum(axis=1)
         spfm[start:start + m] = 1.0 - residual / arr.lambda_tot
         if with_lfm:
+            d = det[:m]
+            np.multiply(dc[:m], lam[:m], out=d)
             np.subtract(1.0, lat[:m], out=w)
-            w *= dc[:m]
-            w *= lam[:m]
+            w *= d
             latent = w.sum(axis=1)
-            detected = arr.lambda_tot - residual
+            detected = d.sum(axis=1) + (arr.lambda_tot - lam[:m].sum(axis=1))
             with np.errstate(divide="ignore", invalid="ignore"):
                 vals = 1.0 - latent / detected
             bad = detected <= 0.0
@@ -257,52 +262,21 @@ def _verdict(
     )
 
 
-def mc_sigma_spfm(
-    table: FmedaTable,
-    config: McConfig = McConfig(),
-    tolerance: float = DEFAULT_SPFM_TOLERANCE,
-) -> McVerdict:
-    """Compare the empirical SPFM spread against the analytic sigma."""
-    arr = table_arrays(table)
-    prop = _propagate(arr)
-    _require_finite_sigmas(sigma_spfm=prop.sigma_spfm_full)
-    s = _simulate(arr, config, with_lfm=False)
-    return _verdict("SPFM", prop.sigma_spfm_full, s.spfm, s.spfm_rate, 0, config, tolerance)
-
-
-def mc_sigma_lfm(
-    table: FmedaTable,
-    config: McConfig = McConfig(),
-    tolerance: float = DEFAULT_LFM_TOLERANCE,
-) -> McVerdict:
-    """Compare the empirical LFM spread against the analytic sigma.
-
-    Raises UndefinedMetricError when the table has no detected pool at
-    its nominal values.
-    """
-    arr = table_arrays(table)
-    prop = _propagate(arr)
-    prop.require_lfm()
-    _require_finite_sigmas(sigma_lfm=prop.sigma_lfm)
-    s = _simulate(arr, config, with_lfm=True)
-    return _verdict("LFM", prop.sigma_lfm, s.lfm, s.lfm_rate, s.dropped, config, tolerance)
-
-
-def _verify(table: FmedaTable, config: McConfig) -> tuple[McVerdict, McVerdict | None, str | None]:
-    """Both verdicts of verify, from one extraction, propagation and pass.
+def verify(table: FmedaTable, config: McConfig) -> tuple[McVerdict, McVerdict | None, str | None]:
+    """Check the analytic sigma_SPFM and sigma_LFM against one seeded pass.
 
     Returns (SPFM verdict, LFM verdict, None), or (SPFM verdict, None,
-    the reason) when LFM is undefined.  Each verdict equals the one
-    mc_sigma_spfm or mc_sigma_lfm gives at the default tolerance.
+    the reason) when LFM is undefined.  Raises FmedaValidationError for
+    an invalid table or a propagated sigma that overflows.
     """
     arr = table_arrays(table)
     prop = _propagate(arr)
     _require_finite_sigmas(sigma_spfm=prop.sigma_spfm_full, sigma_lfm=prop.sigma_lfm)
     s = _simulate(arr, config, with_lfm=prop.lfm is not None)
     spfm = _verdict("SPFM", prop.sigma_spfm_full, s.spfm, s.spfm_rate, 0, config,
-                    DEFAULT_SPFM_TOLERANCE)
+                    SPFM_TOLERANCE)
     if prop.lfm is None:
         return spfm, None, prop.lfm_note
     lfm = _verdict("LFM", prop.sigma_lfm, s.lfm, s.lfm_rate, s.dropped, config,
-                   DEFAULT_LFM_TOLERANCE)
+                   LFM_TOLERANCE)
     return spfm, lfm, None

@@ -1,4 +1,4 @@
-"""Point-estimate hardware architectural metrics and ASIL verdicts.
+"""The hardware architectural metrics and their ASIL verdicts.
 
 SPFM (single point fault metric) is the fraction of the total failure
 rate that does not remain as dangerous-undetected residual faults:
@@ -13,6 +13,9 @@ the pool that the single-point mechanisms already detect or control:
               lambda_tot - sum_i (1 - DC_i) * lambda_i
 
 LFM is undefined when no row has DC_i * lambda_i > 0 (no detected pool).
+The values themselves come from the propagation kernel
+(uncertainty._propagate) and are read off analysis.analyze's result;
+this module judges them.
 
 ASIL thresholds are ISO 26262-5 defaults (ASIL A carries no quantitative
 target) and can be overridden per call.  A verdict is three-state: a
@@ -25,12 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from .model import FmedaTable, table_arrays
-from .uncertainty import UndefinedMetricError, _propagate  # noqa: F401 (re-exported)
-
-SPFM_KIND = "SPFM"
-LFM_KIND = "LFM"
 
 PASS_ROBUST = "PassRobust"
 PASS_FRAGILE = "PassFragile"
@@ -46,14 +43,6 @@ ASIL_THRESHOLDS: dict[str, tuple[float, float] | None] = {
 
 
 @dataclass(frozen=True)
-class MetricValue:
-    """A computed metric with its kind tag."""
-
-    value: float
-    kind: str
-
-
-@dataclass(frozen=True)
 class AsilVerdict:
     """Per-metric and overall verdicts against one ASIL target."""
 
@@ -61,18 +50,6 @@ class AsilVerdict:
     spfm: str
     lfm: str | None
     overall: str
-
-
-def spfm(table: FmedaTable) -> MetricValue:
-    """Single point fault metric of a valid table."""
-    return MetricValue(_propagate(table_arrays(table)).spfm, SPFM_KIND)
-
-
-def lfm(table: FmedaTable) -> MetricValue:
-    """Latent fault metric of a valid table."""
-    prop = _propagate(table_arrays(table))
-    prop.require_lfm()
-    return MetricValue(prop.lfm, LFM_KIND)
 
 
 def metric_verdict(value: float, sigma: float, k: float, threshold: float) -> str:

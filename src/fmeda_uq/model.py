@@ -390,24 +390,6 @@ def _require_finite_sigmas(**sigmas: float | None) -> None:
         raise FmedaValidationError(violations)
 
 
-def materialize_direct(table: FmedaTable) -> FmedaTable:
-    """Rewrite Distribution subparts as DirectLambda with derived FIT rows."""
-    parts = []
-    for part in table.parts:
-        subs = []
-        for sub in part.subparts:
-            if sub.fmd_mode == DISTRIBUTION:
-                rows = tuple(
-                    replace(r, fmd_fraction=None, sigma_fmd=0.0)
-                    for r in sub.failure_modes
-                )
-                subs.append(Subpart(sub.name, sub.lambda_subpart, DIRECT_LAMBDA, rows))
-            else:
-                subs.append(sub)
-        parts.append(Part(part.name, tuple(subs)))
-    return FmedaTable(tuple(parts), table.asil_target)
-
-
 # ---------------------------------------------------------------------------
 # Array extraction for the numeric modules
 # ---------------------------------------------------------------------------

@@ -19,14 +19,14 @@ routes are comparable.
 
 sigma_LFM has no compact closed form; it is assembled from the analytic
 partial derivatives of the LFM ratio (again with lambda_tot fixed), which
-are exposed for finite-difference cross-checking.
+the kernel's result keeps for finite-difference cross-checking.
 
 One kernel, _propagate, computes every metric, sigma, variance term and
 partial from a TableArrays.  It works on the normalized weights
 w_i = lambda_i/lambda_tot and sigma_lambda_i/lambda_tot, so its results do
 not depend on the scale of the rates, from subnormal to near-overflow
-FIT values.  The public functions each extract the arrays
-once and read one field of the kernel's result.
+FIT values.  Its callers, analysis.analyze and mc_oracle.verify, each
+extract the arrays once and run it once.
 
 Cross-covariances between inputs are deliberately not modeled; the data
 model carries no covariance inputs.
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FmedaTable, TableArrays, cutoff, table_arrays
+from .model import TableArrays, cutoff
 
 class UndefinedMetricError(ValueError):
     """The metric's denominator is zero, so the ratio is undefined."""
@@ -93,14 +93,6 @@ class _Propagation:
     sigma_lfm: float | None
     spfm_partials: tuple[np.ndarray, np.ndarray]  # d/dDC, d/dw
     lfm_partials: tuple[np.ndarray, np.ndarray, np.ndarray] | None  # d/dDC, d/dDC_lat, d/dw
-
-    def sigma_spfm(self, mode: PropagationMode) -> float:
-        return _by_mode(mode, self.sigma_spfm_full, self.sigma_spfm_dc_only,
-                        self.sigma_spfm_lambda_only)
-
-    def require_lfm(self) -> None:
-        if self.lfm is None:
-            raise UndefinedMetricError(self.lfm_note)
 
 
 # Overflow shows up as a non-finite sigma, not as a warning; the callers that
@@ -168,34 +160,6 @@ def _propagate(arr: TableArrays) -> _Propagation:
         spfm_partials=(w, -undetected),
         lfm_partials=lfm_grads,
     )
-
-
-def sigma_spfm(table: FmedaTable, mode: PropagationMode = PropagationMode.FULL) -> float:
-    """Standard deviation of SPFM under the selected propagation mode."""
-    return _propagate(table_arrays(table)).sigma_spfm(mode)
-
-
-def spfm_partials(table: FmedaTable) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic (dSPFM/dDC_i, dSPFM/dlambda_i) with lambda_tot held fixed."""
-    arr = table_arrays(table)
-    d_dc, d_w = _propagate(arr).spfm_partials
-    return d_dc, d_w / arr.lambda_tot
-
-
-def lfm_partials(table: FmedaTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Analytic (dLFM/dDC_i, dLFM/dDC_lat_i, dLFM/dlambda_i), lambda_tot fixed."""
-    arr = table_arrays(table)
-    prop = _propagate(arr)
-    prop.require_lfm()
-    d_dc, d_dc_lat, d_w = prop.lfm_partials
-    return d_dc, d_dc_lat, d_w / arr.lambda_tot
-
-
-def sigma_lfm(table: FmedaTable) -> float:
-    """Standard deviation of LFM from the analytic partial derivatives."""
-    prop = _propagate(table_arrays(table))
-    prop.require_lfm()
-    return prop.sigma_lfm
 
 
 def confidence_interval(value: float, sigma: float, confidence_level: float) -> Interval:

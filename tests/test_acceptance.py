@@ -16,21 +16,18 @@ import pytest
 
 from fmeda_uq import (
     McConfig,
-    PropagationMode,
     analyze,
     cli,
-    eii_table,
     emit_csv,
     emit_json,
     emit_result,
-    mc_sigma_spfm,
     parse_csv,
     parse_json,
     sample_size,
-    sigma_spfm,
+    verify,
 )
 from fmeda_uq.model import table_arrays
-from fmeda_uq.uncertainty import _propagate, lfm_partials, spfm_partials
+from fmeda_uq.uncertainty import _propagate
 from conftest import fixture_corpus, make_table, random_table
 
 DATA = Path(__file__).parent / "data"
@@ -52,9 +49,10 @@ def test_acceptance_1_quadrature_identity():
     rng = np.random.default_rng(101)
     for i in range(1000):
         table = random_table(rng)  # 2..50 modes, defaults match the contract
-        full = sigma_spfm(table, PropagationMode.FULL)
-        dc = sigma_spfm(table, PropagationMode.DC_ONLY)
-        lam = sigma_spfm(table, PropagationMode.LAMBDA_ONLY)
+        res = analyze(table)
+        full = res.sigma_spfm_full
+        dc = res.sigma_spfm_dc_only
+        lam = res.sigma_spfm_lambda_only
         lhs, rhs = full**2, dc**2 + lam**2
         if abs(lhs - rhs) > 1e-12 * max(lhs, rhs):
             failures.append(f"table {i}: {lhs} != {rhs}")
@@ -67,16 +65,16 @@ def test_acceptance_2_monte_carlo_oracle():
     rng = np.random.default_rng(202)
     for i in range(50):
         table = random_table(rng, n_range=(2, 10), away_from_bounds=True)
-        verdict = mc_sigma_spfm(table, McConfig(samples=100_000, seed=1000 + i))
+        verdict = verify(table, McConfig(samples=100_000, seed=1000 + i))[0]
         if not verdict.passed:
             failures.append(f"small-sigma table {i}: gap {verdict.relative_gap:.4f}")
     # Linear exactness: DC-only uncertainty, no truncation, 1e6 samples.
     for i in range(5):
         table = random_table(rng, n_range=(2, 6), sigma_lam_frac_max=0.0,
                              away_from_bounds=True)
-        verdict = mc_sigma_spfm(
+        verdict = verify(
             table, McConfig(samples=1_000_000, seed=2000 + i, truncate=False)
-        )
+        )[0]
         if verdict.relative_gap >= 0.01:
             failures.append(f"linear table {i}: gap {verdict.relative_gap:.4f}")
     _report(2, "Monte Carlo oracle agreement", started, 60.0, failures)
@@ -100,8 +98,10 @@ def test_acceptance_3_gradient_checks():
         table = random_table(rng, n_range=(2, 10), dc_range=(0.2, 1.0),
                              sigma_dc_latent_max=0.02)
         arr = table_arrays(table)
-        s_dc, s_lam = spfm_partials(table)
-        l_dc, l_lat, l_lam = lfm_partials(table)
+        prop = _propagate(arr)
+        s_dc, s_w = prop.spfm_partials
+        l_dc, l_lat, l_w = prop.lfm_partials
+        s_lam, l_lam = s_w / arr.lambda_tot, l_w / arr.lambda_tot
         for i in range(arr.dc.size):
             checks = [
                 (s_dc[i], fd(lambda u: _propagate(replace(arr, dc=u)).spfm, arr.dc, i)),
@@ -156,7 +156,7 @@ def test_acceptance_5_eii_partition_and_ranking():
     checked = 0
     for i in range(300):
         table = random_table(rng, n_range=(2, 20))
-        entries = eii_table(table)
+        entries = analyze(table).eii_entries
         if not entries:
             continue
         checked += 1

@@ -338,8 +338,47 @@ def test_verify_spread_against_zero_analytic_sigma_fails(table_csv, capsys, monk
     assert doc["spfm"]["passed"] is False
     assert doc["all_pass"] is False
     # The verdict itself keeps a float gap; only its JSON form is null.
-    v = mc.mc_sigma_spfm(two_fm_table(), mc.McConfig(samples=20000))
+    v = mc.verify(two_fm_table(), mc.McConfig(samples=20000))[0]
     assert (v.relative_gap, v.passed) == (float("inf"), False)
+
+
+def test_verify_small_detected_pool_is_not_a_mismatch(tmp_path, capsys):
+    # Every DC small and every latent DC 0: LFM is 0 in every sample.  The
+    # sampled detected pool used to be lambda_tot minus the residual, which
+    # cancels here, and its rounding spread failed the exactly-0 sigma_LFM.
+    path = _write(tmp_path, "small_dc.csv", TWO_FM_CSV.splitlines()[0] + "\n"
+                  "CPU,EXEC,FM1,10,0,,0.0187,0.005,0,0,expert,\n"
+                  "CPU,EXEC,FM2,5,0,,0.0432,0.005,0,0,expert,\n")
+    code, out, _ = run(capsys, ["verify", "--input", path, "--samples", "20000",
+                                "--seed", "1"])
+    assert code == 0
+    lfm = strict_json(out)["lfm"]
+    assert (lfm["analytic_sigma"], lfm["empirical_sigma"], lfm["passed"]) == (0.0, 0.0, True)
+    # Here about 9% of the DC draws clamp at 0 and SPFM fails on that bias,
+    # so only the LFM verdict is checked.
+    path = _write(tmp_path, "small_dc_2.csv", TWO_FM_CSV.splitlines()[0] + "\n"
+                  "CPU,EXEC,FM1,1,0,,0.0625,0.03125,0,0,expert,\n"
+                  "CPU,EXEC,FM2,1,0,,0.03125,0.03125,0,0,expert,\n")
+    for samples in ("2000", "20000"):
+        _, out, _ = run(capsys, ["verify", "--input", path, "--samples", samples,
+                                 "--seed", "1"])
+        assert strict_json(out)["lfm"]["passed"] is True
+
+
+def test_verify_oversized_samples_is_an_input_error(table_csv, capsys, monkeypatch):
+    # A real allocation of that size need not fail fast, so the sampler's
+    # MemoryError is simulated.
+    import fmeda_uq.mc_oracle as mc
+
+    def out_of_memory(arr, config, with_lfm):
+        raise MemoryError
+
+    monkeypatch.setattr(mc, "_simulate", out_of_memory)
+    code, out, err = run(capsys, ["verify", "--input", table_csv,
+                                  "--samples", "10000000000000"])
+    assert (code, out) == (1, "")
+    assert "--samples 10000000000000" in err
+    assert "Traceback" not in err
 
 
 def test_verify_input_error(capsys):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from fmeda_uq import eii_table, sigma_spfm, total_per_failure_mode
+from fmeda_uq import analyze
 from fmeda_uq.eii import INPUT_DC, INPUT_LAMBDA
 from conftest import make_table, random_table
 
@@ -15,7 +15,7 @@ def worked_table():
 
 
 def test_two_mode_shares():
-    entries = eii_table(worked_table())
+    entries = analyze(worked_table()).eii_entries
     assert [e.failure_mode_id for e in entries] == ["FM1", "FM2"]
     assert entries[0].percent == pytest.approx(100 * 0.0004 / 0.000401, abs=1e-9)
     assert entries[1].percent == pytest.approx(100 * 1e-6 / 0.000401, abs=1e-9)
@@ -28,7 +28,7 @@ def test_single_uncertain_input_gets_everything():
         dict(lambda_fm=50.0, dc=0.9, sigma_dc=0.02),
         dict(lambda_fm=50.0, dc=0.99),
     ])
-    entries = eii_table(table)
+    entries = analyze(table).eii_entries
     assert len(entries) == 1
     assert entries[0].variance_share == pytest.approx(1.0, abs=1e-15)
 
@@ -38,7 +38,7 @@ def test_symmetric_table_splits_evenly():
         dict(lambda_fm=30.0, dc=0.8, sigma_dc=0.01),
         dict(lambda_fm=30.0, dc=0.8, sigma_dc=0.01),
     ])
-    entries = eii_table(table)
+    entries = analyze(table).eii_entries
     assert [e.percent for e in entries] == pytest.approx([50.0, 50.0])
     # Tie broken by table order.
     assert [e.failure_mode_id for e in entries] == ["FM1", "FM2"]
@@ -46,13 +46,14 @@ def test_symmetric_table_splits_evenly():
 
 def test_no_uncertainty_gives_empty_list():
     table = make_table([dict(lambda_fm=50.0, dc=0.9)])
-    assert eii_table(table) == []
+    assert analyze(table).eii_entries == ()
 
 
 def test_raw_eii_uses_first_power_of_sigma():
     table = worked_table()
-    s = sigma_spfm(table)
-    entries = eii_table(table)
+    res = analyze(table)
+    s = res.sigma_spfm_full
+    entries = res.eii_entries
     lam_tot = 100.0
     expected_raw = 50.0**2 * 0.02**2 / (lam_tot**2 * s)
     assert entries[0].raw_eii == pytest.approx(expected_raw, rel=1e-12)
@@ -65,7 +66,7 @@ def test_lambda_side_entries():
         dict(lambda_fm=50.0, dc=0.9, sigma_lambda_fm=5.0),
         dict(lambda_fm=50.0, dc=0.99, sigma_dc=0.001),
     ])
-    entries = eii_table(table)
+    entries = analyze(table).eii_entries
     kinds = {(e.failure_mode_id, e.input) for e in entries}
     assert ("FM1", INPUT_LAMBDA) in kinds
     assert ("FM2", INPUT_DC) in kinds
@@ -74,7 +75,7 @@ def test_lambda_side_entries():
 def test_partition_of_unity(rng):
     for _ in range(50):
         table = random_table(rng)
-        entries = eii_table(table)
+        entries = analyze(table).eii_entries
         if not entries:
             continue
         assert sum(e.variance_share for e in entries) == pytest.approx(1.0, abs=1e-9)
@@ -83,7 +84,7 @@ def test_partition_of_unity(rng):
 
 def test_rank_by_raw_equals_rank_by_share(rng):
     for _ in range(50):
-        entries = eii_table(random_table(rng))
+        entries = analyze(random_table(rng)).eii_entries
         by_raw = sorted(entries, key=lambda e: -e.raw_eii)
         assert [id(e) for e in by_raw] == [id(e) for e in entries] or \
             [(e.failure_mode_id, e.input) for e in by_raw] == \
@@ -95,7 +96,7 @@ def test_removing_an_input_redistributes_proportionally(rng):
     from fmeda_uq.model import FmedaTable, Part, Subpart
 
     table = random_table(rng, n_fm=5, sigma_dc_max=0.05)
-    entries = eii_table(table)
+    entries = analyze(table).eii_entries
     assert len(entries) >= 3
     victim = entries[0]
     rows = list(table.parts[0].subparts[0].failure_modes)
@@ -105,7 +106,7 @@ def test_removing_an_input_redistributes_proportionally(rng):
 
     before = {(e.failure_mode_id, e.input): e.variance_share for e in entries}
     after = {(e.failure_mode_id, e.input): e.variance_share
-             for e in eii_table(reduced)}
+             for e in analyze(reduced).eii_entries}
     remaining = 1.0 - victim.variance_share
     for key, share in after.items():
         assert share == pytest.approx(before[key] / remaining, rel=1e-9)
@@ -116,8 +117,9 @@ def test_totals_per_failure_mode():
         dict(lambda_fm=50.0, dc=0.9, sigma_dc=0.02, sigma_lambda_fm=2.0),
         dict(lambda_fm=50.0, dc=0.99, sigma_dc=0.001),
     ])
-    entries = eii_table(table)
-    totals = total_per_failure_mode(entries)
+    res = analyze(table)
+    entries = res.eii_entries
+    totals = res.eii_totals
     assert [fm for fm, _ in totals] == ["FM1", "FM2"]
     assert sum(pct for _, pct in totals) == pytest.approx(100.0, abs=1e-9)
     by_fm = dict(totals)
@@ -127,6 +129,6 @@ def test_totals_per_failure_mode():
 
 
 def test_worked_totals():
-    totals = dict(total_per_failure_mode(eii_table(worked_table())))
+    totals = dict(analyze(worked_table()).eii_totals)
     assert totals["FM1"] == pytest.approx(99.75, abs=0.01)
     assert totals["FM2"] == pytest.approx(0.25, abs=0.01)

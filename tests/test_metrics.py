@@ -7,50 +7,41 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fmeda_uq import (
-    FmedaValidationError,
-    McConfig,
-    UndefinedMetricError,
-    analyze,
-    asil_verdict,
-    lfm,
-    mc_sigma_spfm,
-    sigma_spfm,
-    spfm,
-)
+from fmeda_uq import FmedaValidationError, McConfig, analyze, asil_verdict, verify
 from fmeda_uq.model import TableArrays, iter_rows, table_arrays
-from fmeda_uq.uncertainty import _propagate
+from fmeda_uq.uncertainty import UndefinedMetricError, _propagate
 from conftest import make_table, random_table, two_fm_table
 
 
 def test_spfm_perfect_coverage():
-    assert spfm(make_table([dict(lambda_fm=10.0, dc=1.0)])).value == 1.0
+    assert analyze(make_table([dict(lambda_fm=10.0, dc=1.0)])).spfm == 1.0
 
 
 def test_spfm_no_coverage():
-    assert spfm(make_table([dict(lambda_fm=10.0, dc=0.0)])).value == 0.0
+    assert analyze(make_table([dict(lambda_fm=10.0, dc=0.0)])).spfm == 0.0
 
 
 def test_spfm_two_mode_example():
     # 1 - (0.10*50 + 0.01*50)/100 = 1 - 5.5/100
-    assert spfm(two_fm_table()).value == pytest.approx(0.945, abs=1e-15)
+    assert analyze(two_fm_table()).spfm == pytest.approx(0.945, abs=1e-15)
 
 
 def test_point_metrics_survive_an_overflowing_sigma():
-    # Only the sigmas overflow; SPFM and LFM stay finite, and the point
-    # metrics neither raise nor warn.  analyze and verify reject the sigma.
+    # Only the sigmas overflow; the kernel's SPFM and LFM stay finite, and
+    # it neither raises nor warns.  analyze and verify reject the sigma.
     table = make_table([dict(lambda_fm=1e-10, sigma_lambda_fm=1e300, dc=0.9,
                              sigma_dc=0.02, dc_latent=0.6),
                         dict(lambda_fm=50.0, dc=0.99, sigma_dc=0.001, dc_latent=0.8)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert spfm(table).value == pytest.approx(1 - (0.1e-10 + 0.5) / (50 + 1e-10))
-        assert math.isfinite(lfm(table).value)
-        assert not math.isfinite(sigma_spfm(table))
+        prop = _propagate(table_arrays(table))
+        assert prop.spfm == pytest.approx(1 - (0.1e-10 + 0.5) / (50 + 1e-10))
+        assert math.isfinite(prop.lfm)
+        assert not math.isfinite(prop.sigma_spfm_full)
     with pytest.raises(FmedaValidationError, match="table.sigma_finite"):
         analyze(table)
     with pytest.raises(FmedaValidationError, match="table.sigma_finite"):
-        mc_sigma_spfm(table, McConfig(samples=2000))
+        verify(table, McConfig(samples=2000))
 
 
 def test_spfm_undefined_for_zero_total_rate():
@@ -63,23 +54,25 @@ def test_spfm_undefined_for_zero_total_rate():
 
 def test_lfm_full_latent_coverage():
     table = make_table([dict(lambda_fm=10.0, dc=0.9, dc_latent=1.0)])
-    assert lfm(table).value == 1.0
+    assert analyze(table).lfm == 1.0
 
 
 def test_lfm_fully_latent_remainder():
     table = make_table([dict(lambda_fm=10.0, dc=0.9, dc_latent=0.0)])
-    assert lfm(table).value == pytest.approx(0.0, abs=1e-15)
+    assert analyze(table).lfm == pytest.approx(0.0, abs=1e-15)
 
 
 def test_lfm_two_mode_example():
     # numerator 0.4*45 + 0.2*49.5 = 27.9 over denominator 94.5
-    assert lfm(two_fm_table()).value == pytest.approx(1.0 - 27.9 / 94.5, abs=1e-12)
+    assert analyze(two_fm_table()).lfm == pytest.approx(1.0 - 27.9 / 94.5, abs=1e-12)
 
 
 def test_lfm_undefined_when_everything_residual():
     table = make_table([dict(lambda_fm=10.0, dc=0.0)])
-    with pytest.raises(UndefinedMetricError, match="residual"):
-        lfm(table)
+    res = analyze(table)
+    assert res.lfm is None
+    assert "residual" in res.lfm_note
+    assert verify(table, McConfig(samples=1000))[1:] == (None, res.lfm_note)
 
 
 def test_lfm_undefined_when_every_dc_is_zero(rng):
@@ -89,8 +82,9 @@ def test_lfm_undefined_when_every_dc_is_zero(rng):
     for _ in range(12):
         table = random_table(rng, n_range=(100, 5000), lam_range=(0.1, 50.0),
                              dc_range=(0.0, 0.0))
-        with pytest.raises(UndefinedMetricError):
-            lfm(table)
+        res = analyze(table)
+        assert res.lfm is None
+        assert res.lfm_note is not None
 
 
 def test_spfm_invariant_under_splitting_a_mode(rng):
@@ -100,20 +94,20 @@ def test_spfm_invariant_under_splitting_a_mode(rng):
             dict(id=r.id, lambda_fm=r.lambda_fm, dc=r.dc)
             for _, _, r in iter_rows(table)
         ]
-        base = spfm(make_table(rows)).value
+        base = analyze(make_table(rows)).spfm
         # Split the first mode in two at the same coverage.
         first = rows[0]
         split = [
             dict(id="FM1a", lambda_fm=first["lambda_fm"] * 0.3, dc=first["dc"]),
             dict(id="FM1b", lambda_fm=first["lambda_fm"] * 0.7, dc=first["dc"]),
         ] + rows[1:]
-        assert spfm(make_table(split)).value == pytest.approx(base, rel=1e-12)
+        assert analyze(make_table(split)).spfm == pytest.approx(base, rel=1e-12)
 
 
 def test_spfm_monotone_in_dc(rng):
     for _ in range(20):
         table = random_table(rng, n_range=(2, 8), dc_range=(0.0, 0.95))
-        base = spfm(table).value
+        base = analyze(table).spfm
         arrs = table_arrays(table)
         for i in range(arrs.dc.size):
             bumped = arrs.dc.copy()
@@ -142,7 +136,7 @@ def test_spfm_equals_constant_dc():
             dict(lambda_fm=88.5, dc=c),
             dict(lambda_fm=0.5, dc=c),
         ])
-        assert spfm(table).value == pytest.approx(c, abs=1e-14)
+        assert analyze(table).spfm == pytest.approx(c, abs=1e-14)
 
 
 def test_lfm_matches_spfm_structure_on_detected_pool(rng):

@@ -14,10 +14,9 @@ from fmeda_uq import (
     FmedaValidationError,
     Part,
     Subpart,
+    analyze,
     emit_csv,
     emit_json,
-    materialize_direct,
-    spfm,
     validate,
 )
 from fmeda_uq import cli, model
@@ -200,23 +199,6 @@ def test_reordering_subparts_and_parts_preserves_total():
     assert t1.lambda_tot == t2.lambda_tot == 50.0
 
 
-def test_materialize_direct_preserves_totals_and_spfm():
-    dist = make_table(
-        [
-            dict(fmd_fraction=0.25, sigma_fmd=0.01, dc=0.9, sigma_dc=0.02),
-            dict(fmd_fraction=0.75, sigma_fmd=0.02, dc=0.8, sigma_dc=0.01),
-        ],
-        lambda_subpart=200.0,
-    )
-    direct = materialize_direct(dist)
-    assert validate(direct) == []
-    assert direct.parts[0].subparts[0].fmd_mode == "DirectLambda"
-    assert direct.lambda_tot == dist.lambda_tot
-    s_dist = spfm(dist).value
-    s_direct = spfm(direct).value
-    assert abs(s_direct - s_dist) <= 1e-12 * max(abs(s_dist), 1.0)
-
-
 def test_lambda_tot_is_derived_not_stored():
     table = make_table([dict(lambda_fm=42.5, dc=0.9)])
     assert table.lambda_tot == 42.5
@@ -241,7 +223,7 @@ def test_table_arrays_validates_once_per_table(monkeypatch):
     first = table_arrays(table)
     assert table_arrays(table) is first
     assert table.lambda_tot == 100.0
-    assert spfm(table).value == pytest.approx(0.945)
+    assert analyze(table).spfm == pytest.approx(0.945)
     assert len(calls) == 1
 
 

@@ -7,16 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fmeda_uq import (
-    PropagationMode,
-    UndefinedMetricError,
-    analyze,
-    confidence_interval,
-    sigma_lfm,
-    sigma_spfm,
-)
+from fmeda_uq import PropagationMode, analyze, confidence_interval
 from fmeda_uq.model import table_arrays
-from fmeda_uq.uncertainty import _propagate, lfm_partials, spfm_partials
+from fmeda_uq.uncertainty import _propagate
 from conftest import make_table, random_table, two_fm_table
 
 FULL = PropagationMode.FULL
@@ -26,14 +19,15 @@ LAMBDA_ONLY = PropagationMode.LAMBDA_ONLY
 
 def test_sigma_spfm_zero_without_input_uncertainty():
     table = make_table([dict(lambda_fm=100.0, dc=0.9)])
-    assert sigma_spfm(table) == 0.0
-    assert sigma_lfm(table) == 0.0
+    res = analyze(table)
+    assert res.sigma_spfm_full == 0.0
+    assert res.sigma_lfm == 0.0
 
 
 def test_sigma_spfm_single_mode_collapses_to_sigma_dc():
     # One mode carrying the whole rate: (1/lam)*sqrt(lam^2 s^2) = s
     table = make_table([dict(lambda_fm=123.0, dc=0.0, sigma_dc=0.07)])
-    assert sigma_spfm(table, DC_ONLY) == pytest.approx(0.07, rel=1e-14)
+    assert analyze(table).sigma_spfm_dc_only == pytest.approx(0.07, rel=1e-14)
 
 
 def test_sigma_spfm_dc_only_worked_value():
@@ -43,7 +37,7 @@ def test_sigma_spfm_dc_only_worked_value():
     ])
     expected = math.sqrt(50**2 * 0.0004 + 50**2 * 1e-6) / 100.0
     assert expected == pytest.approx(0.01001249, abs=5e-9)
-    assert sigma_spfm(table, DC_ONLY) == pytest.approx(expected, rel=1e-14)
+    assert analyze(table).sigma_spfm_dc_only == pytest.approx(expected, rel=1e-14)
 
 
 def test_sigma_spfm_lambda_only_worked_value():
@@ -53,21 +47,22 @@ def test_sigma_spfm_lambda_only_worked_value():
     ])
     expected = math.sqrt(0.01 * 25 + 0.0001 * 25) / 100.0
     assert expected == pytest.approx(0.00502494, abs=5e-9)
-    assert sigma_spfm(table, LAMBDA_ONLY) == pytest.approx(expected, rel=1e-14)
-    assert sigma_spfm(table, FULL) == pytest.approx(expected, rel=1e-14)
+    res = analyze(table)
+    assert res.sigma_spfm_lambda_only == pytest.approx(expected, rel=1e-14)
+    assert res.sigma_spfm_full == pytest.approx(expected, rel=1e-14)
 
 
 def test_quadrature_decomposition(rng):
     for _ in range(100):
         table = random_table(rng)
-        full = sigma_spfm(table, FULL)
-        dc = sigma_spfm(table, DC_ONLY)
-        lam = sigma_spfm(table, LAMBDA_ONLY)
+        res = analyze(table)
+        full = res.sigma_spfm_full
+        dc = res.sigma_spfm_dc_only
+        lam = res.sigma_spfm_lambda_only
         assert full**2 == pytest.approx(dc**2 + lam**2, rel=1e-12)
 
 
 def test_scale_invariance(rng):
-    from fmeda_uq import spfm
     from fmeda_uq.model import FmedaTable, Part, Subpart
 
     # Over the whole float range of FIT rates: the kernel works on lambda_i/lambda_tot.
@@ -81,18 +76,19 @@ def test_scale_invariance(rng):
             for r in sub.failure_modes
         )
         scaled = FmedaTable((Part("PART", (Subpart("SUB", None, None, scaled_rows),)),))
-        assert spfm(scaled).value == pytest.approx(spfm(table).value, rel=1e-12)
+        assert analyze(scaled).spfm == pytest.approx(analyze(table).spfm, rel=1e-12)
         for mode in (FULL, DC_ONLY, LAMBDA_ONLY):
-            assert sigma_spfm(scaled, mode) == pytest.approx(sigma_spfm(table, mode),
-                                                             rel=1e-12)
-        assert sigma_lfm(scaled) == pytest.approx(sigma_lfm(table), rel=1e-12)
+            assert analyze(scaled, mode=mode).sigma_spfm == pytest.approx(
+                analyze(table, mode=mode).sigma_spfm, rel=1e-12)
+        assert analyze(scaled).sigma_lfm == pytest.approx(analyze(table).sigma_lfm,
+                                                          rel=1e-12)
 
 
 def test_sigma_spfm_monotone_in_each_sigma(rng):
     from fmeda_uq.model import FmedaTable, Part, Subpart
 
     table = random_table(rng, n_fm=6)
-    base = sigma_spfm(table)
+    base = analyze(table).sigma_spfm_full
     sub = table.parts[0].subparts[0]
     for i in range(6):
         for field in ("sigma_dc", "sigma_lambda_fm"):
@@ -101,7 +97,7 @@ def test_sigma_spfm_monotone_in_each_sigma(rng):
             bumped = FmedaTable(
                 (Part("PART", (Subpart("SUB", None, None, tuple(rows)),)),)
             )
-            assert sigma_spfm(bumped) >= base
+            assert analyze(bumped).sigma_spfm_full >= base
 
 
 def _fd_gradient(f, u: np.ndarray, i: int) -> float:
@@ -119,7 +115,8 @@ def test_spfm_partials_match_finite_differences(rng):
     for _ in range(30):
         table = random_table(rng, n_range=(2, 10))
         arr = table_arrays(table)
-        d_dc, d_lam = spfm_partials(table)
+        d_dc, d_w = _propagate(arr).spfm_partials
+        d_lam = d_w / arr.lambda_tot
         for i in range(arr.dc.size):
             fd = _fd_gradient(
                 lambda dc: _propagate(replace(arr, dc=dc)).spfm, arr.dc, i
@@ -135,7 +132,8 @@ def test_lfm_partials_match_finite_differences(rng):
     for _ in range(30):
         table = random_table(rng, n_range=(2, 10), dc_range=(0.3, 1.0))
         arr = table_arrays(table)
-        d_dc, d_lat, d_lam = lfm_partials(table)
+        d_dc, d_lat, d_w = _propagate(arr).lfm_partials
+        d_lam = d_w / arr.lambda_tot
         for i in range(arr.dc.size):
             fd = _fd_gradient(
                 lambda dc: _propagate(replace(arr, dc=dc)).lfm,
@@ -158,7 +156,7 @@ def test_sigma_lfm_single_mode_latent_only():
     # For one mode, LFM = DC_lat, so its sigma passes through unchanged.
     table = make_table([dict(lambda_fm=80.0, dc=0.9, dc_latent=0.7,
                              sigma_dc_latent=0.03)])
-    assert sigma_lfm(table) == pytest.approx(0.03, rel=1e-12)
+    assert analyze(table).sigma_lfm == pytest.approx(0.03, rel=1e-12)
 
 
 def test_sigma_lfm_matches_finite_difference_quadrature(rng):
@@ -180,13 +178,14 @@ def test_sigma_lfm_matches_finite_difference_quadrature(rng):
                 arr.lam, i)
             var += (fd_dc * arr.sigma_dc[i])**2 + (fd_lat * arr.sigma_dc_lat[i])**2 \
                 + (fd_lam * arr.sigma_lam[i])**2
-        assert sigma_lfm(table) == pytest.approx(math.sqrt(var), rel=1e-6)
+        assert analyze(table).sigma_lfm == pytest.approx(math.sqrt(var), rel=1e-6)
 
 
 def test_sigma_lfm_undefined_without_detected_pool():
     table = make_table([dict(lambda_fm=10.0, dc=0.0, sigma_dc=0.01)])
-    with pytest.raises(UndefinedMetricError):
-        sigma_lfm(table)
+    res = analyze(table)
+    assert res.sigma_lfm is None
+    assert res.lfm_note is not None
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +248,8 @@ def test_analyze_survives_undefined_lfm():
 
 def test_deterministic_bit_identical():
     t = two_fm_table()
-    assert sigma_spfm(t) == sigma_spfm(t)
-    assert sigma_lfm(t) == sigma_lfm(t)
+    assert analyze(t).sigma_spfm_full == analyze(t).sigma_spfm_full
+    assert analyze(t).sigma_lfm == analyze(t).sigma_lfm
 
 
 @settings(settings.get_profile("fuzz"), max_examples=200)
@@ -268,8 +267,9 @@ def test_equal_latent_coverage_gives_an_exactly_constant_lfm(rows, latent):
     # exactly 0, not rounding noise.
     table = make_table([dict(lambda_fm=lam, dc=dc, sigma_dc=s, dc_latent=latent)
                         for lam, dc, s in rows])
-    if analyze(table).lfm is None:
+    res = analyze(table)
+    if res.lfm is None:
         return
-    d_dc, _, _ = lfm_partials(table)
+    d_dc, _, _ = _propagate(table_arrays(table)).lfm_partials
     assert not d_dc.any()
-    assert sigma_lfm(table) == 0.0
+    assert res.sigma_lfm == 0.0
