@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .eii import EiiEntry, INPUT_DC, NO_UNCERTAINTY_NOTE, _entries, total_per_failure_mode
+from .eii import EiiEntry, NO_UNCERTAINTY_NOTE, _entries
 from .metrics import AsilVerdict, asil_verdict
 from .model import FmedaTable, _require_finite_sigmas, cutoff, iter_rows, table_arrays
 from .uncertainty import (
@@ -178,8 +178,7 @@ def analyze(
     if prop.lfm is not None:
         interval_lfm = confidence_interval(prop.lfm, prop.sigma_lfm, confidence_level)
 
-    entries = tuple(_entries(arr.ids, prop))
-    totals = tuple(total_per_failure_mode(list(entries)))
+    entries, percents, attributed = _entries(arr.ids, prop)
     eii_note = None if entries else NO_UNCERTAINTY_NOTE
 
     target = asil_target if asil_target is not None else table.asil_target
@@ -188,14 +187,12 @@ def analyze(
         verdict = asil_verdict(target, spfm=prop.spfm, sigma_spfm=selected,
                                lfm=prop.lfm, sigma_lfm=prop.sigma_lfm, k=k)
 
-    by_row: dict[int, dict[str, float]] = {}
-    for e in entries:
-        by_row.setdefault(e.row_index, {})[e.input] = e.percent
-    rows = []
-    for i, (part, sub, row) in enumerate(iter_rows(table)):
-        pcts = by_row.get(i, {})
-        dc_pct = pcts.get(INPUT_DC, 0.0)
-        lam_pct = sum((v for key, v in pcts.items() if key != INPUT_DC), 0.0)
+    rows, totals = [], []
+    for (part, sub, row), sigma_dc, (dc_pct, lam_pct), has_eii in zip(
+            iter_rows(table), arr.sigma_dc.tolist(), percents.tolist(), attributed.tolist()):
+        total_pct = dc_pct + lam_pct
+        if has_eii:
+            totals.append((row.id, total_pct))
         rows.append(ReportRow(
             part=part.name,
             subpart=sub.name,
@@ -204,12 +201,12 @@ def analyze(
             lambda_fm=row.lambda_fm,
             sigma_lambda_fm=row.sigma_lambda_fm,
             dc=row.dc,
-            sigma_dc=float(arr.sigma_dc[i]),
+            sigma_dc=sigma_dc,
             dc_latent=row.dc_latent,
             sigma_dc_latent=row.sigma_dc_latent,
             eii_dc_percent=dc_pct,
             eii_lambda_percent=lam_pct,
-            eii_total_percent=dc_pct + lam_pct,
+            eii_total_percent=total_pct,
         ))
 
     return AnalysisResult(
@@ -226,8 +223,8 @@ def analyze(
         k=k,
         interval_spfm=interval_spfm,
         interval_lfm=interval_lfm,
-        eii_entries=entries,
-        eii_totals=totals,
+        eii_entries=tuple(entries),
+        eii_totals=tuple(totals),
         eii_note=eii_note,
         asil_target=target,
         verdict=verdict,

@@ -16,7 +16,9 @@ for the fragile verdict).
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -25,10 +27,9 @@ from .analysis import analyze
 from .ingest import FmedaValidationError, ParseError, emit_result, parse_csv, parse_json
 from .mc_oracle import McConfig, verify
 from .metrics import FAIL, PASS_FRAGILE
+from .model import ASIL_LEVELS, NORMAL_CUTOFFS
 from .sampling import sample_size
 from .uncertainty import PropagationMode
-
-import json
 
 _MODES = {
     "full": PropagationMode.FULL,
@@ -53,10 +54,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="compute metrics, sigmas, EII and verdict")
     p.add_argument("--input", required=True, help="table file (.csv or .json)")
     p.add_argument("--format", choices=("json", "markdown", "csv"), default="json")
-    p.add_argument("--confidence", type=float, choices=(0.90, 0.95, 0.99), default=0.95)
+    p.add_argument("--confidence", type=float, choices=tuple(NORMAL_CUTOFFS), default=0.95)
     p.add_argument("--mode", choices=sorted(_MODES), default="full",
                    help="which sigma drives intervals and the verdict")
-    p.add_argument("--asil", choices=("A", "B", "C", "D"), default=None,
+    p.add_argument("--asil", choices=ASIL_LEVELS, default=None,
                    help="override the table's ASIL target")
     p.add_argument("--stamp", action="store_true",
                    help="embed tool name and UTC timestamp in the output")
@@ -138,15 +139,7 @@ def _cmd_sample_size(args) -> int:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return 1
     if args.format == "json":
-        doc = {
-            "population": plan.population,
-            "proportion": plan.proportion,
-            "margin": plan.margin,
-            "confidence_level": plan.confidence_level,
-            "cutoff": plan.cutoff,
-            "sample_size": plan.sample_size,
-        }
-        sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(json.dumps(asdict(plan), sort_keys=True, indent=2) + "\n")
     else:
         sys.stdout.write(
             f"population:       {plan.population}\n"

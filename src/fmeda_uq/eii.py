@@ -13,13 +13,16 @@ returns term / lambda_tot^2 directly.  The shares partition the
 variance, so they sum to 1 and back the percentage report columns; the
 raw values divide by sigma_SPFM only once and do not sum to anything
 meaningful, but rank identically (same numerators, positive constant
-denominators).  analysis.analyze builds the entries and the
-per-failure-mode totals from its one propagation.
+denominators).  analysis.analyze takes the entries and each row's
+percents from one _entries call on its one propagation, and reads the
+report rows and the per-failure-mode totals off those percents.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .uncertainty import _Propagation
 
@@ -41,45 +44,30 @@ class EiiEntry:
     percent: float
 
 
-def _entries(ids: tuple[str, ...], prop: _Propagation) -> list[EiiEntry]:
+def _entries(ids: tuple[str, ...], prop: _Propagation
+             ) -> tuple[list[EiiEntry], np.ndarray, np.ndarray]:
     """Rank every nonzero-sigma input by its share of the SPFM variance.
 
-    Entries come back sorted by descending variance_share, ties broken by
-    table order (DC before rate within a row).  When sigma_SPFM is zero
-    there is nothing to attribute and the list is empty; see
-    NO_UNCERTAINTY_NOTE for the report wording.
+    Returns the entries, sorted by descending variance_share with ties
+    broken by table order (DC before rate within a row); each row's
+    (DC, rate) percents as an (n, 2) array; and which rows have a
+    positive term, so a row whose share underflows to 0.0 still counts.
+    When sigma_SPFM is zero there is nothing to attribute: no entries,
+    zero percents, no row; see NO_UNCERTAINTY_NOTE for the report wording.
     """
+    terms = np.column_stack((prop.terms_dc, prop.terms_lam))
     s_full = prop.sigma_spfm_full
     if s_full == 0.0:
-        return []
-    total = float(prop.terms_dc.sum() + prop.terms_lam.sum())
-
-    entries: list[EiiEntry] = []
-    for i, fm_id in enumerate(ids):
-        for input_kind, term in ((INPUT_DC, float(prop.terms_dc[i])),
-                                 (INPUT_LAMBDA, float(prop.terms_lam[i]))):
-            if term <= 0.0:
-                continue
-            share = term / total
-            entries.append(
-                EiiEntry(
-                    failure_mode_id=fm_id,
-                    input=input_kind,
-                    row_index=i,
-                    raw_eii=term / s_full,
-                    variance_share=share,
-                    percent=share * 100.0,
-                )
-            )
-    entries.sort(key=lambda e: -e.variance_share)
-    return entries
-
-
-def total_per_failure_mode(entries: list[EiiEntry]) -> list[tuple[str, float]]:
-    """Sum each failure mode's DC and rate percents, in table order."""
-    totals: dict[str, tuple[int, float]] = {}
-    for e in entries:
-        idx, pct = totals.get(e.failure_mode_id, (e.row_index, 0.0))
-        totals[e.failure_mode_id] = (idx, pct + e.percent)
-    ordered = sorted(totals.items(), key=lambda kv: kv[1][0])
-    return [(fm_id, pct) for fm_id, (_, pct) in ordered]
+        return [], np.zeros_like(terms), np.zeros(len(ids), dtype=bool)
+    share = terms / float(prop.terms_dc.sum() + prop.terms_lam.sum())
+    flat_terms, flat_share = terms.ravel(), share.ravel()
+    positive = np.flatnonzero(flat_terms > 0.0)
+    order = positive[np.argsort(-flat_share[positive], kind="stable")]
+    inputs = (INPUT_DC, INPUT_LAMBDA)
+    entries = [
+        EiiEntry(failure_mode_id=ids[k // 2], input=inputs[k % 2], row_index=k // 2,
+                 raw_eii=term / s_full, variance_share=s, percent=s * 100.0)
+        for k, term, s in zip(order.tolist(), flat_terms[order].tolist(),
+                              flat_share[order].tolist())
+    ]
+    return entries, share * 100.0, (terms > 0.0).any(axis=1)

@@ -17,11 +17,11 @@ The values themselves come from the propagation kernel
 (uncertainty._propagate) and are read off analysis.analyze's result;
 this module judges them.
 
-ASIL thresholds are ISO 26262-5 defaults (ASIL A carries no quantitative
-target) and can be overridden per call.  A verdict is three-state: a
-metric can clear its threshold robustly (value - k*sigma still clears),
-fragilely (the nominal value clears but the k-sigma lower bound does
-not), or fail outright.
+ASIL thresholds are the ISO 26262-5 values (ASIL A carries no
+quantitative target).  A verdict is three-state: a metric can clear its
+threshold robustly (value - k*sigma still clears), fragilely (the
+nominal value clears but the k-sigma lower bound does not), or fail
+outright.
 """
 
 from __future__ import annotations
@@ -65,18 +65,16 @@ def metric_verdict(value: float, sigma: float, k: float, threshold: float) -> st
 
 
 def asil_verdict(target: str, *, spfm: float, sigma_spfm: float,
-                 lfm: float | None, sigma_lfm: float | None, k: float,
-                 thresholds: dict[str, tuple[float, float] | None] | None = None
-                 ) -> AsilVerdict:
+                 lfm: float | None, sigma_lfm: float | None, k: float) -> AsilVerdict:
     """Judge metric values and their sigmas against an ASIL target.
 
     lfm is None when LFM is undefined; sigma_spfm is the sigma of whichever
     propagation mode should drive the verdict, and k the interval cut-off.
     """
-    table = thresholds if thresholds is not None else ASIL_THRESHOLDS
-    if target not in table:
-        raise ValueError(f"unknown ASIL target {target!r}; expected one of {sorted(table)}")
-    limits = table[target]
+    if target not in ASIL_THRESHOLDS:
+        raise ValueError(f"unknown ASIL target {target!r}; "
+                         f"expected one of {sorted(ASIL_THRESHOLDS)}")
+    limits = ASIL_THRESHOLDS[target]
     if limits is None:
         # No quantitative targets at this level; nothing can fail.
         return AsilVerdict(target, PASS_ROBUST, PASS_ROBUST, PASS_ROBUST)

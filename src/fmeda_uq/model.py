@@ -235,6 +235,17 @@ def _finite(x: float | None) -> bool:
     return x is None or (isinstance(x, (int, float)) and math.isfinite(x))
 
 
+def _rate_sum(rates) -> float:
+    """lambda_tot: the one sum of the row rates (numpy's pairwise sum).
+
+    validate judges and TableArrays holds this very float, so a table
+    passes validation iff its lambda_tot is positive and finite.  An
+    overflow to inf is a violation, not a warning.
+    """
+    with np.errstate(over="ignore"):
+        return float(np.asarray(rates, dtype=np.float64).sum())
+
+
 def validate(table: FmedaTable) -> list[Violation]:
     """Check every structural invariant; return all violations found.
 
@@ -252,7 +263,7 @@ def validate(table: FmedaTable) -> list[Violation]:
             f"ASIL target must be one of {ASIL_LEVELS}")
 
     lambda_known = True
-    total = 0.0
+    rates: list[float] = []
 
     for part in table.parts:
         for sub in part.subparts:
@@ -348,7 +359,7 @@ def validate(table: FmedaTable) -> list[Violation]:
                         bad(loc, "lambda_fm", "lambda_fm.nonneg", row.lambda_fm,
                             "failure rate must be >= 0")
                     row_sum += row.lambda_fm
-                    total += row.lambda_fm
+                    rates.append(row.lambda_fm)
 
             if dist and fmd_complete and sub.failure_modes \
                     and abs(fmd_sum - 1.0) > FMD_SUM_TOL:
@@ -363,6 +374,7 @@ def validate(table: FmedaTable) -> list[Violation]:
                         sub.lambda_subpart,
                         f"declared subpart rate differs from row sum {row_sum!r}")
 
+    total = _rate_sum(rates) if lambda_known else 0.0
     if lambda_known and total <= 0.0:
         bad("table", "lambda_tot", "table.lambda_tot_positive", total,
             "total failure rate must be > 0 for an analyzable table")
@@ -450,6 +462,6 @@ def table_arrays(table: FmedaTable) -> TableArrays:
         column = np.asarray(values, dtype=np.float64)
         column.flags.writeable = False
         columns.append(column)
-    arrays = TableArrays(tuple(ids), *columns, lambda_tot=float(columns[0].sum()))
+    arrays = TableArrays(tuple(ids), *columns, lambda_tot=_rate_sum(columns[0]))
     object.__setattr__(table, "_arrays", arrays)
     return arrays

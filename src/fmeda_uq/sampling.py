@@ -18,13 +18,14 @@ fault simulation and the uncertainty analysis, and the single most
 consequential interpretation in this package: a campaign quoted as
 "e = 1% at 95%" contributes sigma_DC = 0.01/1.96 = 0.0051 per row.
 margin_to_sigma lives in the model, because model.table_arrays applies it
-to every fault-simulation row without an explicit sigma_dc, so analyze,
-the public metric functions and the Monte Carlo oracle all see it.
+to every fault-simulation row without an explicit sigma_dc, so analyze
+and the Monte Carlo oracle both see it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .model import cutoff
@@ -54,6 +55,8 @@ def sample_size(
         raise ValueError(f"population must be an integer, got {population!r}")
     if population < 1:
         raise ValueError(f"population must be >= 1, got {population}")
+    if population > sys.float_info.max:
+        raise ValueError("population exceeds the float range")
     if not 0.0 < margin < 1.0:
         raise ValueError(f"margin must lie in (0, 1), got {margin!r}")
     if not 0.0 < proportion < 1.0:

@@ -143,6 +143,27 @@ def test_analyze_overflowing_total_rate_is_an_input_error(tmp_path, capsys):
     assert "table.lambda_tot_finite" in err
 
 
+# Every rate is finite and a sequential sum of them is too; numpy's pairwise
+# sum, the lambda_tot that analyze and verify use, overflows.
+PAIRWISE_OVERFLOW_RATES = (2.84904500872e307, 2.55501586796e307, 2.87289897873e307,
+                           2.37246196535e307, 2.14930836725e307, 2.83180652565e307,
+                           2.34624571674e307, 1.48918223157e303)
+
+
+@pytest.mark.parametrize("argv", [["analyze", "--asil", "D"], ["verify", "--samples", "1000"]])
+def test_pairwise_overflowing_total_rate_is_an_input_error(argv, tmp_path, capsys):
+    lines = [TWO_FM_CSV.splitlines()[0]] + [
+        f"CPU,EXEC,FM{i},{rate!r},0,,0.9,0.01,0.5,0,expert,"
+        for i, rate in enumerate(PAIRWISE_OVERFLOW_RATES, 1)]
+    path = _write(tmp_path, "huge.csv", "\n".join(lines) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, argv + ["--input", path])
+    assert code == 1
+    assert out == ""
+    assert "table.lambda_tot_finite" in err
+
+
 def test_analyze_huge_rates_match_unit_rates(table_csv, tmp_path, capsys):
     # Rates of 1e200 FIT square to inf; the normalized weights do not.
     path = _write(tmp_path, "big.csv", TWO_FM_CSV.replace(",50,0,", ",1e200,0,"))
@@ -247,6 +268,14 @@ def test_sample_size_invalid_margin(capsys):
     assert code == 1
     assert out == ""
     assert "margin" in err
+
+
+def test_sample_size_population_beyond_float_range(capsys):
+    code, out, err = run(capsys, ["sample-size", "--population", "1" + "0" * 400,
+                                  "--margin", "0.01", "--confidence", "0.95"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("invalid parameters: population")
 
 
 def test_sample_size_cap(capsys):

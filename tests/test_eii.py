@@ -132,3 +132,84 @@ def test_worked_totals():
     totals = dict(analyze(worked_table()).eii_totals)
     assert totals["FM1"] == pytest.approx(99.75, abs=0.01)
     assert totals["FM2"] == pytest.approx(0.25, abs=0.01)
+
+
+THIRD = 100.0 / 3.0
+
+
+@pytest.mark.parametrize("rows, entries, totals, row_percents", [
+    # FM2's term is positive but its share underflows to 0.0: it is still
+    # an entry and still has a total.
+    ([dict(lambda_fm=50.0, dc=0.9, sigma_dc=10.0),
+      dict(lambda_fm=50.0, dc=0.99, sigma_dc=1e-161)],
+     [("FM1", INPUT_DC, 100.0), ("FM2", INPUT_DC, 0.0)],
+     [("FM1", 100.0), ("FM2", 0.0)],
+     [(100.0, 0.0, 100.0), (0.0, 0.0, 0.0)]),
+    # FM1's DC and rate terms are equal and tie across rows with FM2's DC
+    # term: DC before rate within a row, then table order.
+    ([dict(lambda_fm=50.0, dc=0.5, sigma_dc=0.01, sigma_lambda_fm=1.0),
+      dict(lambda_fm=50.0, dc=0.9, sigma_dc=0.01)],
+     [("FM1", INPUT_DC, THIRD), ("FM1", INPUT_LAMBDA, THIRD), ("FM2", INPUT_DC, THIRD)],
+     [("FM1", 2 * THIRD), ("FM2", THIRD)],
+     [(THIRD, THIRD, 2 * THIRD), (THIRD, 0.0, THIRD)]),
+])
+def test_entries_totals_and_row_percents(rows, entries, totals, row_percents):
+    res = analyze(make_table(rows))
+    assert [(e.failure_mode_id, e.input) for e in res.eii_entries] == \
+        [(fm, kind) for fm, kind, _ in entries]
+    assert [e.percent for e in res.eii_entries] == pytest.approx(
+        [pct for _, _, pct in entries], rel=1e-12, abs=0.0)
+    assert [fm for fm, _ in res.eii_totals] == [fm for fm, _ in totals]
+    assert [pct for _, pct in res.eii_totals] == pytest.approx(
+        [pct for _, pct in totals], rel=1e-12, abs=0.0)
+    got_rows = [(r.eii_dc_percent, r.eii_lambda_percent, r.eii_total_percent)
+                for r in res.rows]
+    for got, want in zip(got_rows, row_percents, strict=True):
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    # Each total is its row's total, and each row part is its entry's percent.
+    rows_by_id = {r.failure_mode_id: r for r in res.rows}
+    for fm, pct in res.eii_totals:
+        assert pct == rows_by_id[fm].eii_total_percent
+    for e in res.eii_entries:
+        row = res.rows[e.row_index]
+        part = row.eii_dc_percent if e.input == INPUT_DC else row.eii_lambda_percent
+        assert part == e.percent
+
+
+def _loop_reference(table):
+    """Entries, totals and row percents, one input at a time in Python."""
+    from fmeda_uq.model import table_arrays
+    from fmeda_uq.uncertainty import _propagate
+
+    arr = table_arrays(table)
+    prop = _propagate(arr)
+    total = float(prop.terms_dc.sum() + prop.terms_lam.sum())
+    entries, totals, rows = [], [], []
+    for i, fm_id in enumerate(arr.ids):
+        pcts = {}
+        for kind, term in ((INPUT_DC, float(prop.terms_dc[i])),
+                           (INPUT_LAMBDA, float(prop.terms_lam[i]))):
+            if term > 0.0:
+                share = term / total
+                pcts[kind] = share * 100.0
+                entries.append((fm_id, kind, i, term / prop.sigma_spfm_full, share,
+                                share * 100.0))
+        dc_pct, lam_pct = pcts.get(INPUT_DC, 0.0), pcts.get(INPUT_LAMBDA, 0.0)
+        if pcts:
+            totals.append((fm_id, dc_pct + lam_pct))
+        rows.append((dc_pct, lam_pct, dc_pct + lam_pct))
+    entries.sort(key=lambda e: -e[4])
+    return entries, totals, rows
+
+
+def test_matches_loop_reference(rng):
+    tables = [random_table(rng) for _ in range(30)]
+    tables.append(make_table([dict(lambda_fm=50.0, dc=0.9, sigma_dc=10.0, sigma_lambda_fm=1.0),
+                              dict(lambda_fm=50.0, dc=0.99, sigma_dc=1e-161)]))
+    for table in tables:
+        res = analyze(table)
+        entries = [(e.failure_mode_id, e.input, e.row_index, e.raw_eii, e.variance_share,
+                    e.percent) for e in res.eii_entries]
+        rows = [(r.eii_dc_percent, r.eii_lambda_percent, r.eii_total_percent)
+                for r in res.rows]
+        assert (entries, list(res.eii_totals), rows) == _loop_reference(table)

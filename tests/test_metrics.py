@@ -206,8 +206,3 @@ def test_verdict_overall_is_worst_metric():
 def test_verdict_unknown_target_rejected():
     with pytest.raises(ValueError):
         asil_verdict("E", **_probe(0.95, 0.0))
-
-
-def test_verdict_custom_thresholds():
-    v = asil_verdict("B", **_probe(0.85, 0.0), thresholds={"B": (0.80, 0.50)})
-    assert v.spfm == "PassRobust"

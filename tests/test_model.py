@@ -2,7 +2,11 @@
 
 import copy
 import dataclasses
+import functools
+import math
+import operator
 import pickle
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -73,6 +77,28 @@ def test_overflowing_total_lambda_flagged():
     assert [v.rule for v in validate(table)] == ["table.lambda_tot_finite"]
     with pytest.raises(FmedaValidationError):
         table.lambda_tot
+
+
+def test_validate_judges_the_lambda_tot_that_analysis_uses(rng):
+    # Rates that sum to within a few ulps of the largest float: numpy's
+    # pairwise sum and a sequential one overflow on different tables.
+    # validate must pass exactly the tables whose lambda_tot is finite.
+    max_float = sys.float_info.max
+    order_matters = 0
+    for _ in range(300):
+        weights = rng.uniform(0.1, 1.0, size=int(rng.integers(2, 40)))
+        shares = weights / weights.sum()
+        rates = [float(r) for r in shares * max_float * rng.uniform(1.0 - 1e-15, 1.0 + 1e-15)]
+        table = make_table([dict(lambda_fm=r, dc=0.9, sigma_dc=0.01) for r in rates])
+        try:
+            lambda_tot = table_arrays(table).lambda_tot
+        except FmedaValidationError as exc:
+            assert [v.rule for v in exc.violations] == ["table.lambda_tot_finite"]
+            lambda_tot = math.inf
+        assert (validate(table) == []) == math.isfinite(lambda_tot)
+        sequential = functools.reduce(operator.add, rates)
+        order_matters += math.isfinite(sequential) != math.isfinite(lambda_tot)
+    assert order_matters > 0
 
 
 def test_zero_lambda_rows_permitted():
