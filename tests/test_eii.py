@@ -4,6 +4,8 @@ import pytest
 
 from fmeda_uq import analyze
 from fmeda_uq.eii import INPUT_DC, INPUT_LAMBDA
+from fmeda_uq.model import table_arrays
+from fmeda_uq.uncertainty import _propagate
 from conftest import make_table, random_table
 
 
@@ -178,9 +180,6 @@ def test_entries_totals_and_row_percents(rows, entries, totals, row_percents):
 
 def _loop_reference(table):
     """Entries, totals and row percents, one input at a time in Python."""
-    from fmeda_uq.model import table_arrays
-    from fmeda_uq.uncertainty import _propagate
-
     arr = table_arrays(table)
     prop = _propagate(arr)
     total = float(prop.terms_dc.sum() + prop.terms_lam.sum())

@@ -8,6 +8,7 @@ import operator
 import pickle
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -81,8 +82,9 @@ def test_overflowing_total_lambda_flagged():
 
 def test_validate_judges_the_lambda_tot_that_analysis_uses(rng):
     # Rates that sum to within a few ulps of the largest float: numpy's
-    # pairwise sum and a sequential one overflow on different tables.
-    # validate must pass exactly the tables whose lambda_tot is finite.
+    # pairwise sum, which TableArrays.lambda_tot holds, and a sequential
+    # sum overflow on different tables.  validate must pass exactly the
+    # tables whose pairwise sum is finite.
     max_float = sys.float_info.max
     order_matters = 0
     for _ in range(300):
@@ -90,14 +92,18 @@ def test_validate_judges_the_lambda_tot_that_analysis_uses(rng):
         shares = weights / weights.sum()
         rates = [float(r) for r in shares * max_float * rng.uniform(1.0 - 1e-15, 1.0 + 1e-15)]
         table = make_table([dict(lambda_fm=r, dc=0.9, sigma_dc=0.01) for r in rates])
-        try:
-            lambda_tot = table_arrays(table).lambda_tot
-        except FmedaValidationError as exc:
-            assert [v.rule for v in exc.violations] == ["table.lambda_tot_finite"]
-            lambda_tot = math.inf
-        assert (validate(table) == []) == math.isfinite(lambda_tot)
+        with np.errstate(over="ignore"):
+            pairwise = float(np.sum(rates))
+        violations = validate(table)
+        if math.isfinite(pairwise):
+            assert violations == []
+            assert table_arrays(table).lambda_tot == pairwise
+        else:
+            assert [v.rule for v in violations] == ["table.lambda_tot_finite"]
+            with pytest.raises(FmedaValidationError):
+                table_arrays(table)
         sequential = functools.reduce(operator.add, rates)
-        order_matters += math.isfinite(sequential) != math.isfinite(lambda_tot)
+        order_matters += math.isfinite(sequential) != math.isfinite(pairwise)
     assert order_matters > 0
 
 
