@@ -9,6 +9,10 @@ Two table formats share one data model:
   fraction rows the sigma_lambda_fit cell holds the fraction's sigma.
 * JSON, nested: parts -> subparts -> failure_modes, versioned documents.
 
+Both spell a failure-mode row with the same keys: _row builds every parsed
+row, so both formats reject the same row mistakes, and _row_doc writes
+every emitted row.
+
 Unknown columns and unknown JSON keys are rejected rather than ignored so
 authoring mistakes surface immediately.  Empty cells are allowed only
 where a default is defined (sigmas and dc_latent default to 0, sm_list to
@@ -44,6 +48,9 @@ CSV_COLUMNS = (
     "fmd_fraction", "dc", "sigma_dc", "dc_latent", "sigma_dc_latent",
     "dc_source", "sm_list",
 )
+# The numeric cells; each column is named by the row key it holds, except
+# that a fraction row's sigma_lambda_fit cell holds its sigma_fmd.
+_CSV_NUMBERS = CSV_COLUMNS[3:10]
 FORMAT_VERSION = "fmeda-uq/1"
 
 
@@ -139,18 +146,22 @@ def _parse_float(cell: str, line: int | None, column: str) -> float:
     return value
 
 
-def _parse_dc_source(cell: str, line: int | None, column: str) -> DcSource:
-    if cell == "expert":
+def _parse_dc_source(text: str, where) -> DcSource:
+    if text == "expert":
         return EXPERT_JUDGMENT
-    if cell.startswith("faultsim:"):
-        fields = cell.split(":")
-        if len(fields) == 3 and fields[1].startswith("e=") and fields[2].startswith("cl="):
-            e = _parse_float(fields[1][2:], line, column)
-            cl = _parse_float(fields[2][3:], line, column)
-            return DcSource.fault_simulation(e, cl)
+    fields = text.split(":")
+    if len(fields) == 3 and fields[0] == "faultsim" and fields[1].startswith("e=") \
+            and fields[2].startswith("cl="):
+        try:
+            e, cl = float(fields[1][2:]), float(fields[2][3:])
+        except ValueError:
+            pass
+        else:
+            if math.isfinite(e) and math.isfinite(cl):
+                return DcSource.fault_simulation(e, cl)
     raise ParseError(
-        f"dc_source must be 'expert' or 'faultsim:e=<float>:cl=<level>', got {cell!r}",
-        line=line, column=column,
+        f"dc_source must be 'expert' or 'faultsim:e=<float>:cl=<level>', got {text!r}",
+        **where("dc_source"),
     )
 
 
@@ -161,8 +172,74 @@ def _encode_dc_source(src: DcSource) -> str:
 
 
 # ---------------------------------------------------------------------------
+# The failure-mode row, as both formats spell it
+# ---------------------------------------------------------------------------
+
+# Each numeric row key of the files and the FailureModeRow field it sets.
+# The other row keys are id, name, dc_source and safety_mechanisms.
+_NUMBER_KEYS = {
+    "lambda_fit": "lambda_fm",
+    "sigma_lambda_fit": "sigma_lambda_fm",
+    "fmd_fraction": "fmd_fraction",
+    "sigma_fmd": "sigma_fmd",
+    "dc": "dc",
+    "sigma_dc": "sigma_dc",
+    "dc_latent": "dc_latent",
+    "sigma_dc_latent": "sigma_dc_latent",
+}
+
+
+def _row(fields: dict, where) -> FailureModeRow:
+    """Make the FailureModeRow of a parsed row: the row rules of both formats.
+
+    fields maps the row keys a file sets to their parsed values: a float
+    per numeric key, a str for id, name and dc_source, and a tuple of str
+    for safety_mechanisms.  where(key) gives the ParseError context of a
+    key (line and column, or key path); it is called only on an error.
+    """
+    has_lambda = "lambda_fit" in fields
+    if has_lambda == ("fmd_fraction" in fields):
+        raise ParseError("exactly one of lambda_fit and fmd_fraction must be set",
+                         **where("lambda_fit"))
+    for sigma, rate in (("sigma_lambda_fit", "lambda_fit"), ("sigma_fmd", "fmd_fraction")):
+        if sigma in fields and rate not in fields:
+            raise ParseError(f"{sigma} requires {rate}", **where(sigma))
+    for key in ("dc", "dc_source"):
+        if key not in fields:
+            raise ParseError(f"{key} must be set", **where(key))
+    return FailureModeRow(
+        id=fields["id"],
+        name=fields.get("name", ""),
+        dc_source=_parse_dc_source(fields["dc_source"], where),
+        safety_mechanisms=fields.get("safety_mechanisms", ()),
+        **{field: fields[key] for key, field in _NUMBER_KEYS.items() if key in fields},
+    )
+
+
+def _row_doc(row: FailureModeRow, dist: bool) -> dict:
+    """The one writer of a row's keys: its JSON object, floats unformatted."""
+    other = ("lambda_fit", "sigma_lambda_fit") if dist else ("fmd_fraction", "sigma_fmd")
+    doc = {key: getattr(row, field) for key, field in _NUMBER_KEYS.items() if key not in other}
+    doc["id"] = row.id
+    if row.name != row.id:
+        doc["name"] = row.name
+    doc["dc_source"] = _encode_dc_source(row.dc_source)
+    if row.safety_mechanisms:
+        doc["safety_mechanisms"] = list(row.safety_mechanisms)
+    return doc
+
+
+# ---------------------------------------------------------------------------
 # CSV
 # ---------------------------------------------------------------------------
+
+
+def _records(reader):
+    """The reader's records; a cell beyond csv.field_size_limit() is a ParseError."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV: {exc}", line=reader.line_num) from None
 
 
 def parse_csv(text: str) -> FmedaTable:
@@ -172,8 +249,9 @@ def parse_csv(text: str) -> FmedaTable:
     column), or FmedaValidationError aggregating every broken invariant.
     """
     reader = csv.reader(io.StringIO(text))
+    records = _records(reader)
     try:
-        header = [h.strip() for h in next(reader)]
+        header = [h.strip() for h in next(records)]
     except StopIteration:
         raise ParseError("no data rows") from None
     if header != list(CSV_COLUMNS):
@@ -192,7 +270,7 @@ def parse_csv(text: str) -> FmedaTable:
 
     parts: dict[str, dict[str, dict]] = {}
     n_rows = 0
-    for record in reader:
+    for record in records:
         line = reader.line_num
         if not record or all(c.strip() == "" for c in record):
             continue
@@ -230,48 +308,17 @@ def parse_csv(text: str) -> FmedaTable:
             continue
 
         n_rows += 1
-        has_lambda = bool(cells["lambda_fit"])
-        has_fraction = bool(cells["fmd_fraction"])
-        if has_lambda == has_fraction:
-            raise ParseError(
-                "exactly one of lambda_fit and fmd_fraction must be set",
-                line=line, column="lambda_fit",
-            )
-        sigma = (
-            _parse_float(cells["sigma_lambda_fit"], line, "sigma_lambda_fit")
-            if cells["sigma_lambda_fit"] else 0.0
+        fields = {key: _parse_float(cells[key], line, key)
+                  for key in _CSV_NUMBERS if cells[key]}
+        if "fmd_fraction" in fields and "sigma_lambda_fit" in fields:
+            fields["sigma_fmd"] = fields.pop("sigma_lambda_fit")
+        fields["id"] = cells["failure_mode"]
+        if cells["dc_source"]:
+            fields["dc_source"] = cells["dc_source"]
+        fields["safety_mechanisms"] = tuple(
+            s.strip() for s in cells["sm_list"].split(";") if s.strip()
         )
-        if not cells["dc"]:
-            raise ParseError("cell must not be empty", line=line, column="dc")
-        if not cells["dc_source"]:
-            raise ParseError("cell must not be empty", line=line, column="dc_source")
-        common = dict(
-            id=cells["failure_mode"],
-            dc=_parse_float(cells["dc"], line, "dc"),
-            sigma_dc=_parse_float(cells["sigma_dc"], line, "sigma_dc")
-            if cells["sigma_dc"] else 0.0,
-            dc_latent=_parse_float(cells["dc_latent"], line, "dc_latent")
-            if cells["dc_latent"] else 0.0,
-            sigma_dc_latent=_parse_float(cells["sigma_dc_latent"], line, "sigma_dc_latent")
-            if cells["sigma_dc_latent"] else 0.0,
-            dc_source=_parse_dc_source(cells["dc_source"], line, "dc_source"),
-            safety_mechanisms=tuple(
-                s.strip() for s in cells["sm_list"].split(";") if s.strip()
-            ),
-        )
-        if has_lambda:
-            row = FailureModeRow(
-                lambda_fm=_parse_float(cells["lambda_fit"], line, "lambda_fit"),
-                sigma_lambda_fm=sigma,
-                **common,
-            )
-        else:
-            row = FailureModeRow(
-                fmd_fraction=_parse_float(cells["fmd_fraction"], line, "fmd_fraction"),
-                sigma_fmd=sigma,
-                **common,
-            )
-        acc["rows"].append(row)
+        acc["rows"].append(_row(fields, lambda key: {"line": line, "column": key}))
 
     if n_rows == 0:
         raise ParseError("no data rows")
@@ -307,20 +354,14 @@ def emit_csv(table: FmedaTable) -> str:
                 )
             dist = sub.fmd_mode == DISTRIBUTION
             for row in sub.failure_modes:
-                writer.writerow([
-                    part.name,
-                    sub.name,
-                    row.id,
-                    "" if dist else fmt12(row.lambda_fm),
-                    fmt12(row.sigma_fmd if dist else row.sigma_lambda_fm),
-                    fmt12(row.fmd_fraction) if dist else "",
-                    fmt12(row.dc),
-                    fmt12(row.sigma_dc),
-                    fmt12(row.dc_latent),
-                    fmt12(row.sigma_dc_latent),
-                    _encode_dc_source(row.dc_source),
-                    ";".join(row.safety_mechanisms),
-                ])
+                doc = _row_doc(row, dist)
+                if dist:
+                    doc["sigma_lambda_fit"] = doc.pop("sigma_fmd")
+                writer.writerow(
+                    [part.name, sub.name, doc["id"]]
+                    + [fmt12(doc[key]) if key in doc else "" for key in _CSV_NUMBERS]
+                    + [doc["dc_source"], ";".join(doc.get("safety_mechanisms", ()))]
+                )
     return buf.getvalue()
 
 
@@ -348,9 +389,13 @@ def _expect_str(value, path: str) -> str:
 def _expect_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"expected a number, got {type(value).__name__}", column=path)
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
         raise ParseError("expected a finite number", column=path)
-    return float(value)
+    return number
 
 
 def _expect_list(value, path: str) -> list:
@@ -363,7 +408,7 @@ def parse_json(text: str) -> FmedaTable:
     """Parse the nested JSON document into a validated table."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int of too many digits
         raise ParseError(f"invalid JSON: {exc}") from None
     except RecursionError:
         raise ParseError("invalid JSON: nested too deeply") from None
@@ -415,54 +460,23 @@ def parse_json(text: str) -> FmedaTable:
     return table
 
 
+_JSON_ROW_KEYS = {"id", "name", "dc_source", "safety_mechanisms", *_NUMBER_KEYS}
+
+
 def _parse_json_row(fd, path: str) -> FailureModeRow:
-    _expect_keys(
-        fd, path,
-        required={"id", "dc", "dc_source"},
-        optional={
-            "name", "lambda_fit", "fmd_fraction", "sigma_lambda_fit", "sigma_fmd",
-            "sigma_dc", "dc_latent", "sigma_dc_latent", "safety_mechanisms",
-        },
-    )
-    has_lambda = "lambda_fit" in fd
-    has_fraction = "fmd_fraction" in fd
-    if has_lambda == has_fraction:
-        raise ParseError(
-            "exactly one of lambda_fit and fmd_fraction must be set", column=path
-        )
-    if has_lambda and "sigma_fmd" in fd:
-        raise ParseError("sigma_fmd requires fmd_fraction", column=f"{path}.sigma_fmd")
-    if has_fraction and "sigma_lambda_fit" in fd:
-        raise ParseError(
-            "sigma_lambda_fit requires lambda_fit", column=f"{path}.sigma_lambda_fit"
-        )
-    sms = ()
-    if "safety_mechanisms" in fd:
-        sms = tuple(
-            _expect_str(s, f"{path}.safety_mechanisms[{i}]")
-            for i, s in enumerate(_expect_list(fd["safety_mechanisms"],
-                                               f"{path}.safety_mechanisms"))
-        )
-
-    def number(key: str, default: float = 0.0) -> float:
-        return _expect_number(fd[key], f"{path}.{key}") if key in fd else default
-
-    return FailureModeRow(
-        id=_expect_str(fd["id"], f"{path}.id"),
-        name=_expect_str(fd["name"], f"{path}.name") if "name" in fd else "",
-        lambda_fm=number("lambda_fit") if has_lambda else None,
-        sigma_lambda_fm=number("sigma_lambda_fit"),
-        fmd_fraction=number("fmd_fraction") if has_fraction else None,
-        sigma_fmd=number("sigma_fmd"),
-        dc=number("dc"),
-        sigma_dc=number("sigma_dc"),
-        dc_latent=number("dc_latent"),
-        sigma_dc_latent=number("sigma_dc_latent"),
-        dc_source=_parse_dc_source(
-            _expect_str(fd["dc_source"], f"{path}.dc_source"), None, f"{path}.dc_source"
-        ),
-        safety_mechanisms=sms,
-    )
+    _expect_keys(fd, path, required={"id"}, optional=_JSON_ROW_KEYS)
+    fields = {}
+    for key, value in fd.items():
+        if key in _NUMBER_KEYS:
+            fields[key] = _expect_number(value, f"{path}.{key}")
+        elif key == "safety_mechanisms":
+            fields[key] = tuple(
+                _expect_str(s, f"{path}.{key}[{i}]")
+                for i, s in enumerate(_expect_list(value, f"{path}.{key}"))
+            )
+        else:
+            fields[key] = _expect_str(value, f"{path}.{key}")
+    return _row(fields, lambda key: {"column": f"{path}.{key}"})
 
 
 def emit_json(table: FmedaTable) -> str:
@@ -479,28 +493,7 @@ def emit_json(table: FmedaTable) -> str:
             if sub.lambda_subpart is not None:
                 sd["lambda_fit"] = sub.lambda_subpart
             dist = sub.fmd_mode == DISTRIBUTION
-            rows = []
-            for row in sub.failure_modes:
-                fd: dict = {
-                    "id": row.id,
-                    "dc": row.dc,
-                    "sigma_dc": row.sigma_dc,
-                    "dc_latent": row.dc_latent,
-                    "sigma_dc_latent": row.sigma_dc_latent,
-                    "dc_source": _encode_dc_source(row.dc_source),
-                }
-                if row.name != row.id:
-                    fd["name"] = row.name
-                if dist:
-                    fd["fmd_fraction"] = row.fmd_fraction
-                    fd["sigma_fmd"] = row.sigma_fmd
-                else:
-                    fd["lambda_fit"] = row.lambda_fm
-                    fd["sigma_lambda_fit"] = row.sigma_lambda_fm
-                if row.safety_mechanisms:
-                    fd["safety_mechanisms"] = list(row.safety_mechanisms)
-                rows.append(fd)
-            sd["failure_modes"] = rows
+            sd["failure_modes"] = [_row_doc(row, dist) for row in sub.failure_modes]
             subs.append(sd)
         doc["parts"].append({"name": part.name, "subparts": subs})
     return _json_text(doc) + "\n"

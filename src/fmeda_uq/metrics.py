@@ -29,17 +29,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .model import ASIL_THRESHOLDS
+
 PASS_ROBUST = "PassRobust"
 PASS_FRAGILE = "PassFragile"
 FAIL = "Fail"
-
-# (spfm_min, lfm_min) per ASIL; A has no quantitative metric targets.
-ASIL_THRESHOLDS: dict[str, tuple[float, float] | None] = {
-    "A": None,
-    "B": (0.90, 0.60),
-    "C": (0.97, 0.80),
-    "D": (0.99, 0.90),
-}
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,14 @@ NORMAL_CUTOFFS: dict[float, float] = {
 }
 FAULTSIM_CONFIDENCE_LEVELS = tuple(NORMAL_CUTOFFS)
 
-ASIL_LEVELS = ("A", "B", "C", "D")
+# ISO 26262-5 (spfm_min, lfm_min) per ASIL; A has no quantitative targets.
+ASIL_THRESHOLDS: dict[str, tuple[float, float] | None] = {
+    "A": None,
+    "B": (0.90, 0.60),
+    "C": (0.97, 0.80),
+    "D": (0.99, 0.90),
+}
+ASIL_LEVELS = tuple(ASIL_THRESHOLDS)
 
 
 def cutoff(confidence_level: float) -> float:
@@ -232,7 +239,10 @@ def iter_rows(table: FmedaTable) -> Iterator[tuple[Part, Subpart, FailureModeRow
 
 
 def _finite(x: float | None) -> bool:
-    return x is None or (isinstance(x, (int, float)) and math.isfinite(x))
+    try:
+        return x is None or (isinstance(x, (int, float)) and math.isfinite(x))
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def _rate_sum(rates) -> float:

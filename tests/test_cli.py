@@ -7,7 +7,7 @@ import tempfile
 import warnings
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fmeda_uq import cli, emit_json
 from conftest import make_table, strict_json, two_fm_table
@@ -438,6 +438,7 @@ def test_usage_errors_exit_one(capsys):
 # ---------------------------------------------------------------------------
 
 _VALID_INPUTS = (TWO_FM_CSV.encode(), emit_json(two_fm_table()).encode())
+_TWO_FM_JSON = _VALID_INPUTS[1].decode()
 
 
 @st.composite
@@ -453,6 +454,13 @@ def _edited(draw, base: bytes) -> bytes:
 @settings(settings.get_profile("fuzz"), max_examples=150)
 @given(data=st.one_of(st.binary(max_size=400), *map(_edited, _VALID_INPUTS)),
        suffix=st.sampled_from([".csv", ".json"]))
+# Long tokens, which the short edits above cannot make: an int beyond the
+# float range, an int literal beyond Python's 4300-digit conversion limit,
+# and a CSV cell beyond csv.field_size_limit().
+@example(data=_TWO_FM_JSON.replace("50.0", "1" + "0" * 400, 1).encode(), suffix=".json")
+@example(data=_TWO_FM_JSON.replace("50.0", "1" * 5000, 1).encode(), suffix=".json")
+@example(data=TWO_FM_CSV.replace("expert,", "expert," + "x" * 140_000, 1).encode(),
+         suffix=".csv")
 def test_any_bytes_give_a_documented_outcome(data, suffix):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "input" + suffix)

@@ -134,6 +134,43 @@ def test_csv_bad_dc_source_rejected():
         parse_csv(text)
 
 
+_ROW = {"id": "FM1", "lambda_fit": 100, "dc": 0.9, "sigma_dc": 0.02, "dc_source": "expert"}
+
+
+def _in_both_formats(row: dict) -> tuple[str, str]:
+    cells = {"part": "CPU", "subpart": "EXEC", "failure_mode": row["id"], **row}
+    csv_text = HEADER + "\n" + ",".join(str(cells.get(c, "")) for c in ingest.CSV_COLUMNS) + "\n"
+    json_text = json.dumps({"version": ingest.FORMAT_VERSION, "parts": [{
+        "name": "CPU", "subparts": [{"name": "EXEC", "failure_modes": [row]}]}]})
+    return csv_text, json_text
+
+
+@pytest.mark.parametrize("change", [
+    dict(fmd_fraction=0.5),
+    dict(lambda_fit=None),
+    dict(dc=None),
+    dict(dc_source=None),
+    dict(dc_source="guesswork"),
+    dict(dc_source="faultsim:e=0.01"),
+    dict(dc_source="faultsim:e=inf:cl=0.95"),
+    dict(sigma_dc=math.inf),
+    dict(dc=math.nan),
+    dict(lambda_fit=10**400),
+    dict(sigma_dc=-(10**400)),
+], ids=["both_rates", "no_rate", "no_dc", "no_dc_source", "dc_source_unknown",
+        "dc_source_short", "dc_source_infinite_margin", "infinite", "nan",
+        "int_beyond_float", "negative_int_beyond_float"])
+def test_csv_and_json_reject_the_same_row_mistakes(change):
+    csv_text, json_text = _in_both_formats(_ROW)
+    assert parse_csv(csv_text) == parse_json(json_text)
+    row = {key: value for key, value in {**_ROW, **change}.items() if value is not None}
+    csv_text, json_text = _in_both_formats(row)
+    with pytest.raises(ParseError):
+        parse_csv(csv_text)
+    with pytest.raises(ParseError):
+        parse_json(json_text)
+
+
 def test_json_distribution_fraction_sum_violation():
     doc = {
         "version": "fmeda-uq/1",

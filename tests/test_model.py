@@ -54,6 +54,9 @@ def test_nan_rejected():
     table = make_table([dict(lambda_fm=float("nan"), dc=0.5)])
     rules = {v.rule for v in validate(table)}
     assert "value.finite" in rules
+    # An int beyond the float range is not finite either.
+    table = make_table([dict(lambda_fm=10**400, dc=0.9)])
+    assert [v.rule for v in validate(table)] == ["value.finite"]
 
 
 def test_duplicate_ids_flagged():
