@@ -18,16 +18,13 @@ from .model import (
     Part,
     Subpart,
     Violation,
+    margin_to_sigma,
     validate,
 )
 from .metrics import AsilVerdict, asil_verdict
 from .uncertainty import Interval, PropagationMode, confidence_interval
 from .eii import EiiEntry
-from .sampling import (
-    SampleSizePlan,
-    margin_to_sigma,
-    sample_size,
-)
+from .sampling import SampleSizePlan, sample_size
 from .mc_oracle import McConfig, McVerdict, verify
 from .ingest import (
     ParseError,

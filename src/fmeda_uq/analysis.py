@@ -7,9 +7,10 @@ error-importance ranking with per-failure-mode totals, and the ASIL
 verdict when a target applies.  It reads the table's arrays
 through model.table_arrays (validated and extracted once per table, by
 the parser when the table was parsed) and runs the propagation kernel
-once; everything else is read off that one result.  Rows whose DC was
-measured by a sampled fault-injection campaign get their sigma_dc derived
-from the campaign margin during extraction (unless already explicit).
+once; everything else is read off that one result.  A report row's
+lambda_fm, sigma_lambda_fm and sigma_dc are read off those arrays: a
+Distribution row's rate is derived from its FMD fraction, and a sampled
+fault-injection campaign's DC gets sigma_dc = e/t unless it states one.
 
 LFM can be legitimately undefined (a table where every fault is residual
 has no detected pool); the result then carries lfm=None with a note
@@ -188,8 +189,9 @@ def analyze(
                                lfm=prop.lfm, sigma_lfm=prop.sigma_lfm, k=k)
 
     rows, totals = [], []
-    for (part, sub, row), sigma_dc, (dc_pct, lam_pct), has_eii in zip(
-            iter_rows(table), arr.sigma_dc.tolist(), percents.tolist(), attributed.tolist()):
+    for (part, sub, row), lam, sigma_lam, sigma_dc, (dc_pct, lam_pct), has_eii in zip(
+            iter_rows(table), arr.lam.tolist(), arr.sigma_lam.tolist(), arr.sigma_dc.tolist(),
+            percents.tolist(), attributed.tolist()):
         total_pct = dc_pct + lam_pct
         if has_eii:
             totals.append((row.id, total_pct))
@@ -198,8 +200,8 @@ def analyze(
             subpart=sub.name,
             failure_mode_id=row.id,
             name=row.name,
-            lambda_fm=row.lambda_fm,
-            sigma_lambda_fm=row.sigma_lambda_fm,
+            lambda_fm=lam,
+            sigma_lambda_fm=sigma_lam,
             dc=row.dc,
             sigma_dc=sigma_dc,
             dc_latent=row.dc_latent,

@@ -31,11 +31,7 @@ from .model import ASIL_LEVELS, NORMAL_CUTOFFS
 from .sampling import sample_size
 from .uncertainty import PropagationMode
 
-_MODES = {
-    "full": PropagationMode.FULL,
-    "dc-only": PropagationMode.DC_ONLY,
-    "lambda-only": PropagationMode.LAMBDA_ONLY,
-}
+_MODES = {mode.value.replace("_", "-"): mode for mode in PropagationMode}
 
 
 class _Parser(argparse.ArgumentParser):

@@ -8,24 +8,25 @@ A subpart carries its failure modes in one of two forms:
 
 * DirectLambda: every row states lambda_fm (and sigma_lambda_fm) in FIT.
 * Distribution: every row states an FMD fraction of the subpart rate,
-  with an optional sigma on that fraction.  The canonical FIT values are
-  materialized at construction: lambda_fm = lambda_subpart * fmd_fraction
-  and sigma_lambda_fm = lambda_subpart * sigma_fmd.
+  with an optional sigma on that fraction, and no FIT rate of its own.
+  Its rate lambda_subpart * fmd_fraction and sigma lambda_subpart *
+  sigma_fmd are derived when the table is validated and exist only in
+  table_arrays(table).lam / .sigma_lam; the row's lambda_fm stays None.
 
 The table-wide rate lambda_tot is always derived as the sum of all row
 rates, never user-supplied, so it cannot disagree with the rows.
 
-All types are immutable after construction and all operations are pure
-functions, safe for concurrent use.  Structural problems are reported by
-validate() as Violation records (data, not exceptions); operations whose
-contract requires a valid table raise FmedaValidationError carrying the
-full violation list.
+All types are immutable after construction and keep what they were
+given.  One walk over the rows checks every invariant and, for a valid
+table, extracts the row-aligned arrays: validate() returns its Violation
+records (data, not exceptions), and table_arrays() raises
+FmedaValidationError carrying them or returns (and caches) the arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -97,7 +98,11 @@ class Violation:
     message: str
 
     def __str__(self) -> str:
-        return f"[{self.rule}] {self.location}.{self.field}: {self.message} (observed {self.observed!r})"
+        try:
+            observed = repr(self.observed)
+        except ValueError:  # an int beyond sys.get_int_max_str_digits()
+            observed = f"an int of {self.observed.bit_length()} bits"
+        return f"[{self.rule}] {self.location}.{self.field}: {self.message} (observed {observed})"
 
 
 @dataclass(frozen=True)
@@ -129,9 +134,10 @@ EXPERT_JUDGMENT = DcSource()
 class FailureModeRow:
     """One failure mode: rate, coverages, and their standard deviations.
 
-    lambda_fm / sigma_lambda_fm are the canonical FIT values.  Rows of a
-    Distribution subpart are authored via fmd_fraction / sigma_fmd instead;
-    their FIT values are filled in when the enclosing Subpart is built.
+    A DirectLambda row states lambda_fm / sigma_lambda_fm in FIT.  A row of
+    a Distribution subpart states fmd_fraction / sigma_fmd instead and
+    leaves lambda_fm None and sigma_lambda_fm 0; its FIT values are in
+    table_arrays(table).lam / .sigma_lam and in analyze's report rows.
     """
 
     id: str
@@ -158,8 +164,8 @@ class Subpart:
     """A named group of failure modes, optionally with its own rate in FIT.
 
     fmd_mode may be given explicitly; when None it is inferred from the
-    rows (Distribution iff any row carries an FMD fraction).  Distribution
-    rows get their canonical lambda_fm materialized here.
+    rows (Distribution iff any row carries an FMD fraction).  The rows are
+    kept as given: a Distribution row's rate is derived by validation.
     """
 
     name: str
@@ -169,23 +175,10 @@ class Subpart:
 
     def __post_init__(self):
         rows = tuple(self.failure_modes)
-        mode = self.fmd_mode
-        if mode is None:
+        if self.fmd_mode is None:
             has_fraction = any(r.fmd_fraction is not None for r in rows)
-            mode = DISTRIBUTION if has_fraction else DIRECT_LAMBDA
-        if mode == DISTRIBUTION and self.lambda_subpart is not None:
-            rows = tuple(
-                replace(
-                    r,
-                    lambda_fm=self.lambda_subpart * r.fmd_fraction,
-                    sigma_lambda_fm=self.lambda_subpart * r.sigma_fmd,
-                )
-                if r.fmd_fraction is not None
-                else r
-                for r in rows
-            )
+            object.__setattr__(self, "fmd_mode", DISTRIBUTION if has_fraction else DIRECT_LAMBDA)
         object.__setattr__(self, "failure_modes", rows)
-        object.__setattr__(self, "fmd_mode", mode)
 
 
 @dataclass(frozen=True)
@@ -234,8 +227,57 @@ def iter_rows(table: FmedaTable) -> Iterator[tuple[Part, Subpart, FailureModeRow
 
 
 # ---------------------------------------------------------------------------
-# Validation
+# Validation and array extraction: one walk over the rows
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class TableArrays:
+    """Row-aligned numeric view of a table (float64), plus row identity.
+
+    lam and sigma_lam hold each row's FIT rate and sigma: the row's own for
+    DirectLambda, lambda_subpart times fmd_fraction and sigma_fmd for
+    Distribution.  sigma_dc already carries the fault-simulation sigma e/t
+    for rows whose DC came from a sampled campaign without an explicit
+    sigma_dc.  lambda_tot is the only total rate of the package: lam.sum().
+    """
+
+    ids: tuple[str, ...]
+    lam: np.ndarray
+    sigma_lam: np.ndarray
+    dc: np.ndarray
+    sigma_dc: np.ndarray
+    dc_lat: np.ndarray
+    sigma_dc_lat: np.ndarray
+    lambda_tot: float
+
+
+def validate(table: FmedaTable) -> list[Violation]:
+    """Check every structural invariant; return all violations found.
+
+    Returns an empty list iff the table is analyzable.  Never raises and
+    never mutates: violations are data for the caller to report.
+    """
+    return _walk(table)[0]
+
+
+def table_arrays(table: FmedaTable) -> TableArrays:
+    """The validated per-row vectors of a table, in table order.
+
+    Raises FmedaValidationError when validate() reports anything.  The
+    result is cached on the (frozen) table, outside its dataclass fields,
+    and returned by every later call, so a table is validated and
+    extracted once however many operations read it.  Its arrays are
+    read-only for that reason.
+    """
+    cached = getattr(table, "_arrays", None)
+    if cached is not None:
+        return cached
+    violations, arrays = _walk(table)
+    if violations:
+        raise FmedaValidationError(violations)
+    object.__setattr__(table, "_arrays", arrays)
+    return arrays
 
 
 def _finite(x: float | None) -> bool:
@@ -245,25 +287,27 @@ def _finite(x: float | None) -> bool:
         return False
 
 
-def _rate_sum(rates) -> float:
+def _rate_sum(rates: np.ndarray) -> float:
     """lambda_tot: the one sum of the row rates (numpy's pairwise sum).
 
-    validate judges and TableArrays holds this very float, so a table
+    The walk judges and TableArrays holds this very float, so a table
     passes validation iff its lambda_tot is positive and finite.  An
     overflow to inf is a violation, not a warning.
     """
     with np.errstate(over="ignore"):
-        return float(np.asarray(rates, dtype=np.float64).sum())
+        return float(rates.sum())
 
 
-def validate(table: FmedaTable) -> list[Violation]:
-    """Check every structural invariant; return all violations found.
+def _walk(table: FmedaTable) -> tuple[list[Violation], TableArrays | None]:
+    """Check every row once and collect its numbers: (violations, arrays).
 
-    Returns an empty list iff the table is analyzable.  Never raises and
-    never mutates: violations are data for the caller to report.
+    A Distribution row's rate and sigma (lambda_subpart times fmd_fraction
+    and sigma_fmd) and a fault-simulation row's sigma_dc = e/t are derived
+    here, once, from inputs that passed their checks.  arrays is None
+    unless there are no violations.
     """
     out: list[Violation] = []
-    seen_ids: dict[str, str] = {}
+    seen_ids: dict[str, str] = {}  # every id in table order once the table is valid
 
     def bad(loc: str, fld: str, rule: str, obs: object, msg: str) -> None:
         out.append(Violation(loc, fld, rule, obs, msg))
@@ -273,7 +317,7 @@ def validate(table: FmedaTable) -> list[Violation]:
             f"ASIL target must be one of {ASIL_LEVELS}")
 
     lambda_known = True
-    rates: list[float] = []
+    rates, others = [], []  # the rate column; the other five columns, row after row
 
     for part in table.parts:
         for sub in part.subparts:
@@ -293,6 +337,7 @@ def validate(table: FmedaTable) -> list[Violation]:
             if dist and sub.lambda_subpart is None:
                 bad(sub_loc, "lambda_subpart", "fmd.lambda_subpart_missing", None,
                     "Distribution mode needs lambda_subpart to derive row rates")
+            scale = sub.lambda_subpart if dist and _finite(sub.lambda_subpart) else None
 
             fmd_sum = 0.0
             fmd_complete = dist
@@ -310,37 +355,48 @@ def validate(table: FmedaTable) -> list[Violation]:
                 else:
                     seen_ids[row.id] = loc
 
-                for fld in ("lambda_fm", "sigma_lambda_fm", "fmd_fraction",
-                            "sigma_fmd", "dc", "sigma_dc", "dc_latent",
-                            "sigma_dc_latent"):
-                    if not _finite(getattr(row, fld)):
-                        bad(loc, fld, "value.finite", getattr(row, fld),
-                            "value must be finite")
+                if not dist:
+                    rate, sigma_rate = row.lambda_fm, row.sigma_lambda_fm
+                elif scale is None or row.fmd_fraction is None or not _finite(row.fmd_fraction):
+                    rate, sigma_rate = None, 0.0  # not derived; a violation names the cause
+                else:
+                    rate = scale * row.fmd_fraction
+                    sigma_rate = scale * row.sigma_fmd if _finite(row.sigma_fmd) else 0.0
+                numbers = (("lambda_fm", rate), ("sigma_lambda_fm", sigma_rate),
+                           ("fmd_fraction", row.fmd_fraction), ("sigma_fmd", row.sigma_fmd),
+                           ("dc", row.dc), ("sigma_dc", row.sigma_dc),
+                           ("dc_latent", row.dc_latent), ("sigma_dc_latent", row.sigma_dc_latent))
+                for fld, v in numbers:
+                    if not _finite(v):
+                        bad(loc, fld, "value.finite", v, "value must be finite")
 
                 if _finite(row.dc) and not 0.0 <= row.dc <= 1.0:
                     bad(loc, "dc", "dc.range", row.dc, "DC must lie in [0, 1]")
                 if _finite(row.dc_latent) and not 0.0 <= row.dc_latent <= 1.0:
                     bad(loc, "dc_latent", "dc_latent.range", row.dc_latent,
                         "latent DC must lie in [0, 1]")
-                for fld in ("sigma_lambda_fm", "sigma_fmd", "sigma_dc",
-                            "sigma_dc_latent"):
-                    v = getattr(row, fld)
+                for fld, v in numbers[1::2]:  # the four sigmas
                     if _finite(v) and v < 0:
                         bad(loc, fld, f"{fld}.nonneg", v, "sigma must be >= 0")
 
                 src = row.dc_source
+                sigma_dc = row.sigma_dc
                 if src.kind not in (EXPERT, FAULT_SIMULATION):
                     bad(loc, "dc_source", "dc_source.kind", src.kind,
                         "dc_source kind must be expert or faultsim")
                 elif src.is_fault_simulation:
-                    if src.margin_e is None or not _finite(src.margin_e) \
-                            or not 0.0 < src.margin_e < 1.0:
+                    margin_ok = src.margin_e is not None and _finite(src.margin_e) \
+                        and 0.0 < src.margin_e < 1.0
+                    level_ok = src.confidence_level in FAULTSIM_CONFIDENCE_LEVELS
+                    if not margin_ok:
                         bad(loc, "dc_source", "dc_source.margin_range", src.margin_e,
                             "fault-simulation margin must lie in (0, 1)")
-                    if src.confidence_level not in FAULTSIM_CONFIDENCE_LEVELS:
+                    if not level_ok:
                         bad(loc, "dc_source", "dc_source.confidence_level",
                             src.confidence_level,
                             f"confidence level must be one of {FAULTSIM_CONFIDENCE_LEVELS}")
+                    if margin_ok and level_ok and sigma_dc == 0.0:
+                        sigma_dc = margin_to_sigma(src.margin_e, src.confidence_level)
 
                 if dist:
                     if row.fmd_fraction is None:
@@ -352,6 +408,12 @@ def validate(table: FmedaTable) -> list[Violation]:
                             bad(loc, "fmd_fraction", "fmd.fraction_range",
                                 row.fmd_fraction, "FMD fraction must lie in [0, 1]")
                         fmd_sum += row.fmd_fraction if _finite(row.fmd_fraction) else 0.0
+                        if row.lambda_fm is not None:
+                            bad(loc, "lambda_fm", "fmd.mode_consistency", row.lambda_fm,
+                                "Distribution subpart rows take their rate from the FMD fraction")
+                        if row.sigma_lambda_fm != 0.0:
+                            bad(loc, "sigma_lambda_fm", "fmd.mode_consistency", row.sigma_lambda_fm,
+                                "Distribution subpart rows take their sigma from sigma_fmd")
                 else:
                     if row.fmd_fraction is not None:
                         bad(loc, "fmd_fraction", "fmd.mode_consistency",
@@ -361,15 +423,16 @@ def validate(table: FmedaTable) -> list[Violation]:
                         bad(loc, "lambda_fm", "lambda.missing", None,
                             "DirectLambda rows must state lambda_fm")
 
-                if row.lambda_fm is None or not _finite(row.lambda_fm):
+                if rate is None or not _finite(rate):
                     row_sum_known = False
                     lambda_known = False
                 else:
-                    if row.lambda_fm < 0:
-                        bad(loc, "lambda_fm", "lambda_fm.nonneg", row.lambda_fm,
+                    if rate < 0:
+                        bad(loc, "lambda_fm", "lambda_fm.nonneg", rate,
                             "failure rate must be >= 0")
-                    row_sum += row.lambda_fm
-                    rates.append(row.lambda_fm)
+                    row_sum += rate
+                rates.append(rate)
+                others.extend((sigma_rate, row.dc, sigma_dc, row.dc_latent, row.sigma_dc_latent))
 
             if dist and fmd_complete and sub.failure_modes \
                     and abs(fmd_sum - 1.0) > FMD_SUM_TOL:
@@ -384,15 +447,21 @@ def validate(table: FmedaTable) -> list[Violation]:
                         sub.lambda_subpart,
                         f"declared subpart rate differs from row sum {row_sum!r}")
 
-    total = _rate_sum(rates) if lambda_known else 0.0
-    if lambda_known and total <= 0.0:
-        bad("table", "lambda_tot", "table.lambda_tot_positive", total,
-            "total failure rate must be > 0 for an analyzable table")
-    elif lambda_known and not math.isfinite(total):
-        bad("table", "lambda_tot", "table.lambda_tot_finite", total,
-            "total failure rate overflows the float range")
-
-    return out
+    if lambda_known:  # every rate is a finite number
+        rates = np.asarray(rates, dtype=np.float64)
+        total = _rate_sum(rates)
+        if total <= 0.0:
+            bad("table", "lambda_tot", "table.lambda_tot_positive", total,
+                "total failure rate must be > 0 for an analyzable table")
+        elif not math.isfinite(total):
+            bad("table", "lambda_tot", "table.lambda_tot_finite", total,
+                "total failure rate overflows the float range")
+    if out:
+        return out, None
+    columns = np.array(others, dtype=np.float64).reshape(-1, 5).T.copy()  # a contiguous row each
+    for array in (rates, columns):
+        array.flags.writeable = False
+    return out, TableArrays(tuple(seen_ids), rates, *columns, lambda_tot=total)
 
 
 def _require_finite_sigmas(**sigmas: float | None) -> None:
@@ -410,68 +479,3 @@ def _require_finite_sigmas(**sigmas: float | None) -> None:
     ]
     if violations:
         raise FmedaValidationError(violations)
-
-
-# ---------------------------------------------------------------------------
-# Array extraction for the numeric modules
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TableArrays:
-    """Row-aligned numeric view of a table (float64), plus row identity.
-
-    sigma_dc already carries the fault-simulation sigma e/t for rows whose
-    DC came from a sampled campaign without an explicit sigma_dc.
-    lambda_tot is the only total rate of the package: lam.sum().
-    """
-
-    ids: tuple[str, ...]
-    lam: np.ndarray
-    sigma_lam: np.ndarray
-    dc: np.ndarray
-    sigma_dc: np.ndarray
-    dc_lat: np.ndarray
-    sigma_dc_lat: np.ndarray
-    lambda_tot: float
-
-
-def table_arrays(table: FmedaTable) -> TableArrays:
-    """Validate once, then extract the per-row vectors in table order.
-
-    Raises FmedaValidationError when validate() reports anything.  A
-    fault-simulation row with sigma_dc == 0 gets sigma_dc = e/t from its
-    campaign; an explicit sigma_dc is kept.
-
-    The result is cached on the (frozen) table, outside its dataclass
-    fields, and returned by every later call, so a table is validated and
-    extracted once however many operations read it.  Its arrays are
-    read-only for that reason.
-    """
-    cached = getattr(table, "_arrays", None)
-    if cached is not None:
-        return cached
-    violations = validate(table)
-    if violations:
-        raise FmedaValidationError(violations)
-    ids, lam, slam, dc, sdc, lat, slat = [], [], [], [], [], [], []
-    for _, _, row in iter_rows(table):
-        sigma_dc = row.sigma_dc
-        src = row.dc_source
-        if src.is_fault_simulation and sigma_dc == 0.0:
-            sigma_dc = margin_to_sigma(src.margin_e, src.confidence_level)
-        ids.append(row.id)
-        lam.append(row.lambda_fm)
-        slam.append(row.sigma_lambda_fm)
-        dc.append(row.dc)
-        sdc.append(sigma_dc)
-        lat.append(row.dc_latent)
-        slat.append(row.sigma_dc_latent)
-    columns = []
-    for values in (lam, slam, dc, sdc, lat, slat):  # the field order of TableArrays
-        column = np.asarray(values, dtype=np.float64)
-        column.flags.writeable = False
-        columns.append(column)
-    arrays = TableArrays(tuple(ids), *columns, lambda_tot=_rate_sum(columns[0]))
-    object.__setattr__(table, "_arrays", arrays)
-    return arrays

@@ -19,7 +19,7 @@ consequential interpretation in this package: a campaign quoted as
 "e = 1% at 95%" contributes sigma_DC = 0.01/1.96 = 0.0051 per row.
 margin_to_sigma lives in the model, because model.table_arrays applies it
 to every fault-simulation row without an explicit sigma_dc, so analyze
-and the Monte Carlo oracle both see it.
+and the Monte Carlo oracle both see it; fmeda_uq exports it from there.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import sys
 from dataclasses import dataclass
 
 from .model import cutoff
-from .model import margin_to_sigma  # noqa: F401 (re-exported)
 
 
 @dataclass(frozen=True)

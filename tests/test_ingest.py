@@ -20,6 +20,7 @@ from fmeda_uq import (
 )
 from fmeda_uq import ingest
 from fmeda_uq.ingest import fmt12
+from fmeda_uq.model import table_arrays
 from conftest import fixture_corpus, make_table, random_table, two_fm_table
 
 HEADER = ("part,subpart,failure_mode,lambda_fit,sigma_lambda_fit,fmd_fraction,"
@@ -109,8 +110,12 @@ def test_csv_distribution_subpart_via_rate_row():
     sub = table.parts[0].subparts[0]
     assert sub.fmd_mode == "Distribution"
     assert sub.lambda_subpart == 200.0
-    assert sub.failure_modes[0].lambda_fm == 50.0
-    assert sub.failure_modes[0].sigma_lambda_fm == 2.0
+    assert sub.failure_modes[0].lambda_fm is None
+    arr = table_arrays(table)
+    assert arr.lam[0] == 50.0
+    assert arr.sigma_lam[0] == 2.0
+    report = analyze(table).rows[0]
+    assert (report.lambda_fm, report.sigma_lambda_fm) == (50.0, 2.0)
     assert sub.failure_modes[1].safety_mechanisms == ("SM1", "SM2")
 
 

@@ -147,9 +147,14 @@ def test_distribution_mode_materializes_rates():
     )
     assert validate(table) == []
     rows = table.parts[0].subparts[0].failure_modes
-    assert rows[0].lambda_fm == 50.0
-    assert rows[0].sigma_lambda_fm == 2.0
-    assert rows[1].lambda_fm == 150.0
+    assert rows[0].lambda_fm is None and rows[1].lambda_fm is None
+    arr = table_arrays(table)
+    assert arr.lam[0] == 50.0
+    assert arr.sigma_lam[0] == 2.0
+    assert arr.lam[1] == 150.0
+    report = analyze(table).rows
+    assert (report[0].lambda_fm, report[0].sigma_lambda_fm) == (50.0, 2.0)
+    assert report[1].lambda_fm == 150.0
     assert table.lambda_tot == 200.0
 
 
@@ -166,6 +171,43 @@ def test_distribution_fractions_must_sum_to_one():
 def test_distribution_needs_subpart_rate():
     table = make_table([dict(fmd_fraction=1.0, dc=0.9)])
     assert any(v.rule == "fmd.lambda_subpart_missing" for v in validate(table))
+
+
+@pytest.mark.parametrize("lambda_subpart, sigma_fmd", [(10**400, 0.0), (1.0, 10**400)],
+                         ids=["lambda_subpart", "sigma_fmd"])
+def test_distribution_inputs_beyond_the_float_range_are_violations(lambda_subpart, sigma_fmd):
+    rows = (FailureModeRow(id="FM1", fmd_fraction=1.0, sigma_fmd=sigma_fmd, dc=0.9),)
+    sub = Subpart("EXEC", lambda_subpart, None, rows)
+    assert sub.failure_modes == rows
+    table = FmedaTable((Part("CPU", (sub,)),))
+    assert [v.rule for v in validate(table)] == ["value.finite"]
+    with pytest.raises(FmedaValidationError) as err:
+        table_arrays(table)
+    assert [v.rule for v in err.value.violations] == ["value.finite"]
+
+
+def test_distribution_rate_that_overflows_is_a_violation():
+    table = make_table([dict(fmd_fraction=1.0, sigma_fmd=10.0, dc=0.9)], lambda_subpart=1e308)
+    assert [(v.field, v.rule, v.observed) for v in validate(table)] == [
+        ("sigma_lambda_fm", "value.finite", math.inf)]
+
+
+@pytest.mark.parametrize("own", [dict(lambda_fm=5.0), dict(sigma_lambda_fm=0.5)])
+def test_distribution_row_with_its_own_fit_rate_flagged(own):
+    table = make_table([dict(fmd_fraction=1.0, dc=0.9, **own)], lambda_subpart=100.0)
+    assert [(v.field, v.rule) for v in validate(table)] == [
+        (*own, "fmd.mode_consistency")]
+
+
+def test_violation_message_prints_an_int_beyond_the_digit_limit():
+    table = make_table([dict(lambda_fm=10**5000, dc=0.9)])
+    with pytest.raises(FmedaValidationError) as err:
+        table_arrays(table)
+    assert [v.rule for v in err.value.violations] == ["value.finite"]
+    message = str(err.value)
+    assert "[value.finite] CPU/EXEC/FM1.lambda_fm" in message
+    if 0 < sys.get_int_max_str_digits() < 5001:
+        assert f"(observed an int of {(10**5000).bit_length()} bits)" in message
 
 
 def test_mixed_mode_rows_flagged():
@@ -246,9 +288,10 @@ def test_lambda_tot_is_derived_not_stored():
 
 
 def _counting_validate(monkeypatch) -> list:
+    """Count the walks over a table's rows: validate and table_arrays both run one."""
     calls = []
-    real = model.validate
-    monkeypatch.setattr(model, "validate", lambda table: calls.append(table) or real(table))
+    real = model._walk
+    monkeypatch.setattr(model, "_walk", lambda table: calls.append(table) or real(table))
     return calls
 
 
@@ -259,6 +302,16 @@ def test_table_arrays_validates_once_per_table(monkeypatch):
     assert table_arrays(table) is first
     assert table.lambda_tot == 100.0
     assert analyze(table).spfm == pytest.approx(0.945)
+    assert len(calls) == 1
+
+
+def test_rate_sum_runs_once_per_fresh_table(monkeypatch):
+    calls = []
+    real = model._rate_sum
+    monkeypatch.setattr(model, "_rate_sum", lambda rates: calls.append(1) or real(rates))
+    table = two_fm_table()
+    table_arrays(table)
+    assert table.lambda_tot == analyze(table).lambda_tot == 100.0
     assert len(calls) == 1
 
 
