@@ -16,6 +16,7 @@ for the fragile verdict).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -42,7 +43,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first main() call and reused.
+
+    parse_args keeps no state between calls: each returns a new Namespace.
+    """
     parser = _Parser(prog="fmeda-uq", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"fmeda-uq {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

@@ -21,7 +21,9 @@ the empty list); everything else must be explicit.
 Emission is deterministic: floats are serialized with 12 significant
 digits, JSON keys are sorted, and no timestamps are embedded, so equal
 inputs produce byte-identical documents.  Report percentages render at
-2 decimals.
+2 decimals.  The JSON writer lays out an array of same-key objects (the
+report's rows and EII entries, a subpart's failure modes) with one
+template per array; each float's token is still taken from fmt12.
 """
 
 from __future__ import annotations
@@ -48,9 +50,10 @@ CSV_COLUMNS = (
     "fmd_fraction", "dc", "sigma_dc", "dc_latent", "sigma_dc_latent",
     "dc_source", "sm_list",
 )
-# The numeric cells; each column is named by the row key it holds, except
-# that a fraction row's sigma_lambda_fit cell holds its sigma_fmd.
-_CSV_NUMBERS = CSV_COLUMNS[3:10]
+# The numeric cells, (position, column); each column is named by the row key
+# it holds, except that a fraction row's sigma_lambda_fit cell holds its
+# sigma_fmd.
+_CSV_NUMBERS = tuple(enumerate(CSV_COLUMNS))[3:10]
 FORMAT_VERSION = "fmeda-uq/1"
 
 
@@ -103,8 +106,12 @@ def _json_text(obj, newline: str = "\n") -> str:
     ValueError, as allow_nan=False does; newline carries the indent of
     the enclosing container.
 
-    Each container joins its own members, so the pieces of one report row
-    are freed once the row's text is built.
+    Objects are written by _objects_text: an array whose first member is
+    a non-empty object gets one template for the whole array (the
+    report's rows, eii and eii_totals, a subpart's failure_modes), and a
+    lone object a template of its own.  Each container joins its own pieces once, brackets included, so the
+    pieces of one report row are freed once the row's text is built and
+    a large member's text is not copied again by its container.
     """
     if isinstance(obj, float):
         return _float_token(obj)
@@ -118,22 +125,57 @@ def _json_text(obj, newline: str = "\n") -> str:
         return "false"
     if isinstance(obj, int):
         return int.__repr__(obj)
-    inner = newline + "  "
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = []
-        for key in sorted(obj):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            items.append(_encode_str(key) + ": " + _json_text(obj[key], inner))
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
+        return _objects_text([obj], newline)[0] if obj else "{}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [_json_text(item, inner) for item in obj]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
+        inner = newline + "  "
+        if isinstance(obj[0], dict) and obj[0]:
+            items = _objects_text(obj, inner)
+        else:
+            items = [_json_text(item, inner) for item in obj]
+        items[0] = "[" + inner + items[0]
+        items[-1] += newline + "]"
+        return ("," + inner).join(items)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _objects_text(objs, newline: str) -> list[str]:
+    """The texts of an array's members, the first of them a non-empty dict.
+
+    The first member's sorted keys make the array's one template, built
+    here once: the text before each value, with the key and the indent
+    baked in.  Every member with that key set is written as the template
+    joined with its values' tokens: a float's _float_token, a str's JSON
+    string, and _json_text of anything else.  Any other member is written
+    by _json_text.  The pieces are joined rather than %-formatted: %
+    over-allocates each text and then shrinks it, and the holes that
+    leaves raised the peak RSS of a 10^4-row report.
+    """
+    keys = sorted(objs[0])
+    for key in keys:
+        if not isinstance(key, str):
+            raise TypeError(f"keys must be str, not {type(key).__name__}")
+    inner = newline + "  "
+    heads = ["{" + inner + _encode_str(keys[0]) + ": "]
+    heads += ["," + inner + _encode_str(key) + ": " for key in keys[1:]]
+    tail = newline + "}"
+    key_set = objs[0].keys()
+    texts = []
+    for obj in objs:
+        if not isinstance(obj, dict) or obj.keys() != key_set:
+            texts.append(_json_text(obj, newline))
+            continue
+        pieces = []
+        for head, v in zip(heads, map(obj.__getitem__, keys)):
+            pieces.append(head)
+            pieces.append(_float_token(v) if type(v) is float
+                          else _encode_str(v) if type(v) is str
+                          else _json_text(v, inner))
+        pieces.append(tail)
+        texts.append("".join(pieces))
+    return texts
 
 
 def _parse_float(cell: str, line: int | None, column: str) -> float:
@@ -141,7 +183,7 @@ def _parse_float(cell: str, line: int | None, column: str) -> float:
         value = float(cell)
     except ValueError:
         raise ParseError(f"not a number: {cell!r}", line=line, column=column) from None
-    if not math.isfinite(value):
+    if value - value != 0.0:  # inf or nan
         raise ParseError(f"not a finite number: {cell!r}", line=line, column=column)
     return value
 
@@ -271,53 +313,54 @@ def parse_csv(text: str) -> FmedaTable:
     parts: dict[str, dict[str, dict]] = {}
     n_rows = 0
     for record in records:
-        line = reader.line_num
-        if not record or all(c.strip() == "" for c in record):
+        cells = [c.strip() for c in record]
+        if not any(cells):
             continue
-        if len(record) != len(CSV_COLUMNS):
+        line = reader.line_num
+        if len(cells) != len(CSV_COLUMNS):
             raise ParseError(
-                f"expected {len(CSV_COLUMNS)} columns, got {len(record)}", line=line
+                f"expected {len(CSV_COLUMNS)} columns, got {len(cells)}", line=line
             )
-        cells = dict(zip(CSV_COLUMNS, (c.strip() for c in record)))
-        for required in ("part", "subpart"):
-            if not cells[required]:
-                raise ParseError("cell must not be empty", line=line, column=required)
-        acc = parts.setdefault(cells["part"], {}).setdefault(
-            cells["subpart"], {"lambda": None, "rows": []}
-        )
+        part, subpart, fm_id, lambda_fit = cells[:4]
+        for column, cell in (("part", part), ("subpart", subpart)):
+            if not cell:
+                raise ParseError("cell must not be empty", line=line, column=column)
+        acc = parts.setdefault(part, {}).setdefault(subpart, {"lambda": None, "rows": []})
 
-        if not cells["failure_mode"]:
+        if not fm_id:
             # Subpart-rate declaration row: lambda_fit only, everything else empty.
-            if not cells["lambda_fit"]:
+            if not lambda_fit:
                 raise ParseError(
                     "row without a failure_mode must declare the subpart rate",
                     line=line, column="lambda_fit",
                 )
-            stray = [c for c in CSV_COLUMNS[4:] if cells[c]]
-            if stray:
-                raise ParseError(
-                    "subpart-rate row must leave this cell empty",
-                    line=line, column=stray[0],
-                )
+            for column, cell in zip(CSV_COLUMNS[4:], cells[4:]):
+                if cell:
+                    raise ParseError(
+                        "subpart-rate row must leave this cell empty",
+                        line=line, column=column,
+                    )
             if acc["lambda"] is not None:
                 raise ParseError(
-                    f"duplicate subpart rate for {cells['part']}/{cells['subpart']}",
+                    f"duplicate subpart rate for {part}/{subpart}",
                     line=line, column="lambda_fit",
                 )
-            acc["lambda"] = _parse_float(cells["lambda_fit"], line, "lambda_fit")
+            acc["lambda"] = _parse_float(lambda_fit, line, "lambda_fit")
             continue
 
         n_rows += 1
-        fields = {key: _parse_float(cells[key], line, key)
-                  for key in _CSV_NUMBERS if cells[key]}
+        fields = {}
+        for i, key in _CSV_NUMBERS:
+            if cells[i]:
+                fields[key] = _parse_float(cells[i], line, key)
         if "fmd_fraction" in fields and "sigma_lambda_fit" in fields:
             fields["sigma_fmd"] = fields.pop("sigma_lambda_fit")
-        fields["id"] = cells["failure_mode"]
-        if cells["dc_source"]:
-            fields["dc_source"] = cells["dc_source"]
+        fields["id"] = fm_id
+        dc_source, sm_list = cells[10:]
+        if dc_source:
+            fields["dc_source"] = dc_source
         fields["safety_mechanisms"] = tuple(
-            s.strip() for s in cells["sm_list"].split(";") if s.strip()
-        )
+            [s for s in map(str.strip, sm_list.split(";")) if s]) if sm_list else ()
         acc["rows"].append(_row(fields, lambda key: {"line": line, "column": key}))
 
     if n_rows == 0:
@@ -359,7 +402,7 @@ def emit_csv(table: FmedaTable) -> str:
                     doc["sigma_lambda_fit"] = doc.pop("sigma_fmd")
                 writer.writerow(
                     [part.name, sub.name, doc["id"]]
-                    + [fmt12(doc[key]) if key in doc else "" for key in _CSV_NUMBERS]
+                    + [fmt12(doc[key]) if key in doc else "" for _, key in _CSV_NUMBERS]
                     + [doc["dc_source"], ";".join(doc.get("safety_mechanisms", ()))]
                 )
     return buf.getvalue()

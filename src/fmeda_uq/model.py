@@ -280,11 +280,18 @@ def table_arrays(table: FmedaTable) -> TableArrays:
     return arrays
 
 
-def _finite(x: float | None) -> bool:
+def _finite(x: object) -> bool:
+    """True iff x is a finite int or float; None is not a number either."""
+    if type(x) is float:
+        return x - x == 0.0  # inf - inf and nan - nan are nan
     try:
-        return x is None or (isinstance(x, (int, float)) and math.isfinite(x))
+        return isinstance(x, (int, float)) and math.isfinite(x)
     except OverflowError:  # an int beyond the float range
         return False
+
+
+# The row numbers whose None means "not given"; every other one must be a number.
+_OPTIONAL = ("lambda_fm", "fmd_fraction")
 
 
 def _rate_sum(rates: np.ndarray) -> float:
@@ -328,15 +335,16 @@ def _walk(table: FmedaTable) -> tuple[list[Violation], TableArrays | None]:
                 bad(sub_loc, "fmd_mode", "fmd.mode_unknown", sub.fmd_mode,
                     "fmd_mode must be DirectLambda or Distribution")
                 dist = False
-            if not _finite(sub.lambda_subpart):
+            if sub.lambda_subpart is None:
+                if dist:
+                    bad(sub_loc, "lambda_subpart", "fmd.lambda_subpart_missing", None,
+                        "Distribution mode needs lambda_subpart to derive row rates")
+            elif not _finite(sub.lambda_subpart):
                 bad(sub_loc, "lambda_subpart", "value.finite", sub.lambda_subpart,
                     "subpart rate must be finite")
-            elif sub.lambda_subpart is not None and sub.lambda_subpart < 0:
+            elif sub.lambda_subpart < 0:
                 bad(sub_loc, "lambda_subpart", "lambda_subpart.nonneg",
                     sub.lambda_subpart, "subpart rate must be >= 0")
-            if dist and sub.lambda_subpart is None:
-                bad(sub_loc, "lambda_subpart", "fmd.lambda_subpart_missing", None,
-                    "Distribution mode needs lambda_subpart to derive row rates")
             scale = sub.lambda_subpart if dist and _finite(sub.lambda_subpart) else None
 
             fmd_sum = 0.0
@@ -367,7 +375,8 @@ def _walk(table: FmedaTable) -> tuple[list[Violation], TableArrays | None]:
                            ("dc", row.dc), ("sigma_dc", row.sigma_dc),
                            ("dc_latent", row.dc_latent), ("sigma_dc_latent", row.sigma_dc_latent))
                 for fld, v in numbers:
-                    if not _finite(v):
+                    # A missing rate or fraction has its own rules below.
+                    if not _finite(v) and (v is not None or fld not in _OPTIONAL):
                         bad(loc, fld, "value.finite", v, "value must be finite")
 
                 if _finite(row.dc) and not 0.0 <= row.dc <= 1.0:

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, stream separation, determinism."""
 
 import contextlib
+import dataclasses
 import io
 import os
 import tempfile
@@ -118,6 +119,34 @@ def test_analyze_stamp_adds_metadata(table_csv, capsys):
     assert "stamp" not in strict_json(plain)
     doc = strict_json(stamped)
     assert doc["stamp"]["tool"].startswith("fmeda-uq ")
+
+
+def test_back_to_back_calls_share_the_parser_but_no_state(tmp_path, capsys):
+    path = tmp_path / "table.json"
+    path.write_text(emit_json(dataclasses.replace(two_fm_table(), asil_target="B")),
+                    encoding="utf-8")
+    argv = ["analyze", "--input", str(path)]
+    stamped = strict_json(run(capsys, argv + ["--stamp"])[1])
+    plain = strict_json(run(capsys, argv)[1])
+    assert "stamp" in stamped and "stamp" not in plain
+    assert strict_json(run(capsys, argv + ["--asil", "D"])[1])["asil"]["target"] == "D"
+    assert strict_json(run(capsys, argv)[1])["asil"]["target"] == "B"  # the table's
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_help_and_usage_text_are_those_of_a_fresh_parser(capsys):
+    def outcome(parse, argv):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        captured = capsys.readouterr()
+        return exc.value.code, captured.out, captured.err
+
+    fresh = cli._build_parser.__wrapped__().parse_args
+    for argv in (["--help"], ["analyze", "--help"], ["verify", "--help"], [], ["analyze"],
+                 ["--version"]):
+        expected = outcome(fresh, argv)
+        assert outcome(cli.main, argv) == outcome(cli.main, argv) == expected
+        assert expected[1 if argv and argv[-1].startswith("--") else 2]
 
 
 def test_analyze_json_input(tmp_path, capsys):

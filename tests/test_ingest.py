@@ -1,11 +1,13 @@
 """Parsing, emission, and round-trip identity of both table formats."""
 
+import collections
 import json
 import math
 import sys
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fmeda_uq import (
     DcSource,
@@ -174,6 +176,73 @@ def test_csv_and_json_reject_the_same_row_mistakes(change):
         parse_csv(csv_text)
     with pytest.raises(ParseError):
         parse_json(json_text)
+
+
+_RECORDS = [
+    "CPU,EXEC,FM1,100,0,,0.9,0.02,0,0,expert,",
+    "CPU,EXEC,FM2,50,5,,0.99,0.001,0.5,0.01,expert,SM1;SM2",
+    "MEM,ARR,,200,,,,,,,,",
+    "MEM,ARR,FM3,,0.01,0.6,0.9,,0,0,faultsim:e=0.01:cl=0.95,SM3",
+    "MEM,ARR,FM4,,,0.4,0.5,0.05,0,0,expert,",
+]
+_FM5 = "CPU,EXEC,FM5,1,0,,0.9,0,0,0,expert,"
+
+
+def _csv_edit(at: int, record: str, replace: bool = False) -> str:
+    records = list(_RECORDS)
+    records[at:at + replace] = [record]
+    return HEADER + "\n" + "\n".join(records) + "\n"
+
+
+# Record-level edits of a CSV table: (edited, what it must parse as).  An
+# expected str is a CSV text that parses to the same table; a tuple is the
+# ParseError's (message, line, column).
+_RATE_ROW_CELL = "subpart-rate row must leave this cell empty"
+
+
+@pytest.mark.parametrize("edited, expected", [
+    (_csv_edit(1, ""), _csv_edit(0, _RECORDS[0], True)),
+    (_csv_edit(1, "  , ,,,,,,,,,,\t"), _csv_edit(0, _RECORDS[0], True)),
+    (_csv_edit(2, "   "), _csv_edit(0, _RECORDS[0], True)),
+    (_csv_edit(1, ",,"), _csv_edit(0, _RECORDS[0], True)),
+    (_csv_edit(1, "CPU,EXEC,FM5,1"), ("line 3: expected 12 columns, got 4", 3, None)),
+    (_csv_edit(1, _FM5 + ","), ("line 3: expected 12 columns, got 13", 3, None)),
+    (_csv_edit(2, "MEM,ARR,,200,3,,,,,,,", True),
+     (f"line 4, column 'sigma_lambda_fit': {_RATE_ROW_CELL}", 4, "sigma_lambda_fit")),
+    (_csv_edit(2, "MEM,ARR,,200,,,,,,,expert,", True),
+     (f"line 4, column 'dc_source': {_RATE_ROW_CELL}", 4, "dc_source")),
+    (_csv_edit(2, "MEM,ARR,,200,,,,,,,,SM1", True),
+     (f"line 4, column 'sm_list': {_RATE_ROW_CELL}", 4, "sm_list")),
+    (_csv_edit(2, "MEM,ARR,,,,,,,,,,", True),
+     ("line 4, column 'lambda_fit': row without a failure_mode must declare the subpart rate",
+      4, "lambda_fit")),
+    (_csv_edit(3, "MEM,ARR,,200,,,,,,,,"),
+     ("line 5, column 'lambda_fit': duplicate subpart rate for MEM/ARR", 5, "lambda_fit")),
+    (_csv_edit(2, "MEM,ARR,,nan,,,,,,,,", True),
+     ("line 4, column 'lambda_fit': not a finite number: 'nan'", 4, "lambda_fit")),
+    (_csv_edit(1, _FM5 + ";a; ;b;"), _csv_edit(1, _FM5 + "a;b")),
+    (_csv_edit(1, _FM5 + '""'), _csv_edit(1, _FM5)),
+    (_csv_edit(1, " CPU , EXEC , FM5 , 1 , 0 ,, 0.9 ,,, , expert , a "),
+     _csv_edit(1, "CPU,EXEC,FM5,1,0,,0.9,,,,expert,a")),
+    (_csv_edit(1, "," + _FM5[4:]), ("line 3, column 'part': cell must not be empty", 3, "part")),
+    (_csv_edit(1, "CPU, ," + _FM5[9:]),
+     ("line 3, column 'subpart': cell must not be empty", 3, "subpart")),
+    (_csv_edit(1, _FM5.replace("0.9", "0.9x")),
+     ("line 3, column 'dc': not a number: '0.9x'", 3, "dc")),
+    (_csv_edit(1, _FM5.replace("0.9,0", "0.9,inf")),
+     ("line 3, column 'sigma_dc': not a finite number: 'inf'", 3, "sigma_dc")),
+], ids=["blank", "whitespace_cells", "whitespace_record", "short_blank", "short", "long",
+        "rate_row_stray_sigma", "rate_row_stray_source", "rate_row_stray_sm",
+        "rate_row_without_rate", "duplicate_rate", "nan_rate", "sm_list_sparse",
+        "sm_list_quoted_empty", "padded_cells", "empty_part", "empty_subpart",
+        "bad_number", "infinite_number"])
+def test_csv_record_edits(edited, expected):
+    if isinstance(expected, str):
+        assert parse_csv(edited) == parse_csv(expected)
+        return
+    with pytest.raises(ParseError) as err:
+        parse_csv(edited)
+    assert (str(err.value), err.value.line, err.value.column) == expected
 
 
 def test_json_distribution_fraction_sum_violation():
@@ -361,8 +430,57 @@ def test_writer_rejects_what_json_cannot_encode():
 
 def test_writer_layout_matches_json_dumps():
     doc = {"b": [], "a": {}, "c": [{"z": None, "y": True, "x": False}, 3, -0.0],
-           "\u00e9\n\"": "caf\u00e9\t\\", "d": (1.5, "x")}
+           "\u00e9\n\"": "caf\u00e9\t\\", "d": (1.5, "x"),
+           "e": collections.OrderedDict(b=[1.0], a={"y": 2.0})}
     assert ingest._json_text(doc) + "\n" == _reference(doc)
+
+
+_PINNED = [1e-05, -0.0, 2.0, 5e-324, 1e-310, 1e12, 1.5e13, 9.99999999999e15, 1e16,
+           999999999999.5, 1e100]
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_LEAVES = st.one_of(
+    _FINITE, _FINITE.map(np.float64), st.sampled_from(_PINNED + [-x for x in _PINNED]),
+    st.integers(-10**30, 10**30), st.booleans(), st.none(), st.text(max_size=6),
+)
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=8,
+)
+_KEYS = st.sets(st.text(max_size=4) | st.sampled_from(["%", "%s", "a%%b", "%(x)s"]),
+                min_size=1, max_size=6)
+
+
+@st.composite
+def _object_arrays(draw, mixed: bool):
+    """A list of dicts with one key set; if mixed, other members between them."""
+    keys = draw(_KEYS)
+    same = st.fixed_dictionaries({key: _VALUES for key in keys})
+    other = _VALUES | st.dictionaries(st.text(max_size=4), _VALUES, max_size=4) if mixed \
+        else same
+    return [draw(same)] + draw(st.lists(st.one_of(same, other), max_size=6))
+
+
+@settings(settings.get_profile("fuzz"), max_examples=200)
+@given(objs=st.one_of(_object_arrays(mixed=False), _object_arrays(mixed=True)))
+def test_object_arrays_equal_json_dumps(objs):
+    for doc in (objs, {"rows": objs, "eii": tuple(objs)}):
+        assert ingest._json_text(doc) + "\n" == _reference(doc)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_non_finite_floats_in_an_object_array_are_rejected(x):
+    for objs in ([{"a": x, "b": "s"}], [{"a": 1.0, "b": "s"}, {"a": x, "b": "s"}],
+                 [{"a": 1.0}, {"a": [x]}]):
+        with pytest.raises(ValueError):
+            ingest._json_text(objs)
+
+
+def test_non_str_keys_in_an_object_array_are_rejected():
+    for objs in ([{1: 2.0}, {1: 3.0}], [{"a": 1.0}, {1: 2.0}], [{"a": 1.0}, {"a": {1: 2.0}}]):
+        with pytest.raises(TypeError):
+            ingest._json_text(objs)
 
 
 def test_documents_equal_json_dumps_on_the_acceptance_corpus(monkeypatch):

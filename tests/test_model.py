@@ -199,6 +199,22 @@ def test_distribution_row_with_its_own_fit_rate_flagged(own):
         (*own, "fmd.mode_consistency")]
 
 
+@pytest.mark.parametrize("field", ["dc", "sigma_dc", "dc_latent", "sigma_lambda_fm",
+                                   "sigma_dc_latent"])
+def test_none_in_a_numeric_field_is_a_violation(field):
+    table = make_table([{"lambda_fm": 1.0, "dc": 0.5, field: None}])
+    assert [(v.field, v.rule, v.observed) for v in validate(table)] == [
+        (field, "value.finite", None)]
+    with pytest.raises(FmedaValidationError):
+        table_arrays(table)
+
+
+def test_none_sigma_fmd_is_a_violation():
+    table = make_table([dict(fmd_fraction=1.0, sigma_fmd=None, dc=0.5)], lambda_subpart=10.0)
+    assert [(v.field, v.rule, v.observed) for v in validate(table)] == [
+        ("sigma_fmd", "value.finite", None)]
+
+
 def test_violation_message_prints_an_int_beyond_the_digit_limit():
     table = make_table([dict(lambda_fm=10**5000, dc=0.9)])
     with pytest.raises(FmedaValidationError) as err:
