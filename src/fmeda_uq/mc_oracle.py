@@ -24,10 +24,19 @@ nonzero sigma are drawn, sample by sample in row order.  So the drawn
 values do not depend on the chunk size, and the SPFM samples do not
 depend on whether the table has an LFM to simulate: a given (table,
 config) gives the same verdicts bit for bit across runs and platforms.
-Chunks are sized by a fixed number of elements per buffer, not a fixed
-number of samples, and the buffers are allocated once per call, so
-memory does not grow with the row count (until one sample's row alone
-exceeds a buffer).
+Chunks are sized by a fixed number of elements, not a fixed number of
+samples, and the buffers are allocated once per call, so memory does not
+grow with the row count (until one sample's row alone exceeds a buffer).
+
+Two threads share the work of a chunk.  A helper thread draws the rate
+and latent DC streams of chunk k+1 into the spare one of two buffer sets
+while the calling thread draws the DC stream and evaluates SPFM and LFM
+for chunk k; numpy releases the GIL while it fills and transforms the
+buffers.  Each stream is drawn by one thread only, chunk after chunk, so
+the drawn values, the clamp counts and the verdicts depend neither on
+the scheduling nor on the chunk size.  The element budget covers both
+buffer sets together, so buffer memory is what one set took before.  On
+a single CPU the two threads only take turns, and the gain is gone.
 
 Each LFM sample divides by its detected pool summed as sum(DC*lambda)
 plus the gap lambda_tot - sum(lambda), as the kernel does.  Written as
@@ -38,6 +47,7 @@ table whose LFM is constant would show a spread of rounding noise.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +58,9 @@ from .uncertainty import _propagate
 RNG_ALGORITHM = "numpy-pcg64"
 MIN_VERDICT_SAMPLES = 1000
 TRUNCATION_WARN_RATE = 1e-3
-# Elements per chunk buffer (256 KiB of float64, so a chunk's buffers stay
-# in cache).  It bounds memory; the drawn streams do not depend on it.
+# Elements per chunk buffer, shared by the two buffer sets of the rate and
+# latent DC matrices: a chunk holds half of it, samples x rows.  It bounds
+# memory; the drawn streams do not depend on it.
 _BUFFER_ELEMENTS = 1 << 15
 # A spread of at most this many ulps of 1.0 (8 * np.finfo(float).eps, about
 # 1.8e-15) counts as 0 when the analytic sigma is 0.  Measured rounding
@@ -118,34 +129,36 @@ class _Input:
 
     Only columns with a nonzero sigma are drawn, sample by sample in row
     order, into one buffer allocated per call; the drawn values are then
-    written into the matching columns of dest, the sampled matrix of that
-    input.
+    written into the matching columns of dest, a sampled matrix of that
+    input.  One thread draws each input, so its stream and its clamp count
+    advance in chunk order.
     """
 
-    def __init__(self, rng: np.random.Generator, dest: np.ndarray, nominal: np.ndarray,
+    def __init__(self, rng: np.random.Generator, rows: int, nominal: np.ndarray,
                  sigma: np.ndarray, upper: float | None):
         self.rng = rng
-        self.dest = dest
         self.cols = np.flatnonzero(sigma > 0)
         self.mean = nominal[self.cols]
         self.sigma = sigma[self.cols]
         self.upper = upper
-        self.buf = np.empty((dest.shape[0], self.cols.size))
+        self.buf = np.empty((rows, self.cols.size))
         self.clamped = 0
 
-    def draw(self, m: int, truncate: bool) -> None:
+    def draw(self, dest: np.ndarray, m: int, truncate: bool) -> None:
         z = self.buf[:m]
         self.rng.standard_normal(out=z)
         z *= self.sigma
         z += self.mean
-        if truncate:
+        # Most chunks clamp nothing: two reductions rule that out before any
+        # boolean temporary is built.
+        if truncate and z.size and (
+                z.min() < 0.0 or (self.upper is not None and z.max() > self.upper)):
             hits = int(np.count_nonzero(z < 0.0))
             if self.upper is not None:
                 hits += int(np.count_nonzero(z > self.upper))
-            if hits:
-                self.clamped += hits
-                np.clip(z, 0.0, self.upper, out=z)
-        self.dest[:m, self.cols] = z
+            self.clamped += hits
+            np.clip(z, 0.0, self.upper, out=z)
+        dest[:m, self.cols] = z
 
 
 @dataclass(frozen=True)
@@ -160,44 +173,82 @@ class _Samples:
 
 
 def _simulate(arr: TableArrays, config: McConfig, with_lfm: bool) -> _Samples:
-    """Draw every uncertain input once; SPFM per sample, and LFM if asked."""
-    chunk = min(config.samples, max(1, _BUFFER_ELEMENTS // arr.lam.size))
-    dc, lam, lat = (np.tile(x, (chunk, 1)) for x in (arr.dc, arr.lam, arr.dc_lat))
+    """Draw every uncertain input once; SPFM per sample, and LFM if asked.
+
+    The calling thread draws DC and evaluates each chunk.  Meanwhile one
+    helper thread draws the rates (and latent DCs) of the next chunk into
+    the spare one of two buffer sets: `ready` counts the sets it has filled,
+    `free` the sets it may fill.
+    """
+    chunk = min(config.samples, max(1, _BUFFER_ELEMENTS // (2 * arr.lam.size)))
+    streams = [np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(3)]
+    dc_input = _Input(streams[0], chunk, arr.dc, arr.sigma_dc, 1.0)
+    ahead = [_Input(streams[1], chunk, arr.lam, arr.sigma_lam, None)]
+    nominal = [arr.lam]
+    if with_lfm:
+        ahead.append(_Input(streams[2], chunk, arr.dc_lat, arr.sigma_dc_lat, 1.0))
+        nominal.append(arr.dc_lat)
+    dc = np.tile(arr.dc, (chunk, 1))
+    sets = [[np.tile(x, (chunk, 1)) for x in nominal] for _ in range(2)]
     work = np.empty_like(dc)
     det = np.empty_like(dc) if with_lfm else None
-    streams = [np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(3)]
-    inputs = [
-        _Input(streams[0], dc, arr.dc, arr.sigma_dc, 1.0),
-        _Input(streams[1], lam, arr.lam, arr.sigma_lam, None),
-    ]
-    if with_lfm:
-        inputs.append(_Input(streams[2], lat, arr.dc_lat, arr.sigma_dc_lat, 1.0))
-
     spfm = np.empty(config.samples)
     lfm = np.empty(config.samples) if with_lfm else None
     dropped = 0
-    for start in range(0, config.samples, chunk):
-        m = min(chunk, config.samples - start)
-        for inp in inputs:
-            inp.draw(m, config.truncate)
-        w = work[:m]
-        np.subtract(1.0, dc[:m], out=w)
-        w *= lam[:m]
-        residual = w.sum(axis=1)
-        spfm[start:start + m] = 1.0 - residual / arr.lambda_tot
-        if with_lfm:
-            d = det[:m]
-            np.multiply(dc[:m], lam[:m], out=d)
-            np.subtract(1.0, lat[:m], out=w)
-            w *= d
-            latent = w.sum(axis=1)
-            detected = d.sum(axis=1) + (arr.lambda_tot - lam[:m].sum(axis=1))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                vals = 1.0 - latent / detected
-            bad = detected <= 0.0
-            dropped += int(np.count_nonzero(bad))
-            vals[bad] = np.nan
-            lfm[start:start + m] = vals
+
+    starts = range(0, config.samples, chunk)
+    ready, free = threading.Semaphore(0), threading.Semaphore(2)
+    failure: list[BaseException] = []
+    stopping = False
+
+    def draw_ahead() -> None:
+        try:
+            for k, start in enumerate(starts):
+                free.acquire()
+                if stopping:
+                    return
+                m = min(chunk, config.samples - start)
+                for inp, dest in zip(ahead, sets[k % 2]):
+                    inp.draw(dest, m, config.truncate)
+                ready.release()
+        except BaseException as exc:  # re-raised on the calling thread
+            failure.append(exc)
+            ready.release()
+
+    helper = threading.Thread(target=draw_ahead, name="fmeda-uq-mc-draws", daemon=True)
+    helper.start()
+    try:
+        for k, start in enumerate(starts):
+            m = min(chunk, config.samples - start)
+            dc_input.draw(dc, m, config.truncate)
+            ready.acquire()
+            if failure:
+                raise failure[0]
+            lam = sets[k % 2][0]
+            w = work[:m]
+            np.subtract(1.0, dc[:m], out=w)
+            w *= lam[:m]
+            residual = w.sum(axis=1)
+            spfm[start:start + m] = 1.0 - residual / arr.lambda_tot
+            if with_lfm:
+                lat = sets[k % 2][1]
+                d = det[:m]
+                np.multiply(dc[:m], lam[:m], out=d)
+                np.subtract(1.0, lat[:m], out=w)
+                w *= d
+                latent = w.sum(axis=1)
+                detected = d.sum(axis=1) + (arr.lambda_tot - lam[:m].sum(axis=1))
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    vals = 1.0 - latent / detected
+                bad = detected <= 0.0
+                dropped += int(np.count_nonzero(bad))
+                vals[bad] = np.nan
+                lfm[start:start + m] = vals
+            free.release()
+    finally:
+        stopping = True
+        free.release()
+        helper.join()
 
     def rate(drawn: list[_Input]) -> float:
         draws = config.samples * sum(inp.cols.size for inp in drawn)
@@ -205,6 +256,7 @@ def _simulate(arr: TableArrays, config: McConfig, with_lfm: bool) -> _Samples:
             return 0.0
         return sum(inp.clamped for inp in drawn) / draws
 
+    inputs = [dc_input, *ahead]
     return _Samples(spfm, lfm, rate(inputs[:2]), rate(inputs), dropped)
 
 
@@ -217,7 +269,8 @@ def _verdict(
     config: McConfig,
     tolerance: float,
 ) -> McVerdict:
-    kept = values[~np.isnan(values)]
+    # Only LFM samples with no detected pool are NaN.
+    kept = values[~np.isnan(values)] if dropped else values
     if kept.size > 1 and float(kept.min()) != float(kept.max()):
         empirical = float(np.std(kept, ddof=1))
     else:

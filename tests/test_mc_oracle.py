@@ -1,5 +1,6 @@
 """Monte Carlo oracle: agreement with the closed forms, determinism, truncation."""
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -88,17 +89,13 @@ def _all_sigmas_table():
     ])
 
 
-def test_chunking_does_not_change_the_stream(monkeypatch):
+def test_chunking_does_not_change_the_stream():
     # A sample count spanning several chunks must still be reproducible.
+    # test_verdicts_are_pinned_bit_for_bit checks that the verdicts do not
+    # depend on the chunk size.
     table = two_fm_table()
     cfg = McConfig(samples=70_000, seed=5)
     assert verify(table, cfg) == verify(table, cfg)
-    # And the draws, so the verdicts, do not depend on the chunk size.
-    table = _all_sigmas_table()
-    cfg = McConfig(samples=20_000, seed=5)
-    default = verify(table, cfg)
-    monkeypatch.setattr(mc, "_BUFFER_ELEMENTS", 5)
-    assert verify(table, cfg) == default
 
 
 def test_verify_verdicts_equal_the_public_ones(tmp_path, capsys):
@@ -199,3 +196,134 @@ def test_pass_iff_gap_within_tolerance():
     assert not v.passed and v.relative_gap > v.tolerance
     w = mc._verdict("SPFM", analytic, s.spfm, s.spfm_rate, 0, cfg, 0.5)
     assert w.passed and w.relative_gap <= w.tolerance
+
+
+# Verdicts of McConfig(samples=20_000, seed=5), recorded with float.hex from
+# the single-threaded sampler: per metric (empirical_sigma, analytic_sigma,
+# relative_gap, truncation_rate, passed, warning).  A stream drawn by the
+# wrong thread, or its chunks in the wrong order, changes them.
+_CLAMPED = "truncation clamped {} of draws; boundary effects may bias the empirical sigma"
+_PINNED = {
+    "all_sigmas": (
+        ("0x1.47fa4f9bb6ba0p-7", "0x1.47d3d1fbaa427p-7", "0x1.e0eaecf581f6dp-12",
+         "0x0.0p+0", True, None),
+        ("0x1.1571249713fb0p-7", "0x1.170807f26926fp-7", "0x1.754daaf5307d4p-8",
+         "0x0.0p+0", True, None),
+    ),
+    # More than 10% of the DC, rate and latent DC draws clamp.
+    "near_bounds": (
+        ("0x1.13a3f2f240cd0p-6", "0x1.3e41ab19007c3p-6", "0x1.123cb4bcfea43p-3",
+         "0x1.11eb851eb851fp-3", False, _CLAMPED.format("13.375%")),
+        ("0x1.e3a63675f19eep-6", "0x1.14614c8312b38p-5", "0x1.000f0b26f8408p-3",
+         "0x1.210a8358564a0p-3", False, _CLAMPED.format("14.113%")),
+    ),
+    "no_detected_pool": (
+        ("0x1.10d31fdea3cb6p-4", "0x1.126db8f7a2a9dp-4", "0x1.7f0679eb407bfp-8",
+         "0x1.fec56d5cfaacep-3", True, _CLAMPED.format("24.940%")),
+        None,
+    ),
+    # DC clamps to 0 in about 31% of the draws, and the one row's detected
+    # pool with it.
+    "dropped_lfm": (
+        ("0x1.e9144e818428ep-7", "0x1.47ae147ae147bp-6", "0x1.03d04555a1802p-2",
+         "0x1.3ce075f6fd220p-2", False, _CLAMPED.format("30.945%")),
+        ("0x1.993e4e504ec2dp-4", "0x1.999999999999ap-4", "0x1.c8786e7632100p-11",
+         "0x1.3ce075f6fd220p-3", True, _CLAMPED.format("15.473%")
+         + "; 6189 sample(s) had no detected pool and were excluded"),
+    ),
+}
+
+
+def _pinned_table(name):
+    return {
+        "all_sigmas": _all_sigmas_table,
+        "near_bounds": lambda: make_table([
+            dict(lambda_fm=100.0, dc=0.98, sigma_dc=0.02, dc_latent=0.97,
+                 sigma_dc_latent=0.03),
+            dict(lambda_fm=5.0, sigma_lambda_fm=4.0, dc=0.9, dc_latent=0.5),
+        ]),
+        "no_detected_pool": lambda: make_table([
+            dict(lambda_fm=10.0, sigma_dc=0.01),
+            dict(lambda_fm=5.0, sigma_lambda_fm=1.0),
+        ]),
+        "dropped_lfm": lambda: make_table([
+            dict(lambda_fm=10.0, dc=0.01, sigma_dc=0.02, dc_latent=0.5,
+                 sigma_dc_latent=0.1),
+        ]),
+    }[name]()
+
+
+def _hexed(v):
+    if v is None:
+        return None
+    return (v.empirical_sigma.hex(), v.analytic_sigma.hex(), v.relative_gap.hex(),
+            v.truncation_rate.hex(), v.passed, v.warning)
+
+
+@pytest.mark.parametrize("buffer_elements", [None, 5])
+@pytest.mark.parametrize("name", sorted(_PINNED))
+def test_verdicts_are_pinned_bit_for_bit(name, buffer_elements, monkeypatch):
+    # 5 elements give one-sample chunks: one handoff between threads per sample.
+    if buffer_elements is not None:
+        monkeypatch.setattr(mc, "_BUFFER_ELEMENTS", buffer_elements)
+    spfm, lfm, note = verify(_pinned_table(name), McConfig(samples=20_000, seed=5))
+    assert (_hexed(spfm), _hexed(lfm)) == _PINNED[name]
+    assert (note is None) == (lfm is not None)
+
+
+def _fail_draw(monkeypatch, fails):
+    """Make _Input.draw raise where fails(input) says so."""
+    draw = mc._Input.draw
+
+    def failing(self, dest, m, truncate):
+        fails(self)
+        draw(self, dest, m, truncate)
+
+    monkeypatch.setattr(mc._Input, "draw", failing)
+
+
+def _fail_rate_draw(inp):
+    if inp.upper is None:  # only the rate input has no upper bound
+        raise MemoryError
+
+
+def test_no_thread_outlives_verify(monkeypatch):
+    table, cfg = _all_sigmas_table(), McConfig(samples=20_000, seed=5)
+    before = threading.active_count()
+    verify(table, cfg)
+    assert threading.active_count() == before
+
+    # The helper thread raises: the caller gets its exception, type and all.
+    _fail_draw(monkeypatch, _fail_rate_draw)
+    with pytest.raises(MemoryError):
+        verify(table, cfg)
+    assert threading.active_count() == before
+
+    # The calling thread raises on its third DC draw (of four chunks).
+    caller, calls = threading.get_ident(), []
+
+    def fail_third_dc_draw(inp):
+        if threading.get_ident() == caller:
+            calls.append(inp)
+            if len(calls) == 3:
+                raise KeyError("dc")
+
+    monkeypatch.undo()
+    _fail_draw(monkeypatch, fail_third_dc_draw)
+    with pytest.raises(KeyError, match="dc"):
+        verify(table, cfg)
+    assert len(calls) == 3
+    assert threading.active_count() == before
+
+
+def test_helper_memory_error_is_an_input_error(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "table.json"
+    path.write_text(emit_json(_all_sigmas_table()), encoding="utf-8")
+    _fail_draw(monkeypatch, _fail_rate_draw)
+    before = threading.active_count()
+    code = cli.main(["verify", "--input", str(path), "--samples", "20000"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert "--samples 20000" in err
+    assert "Traceback" not in err
+    assert threading.active_count() == before
