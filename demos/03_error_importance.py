@@ -29,22 +29,23 @@ print(f"sigma_SPFM = {result.sigma_spfm_full:.6f}\n")
 print(f"{'failure mode':14s} {'input':10s} {'share %':>8s}   raw EII")
 entries = result.eii_entries
 for e in entries:
-    print(f"{e.failure_mode_id:14s} {e.input:10s} {e.percent:8.2f}   {e.raw_eii:.3e}")
+    print(f"{e['failure_mode']:14s} {e['input']:10s} {e['percent']:8.2f}   {e['raw_eii']:.3e}")
 
 print("\nper failure mode (the report's total column):")
-for fm_id, pct in result.eii_totals:
-    print(f"  {fm_id:8s} {pct:6.2f} %")
+for t in result.eii_totals:
+    print(f"  {t['failure_mode']:8s} {t['percent']:6.2f} %")
 
 # Act on the ranking: re-measure the dominant input (ALU coverage) and
 # watch the total uncertainty drop; the remaining shares rescale
-# proportionally.
+# proportionally.  Entries name their row by failure-mode id.
 top = entries[0]
+i = [row.id for row in rows].index(top["failure_mode"])
 fixed_rows = list(rows)
-fixed_rows[top.row_index] = replace(fixed_rows[top.row_index], sigma_dc=0.005)
+fixed_rows[i] = replace(fixed_rows[i], sigma_dc=0.005)
 better = FmedaTable((Part("CORE", (Subpart("PIPE",
                                            failure_modes=tuple(fixed_rows)),)),))
-print(f"\nafter re-measuring {top.failure_mode_id} coverage:")
+print(f"\nafter re-measuring {top['failure_mode']} coverage:")
 after = analyze(better)
 print(f"  sigma_SPFM {result.sigma_spfm_full:.6f} -> {after.sigma_spfm_full:.6f}")
 for e in after.eii_entries[:3]:
-    print(f"  {e.failure_mode_id:8s} {e.input:10s} {e.percent:6.2f} %")
+    print(f"  {e['failure_mode']:8s} {e['input']:10s} {e['percent']:6.2f} %")

@@ -23,7 +23,6 @@ from .model import (
 )
 from .metrics import AsilVerdict, asil_verdict
 from .uncertainty import Interval, PropagationMode, confidence_interval
-from .eii import EiiEntry
 from .sampling import SampleSizePlan, sample_size
 from .mc_oracle import McConfig, McVerdict, verify
 from .ingest import (
@@ -34,14 +33,13 @@ from .ingest import (
     parse_csv,
     parse_json,
 )
-from .analysis import AnalysisResult, ReportRow, analyze
+from .analysis import AnalysisResult, analyze
 
 __all__ = [
     "AnalysisResult",
     "AsilVerdict",
     "DcSource",
     "EXPERT_JUDGMENT",
-    "EiiEntry",
     "FailureModeRow",
     "FmedaTable",
     "FmedaValidationError",
@@ -51,7 +49,6 @@ __all__ = [
     "ParseError",
     "Part",
     "PropagationMode",
-    "ReportRow",
     "SampleSizePlan",
     "Subpart",
     "Violation",

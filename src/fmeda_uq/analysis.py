@@ -7,10 +7,16 @@ error-importance ranking with per-failure-mode totals, and the ASIL
 verdict when a target applies.  It reads the table's arrays
 through model.table_arrays (validated and extracted once per table, by
 the parser when the table was parsed) and runs the propagation kernel
-once; everything else is read off that one result.  A report row's
-lambda_fm, sigma_lambda_fm and sigma_dc are read off those arrays: a
-Distribution row's rate is derived from its FMD fraction, and a sampled
-fault-injection campaign's DC gets sigma_dc = e/t unless it states one.
+once; everything else is read off that one result.
+
+Each report row, EII entry and EII total is built once, as the JSON
+object the report document carries (keys "part", "failure_mode",
+"lambda_fm_fit", ...); to_dict() puts those same objects in the document
+and the markdown and CSV emitters read the same keys.  A row's
+lambda_fm_fit, sigma_lambda_fm_fit and sigma_dc are read off the arrays:
+a Distribution row's rate is derived from its FMD fraction, and a
+sampled fault-injection campaign's DC gets sigma_dc = e/t unless it
+states one.
 
 LFM can be legitimately undefined (a table where every fault is residual
 has no detected pool); the result then carries lfm=None with a note
@@ -21,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .eii import EiiEntry, NO_UNCERTAINTY_NOTE, _entries
+from .eii import NO_UNCERTAINTY_NOTE, _entries
 from .metrics import AsilVerdict, asil_verdict
 from .model import FmedaTable, _require_finite_sigmas, cutoff, iter_rows, table_arrays
 from .uncertainty import (
@@ -34,27 +40,13 @@ from .uncertainty import (
 
 
 @dataclass(frozen=True)
-class ReportRow:
-    """Per-failure-mode line of the report, inputs plus EII percentages."""
-
-    part: str
-    subpart: str
-    failure_mode_id: str
-    name: str
-    lambda_fm: float
-    sigma_lambda_fm: float
-    dc: float
-    sigma_dc: float
-    dc_latent: float
-    sigma_dc_latent: float
-    eii_dc_percent: float
-    eii_lambda_percent: float
-    eii_total_percent: float
-
-
-@dataclass(frozen=True)
 class AnalysisResult:
-    """Everything the emitters and the verdict need, in one immutable bundle."""
+    """Everything the emitters and the verdict need, in one bundle.
+
+    rows, eii_entries and eii_totals hold the report document's own
+    objects, which to_dict() shares rather than copies: read them, do not
+    change them.
+    """
 
     lambda_tot: float
     spfm: float
@@ -69,12 +61,11 @@ class AnalysisResult:
     k: float
     interval_spfm: Interval
     interval_lfm: Interval | None
-    eii_entries: tuple[EiiEntry, ...]
-    eii_totals: tuple[tuple[str, float], ...]
+    eii_entries: tuple[dict, ...]
+    eii_totals: tuple[dict, ...]
     eii_note: str | None
-    asil_target: str | None
     verdict: AsilVerdict | None
-    rows: tuple[ReportRow, ...]
+    rows: tuple[dict, ...]
     stamp: dict | None = None
 
     @property
@@ -109,20 +100,8 @@ class AnalysisResult:
                 "hi": self.interval_lfm.hi,
                 "clamped": self.interval_lfm.clamped,
             },
-            "eii": [
-                {
-                    "failure_mode": e.failure_mode_id,
-                    "input": e.input,
-                    "raw_eii": e.raw_eii,
-                    "variance_share": e.variance_share,
-                    "percent": e.percent,
-                }
-                for e in self.eii_entries
-            ],
-            "eii_totals": [
-                {"failure_mode": fm_id, "percent": pct}
-                for fm_id, pct in self.eii_totals
-            ],
+            "eii": list(self.eii_entries),
+            "eii_totals": list(self.eii_totals),
             "eii_note": self.eii_note,
             "asil": None if self.verdict is None else {
                 "target": self.verdict.target,
@@ -130,24 +109,7 @@ class AnalysisResult:
                 "lfm": self.verdict.lfm,
                 "overall": self.verdict.overall,
             },
-            "rows": [
-                {
-                    "part": r.part,
-                    "subpart": r.subpart,
-                    "failure_mode": r.failure_mode_id,
-                    "name": r.name,
-                    "lambda_fm_fit": r.lambda_fm,
-                    "sigma_lambda_fm_fit": r.sigma_lambda_fm,
-                    "dc": r.dc,
-                    "sigma_dc": r.sigma_dc,
-                    "dc_latent": r.dc_latent,
-                    "sigma_dc_latent": r.sigma_dc_latent,
-                    "eii_dc_percent": r.eii_dc_percent,
-                    "eii_lambda_percent": r.eii_lambda_percent,
-                    "eii_total_percent": r.eii_total_percent,
-                }
-                for r in self.rows
-            ],
+            "rows": list(self.rows),
         }
         if self.stamp is not None:
             doc["stamp"] = self.stamp
@@ -158,14 +120,17 @@ def analyze(
     table: FmedaTable,
     *,
     confidence_level: float = 0.95,
-    mode: PropagationMode = PropagationMode.FULL,
+    mode: PropagationMode | str = PropagationMode.FULL,
     asil_target: str | None = None,
     stamp: dict | None = None,
 ) -> AnalysisResult:
     """Run the full analysis on a valid table.
 
-    asil_target overrides the table's own target; None falls back to it.
+    mode may be given by its value ("dc_only"); an unknown one raises
+    ValueError.  asil_target overrides the table's own target; None
+    falls back to it.
     """
+    mode = PropagationMode(mode)
     arr = table_arrays(table)
     prop = _propagate(arr)
     # sigma_spfm_full bounds the other two variants.
@@ -194,22 +159,22 @@ def analyze(
             percents.tolist(), attributed.tolist()):
         total_pct = dc_pct + lam_pct
         if has_eii:
-            totals.append((row.id, total_pct))
-        rows.append(ReportRow(
-            part=part.name,
-            subpart=sub.name,
-            failure_mode_id=row.id,
-            name=row.name,
-            lambda_fm=lam,
-            sigma_lambda_fm=sigma_lam,
-            dc=row.dc,
-            sigma_dc=sigma_dc,
-            dc_latent=row.dc_latent,
-            sigma_dc_latent=row.sigma_dc_latent,
-            eii_dc_percent=dc_pct,
-            eii_lambda_percent=lam_pct,
-            eii_total_percent=total_pct,
-        ))
+            totals.append({"failure_mode": row.id, "percent": total_pct})
+        rows.append({
+            "part": part.name,
+            "subpart": sub.name,
+            "failure_mode": row.id,
+            "name": row.name,
+            "lambda_fm_fit": lam,
+            "sigma_lambda_fm_fit": sigma_lam,
+            "dc": row.dc,
+            "sigma_dc": sigma_dc,
+            "dc_latent": row.dc_latent,
+            "sigma_dc_latent": row.sigma_dc_latent,
+            "eii_dc_percent": dc_pct,
+            "eii_lambda_percent": lam_pct,
+            "eii_total_percent": total_pct,
+        })
 
     return AnalysisResult(
         lambda_tot=arr.lambda_tot,
@@ -228,7 +193,6 @@ def analyze(
         eii_entries=tuple(entries),
         eii_totals=tuple(totals),
         eii_note=eii_note,
-        asil_target=target,
         verdict=verdict,
         rows=tuple(rows),
         stamp=stamp,

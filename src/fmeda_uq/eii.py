@@ -15,12 +15,11 @@ raw values divide by sigma_SPFM only once and do not sum to anything
 meaningful, but rank identically (same numerators, positive constant
 denominators).  analysis.analyze takes the entries and each row's
 percents from one _entries call on its one propagation, and reads the
-report rows and the per-failure-mode totals off those percents.
+report rows and the per-failure-mode totals ({"failure_mode",
+"percent"}) off those percents.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,28 +31,18 @@ INPUT_LAMBDA = "lambda_fm"
 NO_UNCERTAINTY_NOTE = "no uncertainty to attribute (sigma_SPFM is zero)"
 
 
-@dataclass(frozen=True)
-class EiiEntry:
-    """One uncertain input's contribution to the SPFM uncertainty."""
-
-    failure_mode_id: str
-    input: str  # INPUT_DC or INPUT_LAMBDA
-    row_index: int
-    raw_eii: float
-    variance_share: float
-    percent: float
-
-
 def _entries(ids: tuple[str, ...], prop: _Propagation
-             ) -> tuple[list[EiiEntry], np.ndarray, np.ndarray]:
+             ) -> tuple[list[dict], np.ndarray, np.ndarray]:
     """Rank every nonzero-sigma input by its share of the SPFM variance.
 
-    Returns the entries, sorted by descending variance_share with ties
-    broken by table order (DC before rate within a row); each row's
-    (DC, rate) percents as an (n, 2) array; and which rows have a
-    positive term, so a row whose share underflows to 0.0 still counts.
-    When sigma_SPFM is zero there is nothing to attribute: no entries,
-    zero percents, no row; see NO_UNCERTAINTY_NOTE for the report wording.
+    Returns the entries as the report's JSON objects ({"failure_mode",
+    "input", "raw_eii", "variance_share", "percent"}), sorted by
+    descending variance_share with ties broken by table order (DC
+    before rate within a row); each row's (DC, rate) percents as an
+    (n, 2) array; and which rows have a positive term, so a row whose
+    share underflows to 0.0 still counts.  When sigma_SPFM is zero there
+    is nothing to attribute: no entries, zero percents, no row; see
+    NO_UNCERTAINTY_NOTE for the report wording.
     """
     terms = np.column_stack((prop.terms_dc, prop.terms_lam))
     s_full = prop.sigma_spfm_full
@@ -65,8 +54,8 @@ def _entries(ids: tuple[str, ...], prop: _Propagation
     order = positive[np.argsort(-flat_share[positive], kind="stable")]
     inputs = (INPUT_DC, INPUT_LAMBDA)
     entries = [
-        EiiEntry(failure_mode_id=ids[k // 2], input=inputs[k % 2], row_index=k // 2,
-                 raw_eii=term / s_full, variance_share=s, percent=s * 100.0)
+        {"failure_mode": ids[k // 2], "input": inputs[k % 2], "raw_eii": term / s_full,
+         "variance_share": s, "percent": s * 100.0}
         for k, term, s in zip(order.tolist(), flat_terms[order].tolist(),
                               flat_share[order].tolist())
     ]

@@ -32,6 +32,8 @@ import csv
 import io
 import json
 import math
+import operator
+import re
 
 from .model import (
     DISTRIBUTION,
@@ -558,11 +560,31 @@ def emit_result(result, format: str = "json") -> str:
     raise ValueError(f"unknown result format {format!r}; expected json, markdown or csv")
 
 
+# The report row's values in the column order of the markdown and CSV tables.
+_ROW_CELLS = operator.itemgetter(
+    "part", "subpart", "failure_mode", "lambda_fm_fit", "sigma_lambda_fm_fit", "dc",
+    "sigma_dc", "eii_dc_percent", "eii_lambda_percent", "eii_total_percent")
+
+
 def _interval_text(interval) -> str:
     text = f"[{fmt12(interval.lo)}, {fmt12(interval.hi)}]"
     if interval.clamped:
         text += " (clamped to [0, 1])"
     return text
+
+
+# A backslash and a pipe are escaped, so a name cannot add a table cell;
+# each line break (as str.splitlines reads one) becomes <br>, so a name
+# cannot split its row.  Names without any of these are returned as they are.
+_MD_BREAKS = "\n\v\f\r\x1c\x1d\x1e\x85\u2028\u2029"
+_MD_CELL = str.maketrans({"\\": "\\\\", "|": "\\|", **dict.fromkeys(_MD_BREAKS, "<br>")})
+_MD_SPECIAL = re.compile("[\\\\|" + _MD_BREAKS + "]")
+
+
+def _md_cell(text: str) -> str:
+    if _MD_SPECIAL.search(text) is None:
+        return text
+    return text.replace("\r\n", "\n").translate(_MD_CELL)
 
 
 def _result_markdown(result) -> str:
@@ -573,13 +595,11 @@ def _result_markdown(result) -> str:
         "| total EII [%] |"
     )
     lines.append("|" + " --- |" * 10)
-    for row in result.rows:
+    for part, sub, fm, lam, s_lam, dc, s_dc, p_dc, p_lam, p_tot in map(_ROW_CELLS, result.rows):
         lines.append(
-            f"| {row.part} | {row.subpart} | {row.failure_mode_id} "
-            f"| {fmt12(row.lambda_fm)} | {fmt12(row.sigma_lambda_fm)} "
-            f"| {fmt12(row.dc)} | {fmt12(row.sigma_dc)} "
-            f"| {row.eii_dc_percent:.2f} | {row.eii_lambda_percent:.2f} "
-            f"| {row.eii_total_percent:.2f} |"
+            f"| {_md_cell(part)} | {_md_cell(sub)} | {_md_cell(fm)} "
+            f"| {fmt12(lam)} | {fmt12(s_lam)} | {fmt12(dc)} | {fmt12(s_dc)} "
+            f"| {p_dc:.2f} | {p_lam:.2f} | {p_tot:.2f} |"
         )
     lines += ["", "## Summary", ""]
     lines.append(f"- lambda_tot: {fmt12(result.lambda_tot)} FIT")
@@ -621,14 +641,9 @@ def _result_csv(result) -> str:
         "part", "subpart", "failure_mode", "lambda_fit", "sigma_lambda_fit",
         "dc", "sigma_dc", "eii_dc_percent", "eii_lambda_percent", "eii_total_percent",
     ])
-    for row in result.rows:
-        writer.writerow([
-            row.part, row.subpart, row.failure_mode_id,
-            fmt12(row.lambda_fm), fmt12(row.sigma_lambda_fm),
-            fmt12(row.dc), fmt12(row.sigma_dc),
-            f"{row.eii_dc_percent:.2f}", f"{row.eii_lambda_percent:.2f}",
-            f"{row.eii_total_percent:.2f}",
-        ])
+    for part, sub, fm, lam, s_lam, dc, s_dc, p_dc, p_lam, p_tot in map(_ROW_CELLS, result.rows):
+        writer.writerow([part, sub, fm, fmt12(lam), fmt12(s_lam), fmt12(dc), fmt12(s_dc),
+                         f"{p_dc:.2f}", f"{p_lam:.2f}", f"{p_tot:.2f}"])
     writer.writerow([])
     writer.writerow(["metric", "value"])
     writer.writerow(["lambda_tot_fit", fmt12(result.lambda_tot)])

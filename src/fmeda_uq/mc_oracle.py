@@ -80,6 +80,10 @@ class McConfig:
     truncate: bool = True
 
     def __post_init__(self):
+        for name in ("samples", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.samples < MIN_VERDICT_SAMPLES:
             raise ValueError(
                 f"at least {MIN_VERDICT_SAMPLES} samples are required for a verdict, "

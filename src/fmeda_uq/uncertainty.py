@@ -61,7 +61,7 @@ def _by_mode(mode: PropagationMode, full: float, dc_only: float,
         PropagationMode.FULL: full,
         PropagationMode.DC_ONLY: dc_only,
         PropagationMode.LAMBDA_ONLY: lambda_only,
-    }[PropagationMode(mode)]
+    }[mode]
 
 
 @dataclass(frozen=True)

@@ -160,12 +160,13 @@ def test_acceptance_5_eii_partition_and_ranking():
         if not entries:
             continue
         checked += 1
-        total_pct = sum(e.percent for e in entries)
+        total_pct = sum(e["percent"] for e in entries)
         if abs(total_pct - 100.0) > 1e-7:
             failures.append(f"table {i}: percents sum to {total_pct}")
-        by_raw = sorted(entries, key=lambda e: (-e.raw_eii, e.row_index))
-        if [(e.failure_mode_id, e.input) for e in by_raw] != \
-                [(e.failure_mode_id, e.input) for e in entries]:
+        ids = table_arrays(table).ids
+        by_raw = sorted(entries, key=lambda e: (-e["raw_eii"], ids.index(e["failure_mode"])))
+        if [(e["failure_mode"], e["input"]) for e in by_raw] != \
+                [(e["failure_mode"], e["input"]) for e in entries]:
             failures.append(f"table {i}: raw ranking differs from share ranking")
     if checked < 250:
         failures.append(f"only {checked} tables had nonzero sigma")

@@ -1,5 +1,6 @@
 """The public surface: the exported names, and the names that were removed."""
 
+import dataclasses
 import importlib
 import pkgutil
 
@@ -7,20 +8,22 @@ import fmeda_uq
 from fmeda_uq.uncertainty import _Propagation
 
 PUBLIC = {
-    "AnalysisResult", "AsilVerdict", "DcSource", "EXPERT_JUDGMENT", "EiiEntry",
+    "AnalysisResult", "AsilVerdict", "DcSource", "EXPERT_JUDGMENT",
     "FailureModeRow", "FmedaTable", "FmedaValidationError", "Interval",
     "McConfig", "McVerdict", "ParseError", "Part", "PropagationMode",
-    "ReportRow", "SampleSizePlan", "Subpart", "Violation", "analyze",
+    "SampleSizePlan", "Subpart", "Violation", "analyze",
     "asil_verdict", "confidence_interval", "emit_csv", "emit_json",
     "emit_result", "margin_to_sigma", "parse_csv", "parse_json", "sample_size",
     "validate", "verify", "__version__",
 }
 
-# analyze and verify compute everything these computed one field at a time.
+# analyze and verify compute everything these computed one field at a time;
+# the report's rows and EII entries are the document's own dicts.
 REMOVED = {
     "metrics": ("spfm", "lfm", "MetricValue", "SPFM_KIND", "LFM_KIND"),
     "uncertainty": ("sigma_spfm", "sigma_lfm", "spfm_partials", "lfm_partials"),
-    "eii": ("eii_table",),
+    "eii": ("eii_table", "EiiEntry"),
+    "analysis": ("ReportRow",),
     "mc_oracle": ("mc_sigma_spfm", "mc_sigma_lfm", "_verify"),
     "model": ("materialize_direct",),
 }
@@ -28,7 +31,7 @@ REMOVED = {
 
 def test_all_names_the_public_surface():
     assert set(fmeda_uq.__all__) == PUBLIC
-    assert len(fmeda_uq.__all__) == len(PUBLIC) == 31
+    assert len(fmeda_uq.__all__) == len(PUBLIC) == 29
     for name in fmeda_uq.__all__:
         assert getattr(fmeda_uq, name) is not None, name
 
@@ -45,3 +48,9 @@ def test_removed_names_are_gone():
             assert not hasattr(module, name), f"fmeda_uq.{module_name}.{name}"
     assert not hasattr(_Propagation, "sigma_spfm")
     assert not hasattr(_Propagation, "require_lfm")
+
+
+def test_result_has_no_asil_target_field():
+    # verdict.target holds the target whenever one applies.
+    names = {f.name for f in dataclasses.fields(fmeda_uq.AnalysisResult)}
+    assert "asil_target" not in names and "verdict" in names

@@ -18,11 +18,11 @@ def worked_table():
 
 def test_two_mode_shares():
     entries = analyze(worked_table()).eii_entries
-    assert [e.failure_mode_id for e in entries] == ["FM1", "FM2"]
-    assert entries[0].percent == pytest.approx(100 * 0.0004 / 0.000401, abs=1e-9)
-    assert entries[1].percent == pytest.approx(100 * 1e-6 / 0.000401, abs=1e-9)
-    assert entries[0].percent == pytest.approx(99.75, abs=0.01)
-    assert entries[1].percent == pytest.approx(0.25, abs=0.01)
+    assert [e["failure_mode"] for e in entries] == ["FM1", "FM2"]
+    assert entries[0]["percent"] == pytest.approx(100 * 0.0004 / 0.000401, abs=1e-9)
+    assert entries[1]["percent"] == pytest.approx(100 * 1e-6 / 0.000401, abs=1e-9)
+    assert entries[0]["percent"] == pytest.approx(99.75, abs=0.01)
+    assert entries[1]["percent"] == pytest.approx(0.25, abs=0.01)
 
 
 def test_single_uncertain_input_gets_everything():
@@ -32,7 +32,7 @@ def test_single_uncertain_input_gets_everything():
     ])
     entries = analyze(table).eii_entries
     assert len(entries) == 1
-    assert entries[0].variance_share == pytest.approx(1.0, abs=1e-15)
+    assert entries[0]["variance_share"] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_symmetric_table_splits_evenly():
@@ -41,9 +41,9 @@ def test_symmetric_table_splits_evenly():
         dict(lambda_fm=30.0, dc=0.8, sigma_dc=0.01),
     ])
     entries = analyze(table).eii_entries
-    assert [e.percent for e in entries] == pytest.approx([50.0, 50.0])
+    assert [e["percent"] for e in entries] == pytest.approx([50.0, 50.0])
     # Tie broken by table order.
-    assert [e.failure_mode_id for e in entries] == ["FM1", "FM2"]
+    assert [e["failure_mode"] for e in entries] == ["FM1", "FM2"]
 
 
 def test_no_uncertainty_gives_empty_list():
@@ -58,9 +58,9 @@ def test_raw_eii_uses_first_power_of_sigma():
     entries = res.eii_entries
     lam_tot = 100.0
     expected_raw = 50.0**2 * 0.02**2 / (lam_tot**2 * s)
-    assert entries[0].raw_eii == pytest.approx(expected_raw, rel=1e-12)
+    assert entries[0]["raw_eii"] == pytest.approx(expected_raw, rel=1e-12)
     # raw and share differ exactly by the factor sigma (share divides twice)
-    assert entries[0].raw_eii / entries[0].variance_share == pytest.approx(s, rel=1e-12)
+    assert entries[0]["raw_eii"] / entries[0]["variance_share"] == pytest.approx(s, rel=1e-12)
 
 
 def test_lambda_side_entries():
@@ -69,7 +69,7 @@ def test_lambda_side_entries():
         dict(lambda_fm=50.0, dc=0.99, sigma_dc=0.001),
     ])
     entries = analyze(table).eii_entries
-    kinds = {(e.failure_mode_id, e.input) for e in entries}
+    kinds = {(e["failure_mode"], e["input"]) for e in entries}
     assert ("FM1", INPUT_LAMBDA) in kinds
     assert ("FM2", INPUT_DC) in kinds
 
@@ -80,17 +80,17 @@ def test_partition_of_unity(rng):
         entries = analyze(table).eii_entries
         if not entries:
             continue
-        assert sum(e.variance_share for e in entries) == pytest.approx(1.0, abs=1e-9)
-        assert all(e.variance_share >= 0 for e in entries)
+        assert sum(e["variance_share"] for e in entries) == pytest.approx(1.0, abs=1e-9)
+        assert all(e["variance_share"] >= 0 for e in entries)
 
 
 def test_rank_by_raw_equals_rank_by_share(rng):
     for _ in range(50):
         entries = analyze(random_table(rng)).eii_entries
-        by_raw = sorted(entries, key=lambda e: -e.raw_eii)
+        by_raw = sorted(entries, key=lambda e: -e["raw_eii"])
         assert [id(e) for e in by_raw] == [id(e) for e in entries] or \
-            [(e.failure_mode_id, e.input) for e in by_raw] == \
-            [(e.failure_mode_id, e.input) for e in entries]
+            [(e["failure_mode"], e["input"]) for e in by_raw] == \
+            [(e["failure_mode"], e["input"]) for e in entries]
 
 
 def test_removing_an_input_redistributes_proportionally(rng):
@@ -102,14 +102,15 @@ def test_removing_an_input_redistributes_proportionally(rng):
     assert len(entries) >= 3
     victim = entries[0]
     rows = list(table.parts[0].subparts[0].failure_modes)
-    field = "sigma_dc" if victim.input == INPUT_DC else "sigma_lambda_fm"
-    rows[victim.row_index] = replace(rows[victim.row_index], **{field: 0.0})
+    field = "sigma_dc" if victim["input"] == INPUT_DC else "sigma_lambda_fm"
+    i = table_arrays(table).ids.index(victim["failure_mode"])
+    rows[i] = replace(rows[i], **{field: 0.0})
     reduced = FmedaTable((Part("PART", (Subpart("SUB", None, None, tuple(rows)),)),))
 
-    before = {(e.failure_mode_id, e.input): e.variance_share for e in entries}
-    after = {(e.failure_mode_id, e.input): e.variance_share
+    before = {(e["failure_mode"], e["input"]): e["variance_share"] for e in entries}
+    after = {(e["failure_mode"], e["input"]): e["variance_share"]
              for e in analyze(reduced).eii_entries}
-    remaining = 1.0 - victim.variance_share
+    remaining = 1.0 - victim["variance_share"]
     for key, share in after.items():
         assert share == pytest.approx(before[key] / remaining, rel=1e-9)
 
@@ -121,17 +122,17 @@ def test_totals_per_failure_mode():
     ])
     res = analyze(table)
     entries = res.eii_entries
-    totals = res.eii_totals
+    totals = [(t["failure_mode"], t["percent"]) for t in res.eii_totals]
     assert [fm for fm, _ in totals] == ["FM1", "FM2"]
     assert sum(pct for _, pct in totals) == pytest.approx(100.0, abs=1e-9)
     by_fm = dict(totals)
-    fm1_parts = [e.percent for e in entries if e.failure_mode_id == "FM1"]
+    fm1_parts = [e["percent"] for e in entries if e["failure_mode"] == "FM1"]
     assert len(fm1_parts) == 2
     assert by_fm["FM1"] == pytest.approx(sum(fm1_parts), abs=1e-12)
 
 
 def test_worked_totals():
-    totals = dict(analyze(worked_table()).eii_totals)
+    totals = {t["failure_mode"]: t["percent"] for t in analyze(worked_table()).eii_totals}
     assert totals["FM1"] == pytest.approx(99.75, abs=0.01)
     assert totals["FM2"] == pytest.approx(0.25, abs=0.01)
 
@@ -156,26 +157,28 @@ THIRD = 100.0 / 3.0
      [(THIRD, THIRD, 2 * THIRD), (THIRD, 0.0, THIRD)]),
 ])
 def test_entries_totals_and_row_percents(rows, entries, totals, row_percents):
-    res = analyze(make_table(rows))
-    assert [(e.failure_mode_id, e.input) for e in res.eii_entries] == \
+    table = make_table(rows)
+    res = analyze(table)
+    assert [(e["failure_mode"], e["input"]) for e in res.eii_entries] == \
         [(fm, kind) for fm, kind, _ in entries]
-    assert [e.percent for e in res.eii_entries] == pytest.approx(
+    assert [e["percent"] for e in res.eii_entries] == pytest.approx(
         [pct for _, _, pct in entries], rel=1e-12, abs=0.0)
-    assert [fm for fm, _ in res.eii_totals] == [fm for fm, _ in totals]
-    assert [pct for _, pct in res.eii_totals] == pytest.approx(
+    assert [t["failure_mode"] for t in res.eii_totals] == [fm for fm, _ in totals]
+    assert [t["percent"] for t in res.eii_totals] == pytest.approx(
         [pct for _, pct in totals], rel=1e-12, abs=0.0)
-    got_rows = [(r.eii_dc_percent, r.eii_lambda_percent, r.eii_total_percent)
+    got_rows = [(r["eii_dc_percent"], r["eii_lambda_percent"], r["eii_total_percent"])
                 for r in res.rows]
     for got, want in zip(got_rows, row_percents, strict=True):
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
     # Each total is its row's total, and each row part is its entry's percent.
-    rows_by_id = {r.failure_mode_id: r for r in res.rows}
-    for fm, pct in res.eii_totals:
-        assert pct == rows_by_id[fm].eii_total_percent
+    rows_by_id = {r["failure_mode"]: r for r in res.rows}
+    for t in res.eii_totals:
+        assert t["percent"] == rows_by_id[t["failure_mode"]]["eii_total_percent"]
+    ids = table_arrays(table).ids
     for e in res.eii_entries:
-        row = res.rows[e.row_index]
-        part = row.eii_dc_percent if e.input == INPUT_DC else row.eii_lambda_percent
-        assert part == e.percent
+        row = res.rows[ids.index(e["failure_mode"])]
+        part = row["eii_dc_percent"] if e["input"] == INPUT_DC else row["eii_lambda_percent"]
+        assert part == e["percent"]
 
 
 def _loop_reference(table):
@@ -207,8 +210,10 @@ def test_matches_loop_reference(rng):
                               dict(lambda_fm=50.0, dc=0.99, sigma_dc=1e-161)]))
     for table in tables:
         res = analyze(table)
-        entries = [(e.failure_mode_id, e.input, e.row_index, e.raw_eii, e.variance_share,
-                    e.percent) for e in res.eii_entries]
-        rows = [(r.eii_dc_percent, r.eii_lambda_percent, r.eii_total_percent)
+        ids = table_arrays(table).ids
+        entries = [(e["failure_mode"], e["input"], ids.index(e["failure_mode"]), e["raw_eii"],
+                    e["variance_share"], e["percent"]) for e in res.eii_entries]
+        totals = [(t["failure_mode"], t["percent"]) for t in res.eii_totals]
+        rows = [(r["eii_dc_percent"], r["eii_lambda_percent"], r["eii_total_percent"])
                 for r in res.rows]
-        assert (entries, list(res.eii_totals), rows) == _loop_reference(table)
+        assert (entries, totals, rows) == _loop_reference(table)

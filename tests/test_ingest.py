@@ -1,6 +1,8 @@
 """Parsing, emission, and round-trip identity of both table formats."""
 
 import collections
+import csv
+import io
 import json
 import math
 import sys
@@ -13,6 +15,7 @@ from fmeda_uq import (
     DcSource,
     FmedaValidationError,
     ParseError,
+    PropagationMode,
     analyze,
     emit_csv,
     emit_json,
@@ -117,7 +120,7 @@ def test_csv_distribution_subpart_via_rate_row():
     assert arr.lam[0] == 50.0
     assert arr.sigma_lam[0] == 2.0
     report = analyze(table).rows[0]
-    assert (report.lambda_fm, report.sigma_lambda_fm) == (50.0, 2.0)
+    assert (report["lambda_fm_fit"], report["sigma_lambda_fm_fit"]) == (50.0, 2.0)
     assert sub.failure_modes[1].safety_mechanisms == ("SM1", "SM2")
 
 
@@ -342,6 +345,22 @@ def test_result_json_schema_stable():
     assert doc == emit_result(analyze(two_fm_table()), "json")
 
 
+def test_to_dict_shares_the_report_objects():
+    result = analyze(two_fm_table(), asil_target="B")
+    doc = result.to_dict()
+    for key, items in (("rows", result.rows), ("eii", result.eii_entries),
+                       ("eii_totals", result.eii_totals)):
+        assert len(doc[key]) == len(items) > 0
+        assert all(a is b for a, b in zip(doc[key], items)), key
+    assert list(result.rows[0]) == [
+        "part", "subpart", "failure_mode", "name", "lambda_fm_fit", "sigma_lambda_fm_fit",
+        "dc", "sigma_dc", "dc_latent", "sigma_dc_latent", "eii_dc_percent",
+        "eii_lambda_percent", "eii_total_percent"]
+    assert set(result.eii_entries[0]) == {"failure_mode", "input", "raw_eii",
+                                          "variance_share", "percent"}
+    assert set(result.eii_totals[0]) == {"failure_mode", "percent"}
+
+
 def test_result_markdown_columns_and_totals():
     result = analyze(two_fm_table())
     doc = emit_result(result, "markdown")
@@ -356,6 +375,52 @@ def test_result_markdown_columns_and_totals():
     assert sum(totals) == pytest.approx(100.00, abs=0.011)
     assert "- SPFM: 0.945" in doc
     assert "- sigma_SPFM (DC-only): 0.010012492197" in doc
+
+
+def test_result_markdown_escapes_pipes_and_line_breaks():
+    text = HEADER + "\n" \
+        '"CPU|0",EXEC,FM1,50,0,,0.9,0.02,0,0,expert,\n' \
+        '"CPU\n1","A\\|B",FM2,50,0,,0.99,0.001,0,0,expert,\n' \
+        'GPU,"X\r\nY","F|3",10,1,,0.8,0.01,0,0,expert,\n'
+    table = parse_csv(text)
+    result = analyze(table)
+    doc = emit_result(result, "markdown")
+    lines = doc.split("\n")
+    head = lines.index("## Failure modes") + 2
+    table_lines = lines[head:lines.index("## Summary") - 1]
+    assert len(table_lines) == 2 + 3  # header, rule, one line per row
+    for line in table_lines:
+        # A pipe is a cell border unless an odd run of backslashes escapes it.
+        borders = [i for i, c in enumerate(line) if c == "|"
+                   and (len(line[:i]) - len(line[:i].rstrip("\\"))) % 2 == 0]
+        assert len(borders) == 11, line
+    assert "| CPU\\|0 | EXEC | FM1 |" in doc
+    assert "| CPU<br>1 | A\\\\\\|B | FM2 |" in doc
+    assert "| GPU | X<br>Y | F\\|3 |" in doc
+    # JSON and CSV carry the names as they are.
+    names = [(r["part"], r["subpart"], r["failure_mode"]) for r in result.rows]
+    assert names == [("CPU|0", "EXEC", "FM1"), ("CPU\n1", "A\\|B", "FM2"),
+                     ("GPU", "X\r\nY", "F|3")]
+    assert [(r["part"], r["subpart"], r["failure_mode"])
+            for r in json.loads(emit_result(result, "json"))["rows"]] == names
+    csv_rows = list(csv.reader(io.StringIO(emit_result(result, "csv"), newline="")))[1:4]
+    assert [tuple(r[:3]) for r in csv_rows] == names
+
+
+@pytest.mark.parametrize("fmt", ["json", "markdown", "csv"])
+def test_result_mode_may_be_given_by_value(fmt):
+    table = two_fm_table()
+    by_value = analyze(table, mode="dc_only", asil_target="B")
+    assert by_value.mode is PropagationMode.DC_ONLY
+    assert emit_result(by_value, fmt) == \
+        emit_result(analyze(table, mode=PropagationMode.DC_ONLY, asil_target="B"), fmt)
+
+
+def test_result_unknown_mode_rejected_before_any_work():
+    invalid = make_table([dict(lambda_fm=-1.0, dc=0.9)])
+    with pytest.raises(ValueError, match="dc-only") as caught:
+        analyze(invalid, mode="dc-only")
+    assert not isinstance(caught.value, FmedaValidationError)
 
 
 def test_result_zero_sigma_interval_has_zero_width():

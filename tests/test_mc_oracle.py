@@ -179,6 +179,15 @@ def test_minimum_samples_enforced():
         McConfig(samples=500, seed=1)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("samples", 5000.0), ("samples", True), ("samples", "5000"),
+    ("seed", 1.5), ("seed", 7.0), ("seed", False),
+])
+def test_non_integer_samples_and_seed_rejected(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        McConfig(**{field: value})
+
+
 def test_verdict_serializes():
     v = verify(two_fm_table(), McConfig(samples=2000, seed=1))[0]
     doc = v.to_dict()

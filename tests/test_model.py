@@ -153,8 +153,8 @@ def test_distribution_mode_materializes_rates():
     assert arr.sigma_lam[0] == 2.0
     assert arr.lam[1] == 150.0
     report = analyze(table).rows
-    assert (report[0].lambda_fm, report[0].sigma_lambda_fm) == (50.0, 2.0)
-    assert report[1].lambda_fm == 150.0
+    assert (report[0]["lambda_fm_fit"], report[0]["sigma_lambda_fm_fit"]) == (50.0, 2.0)
+    assert report[1]["lambda_fm_fit"] == 150.0
     assert table.lambda_tot == 200.0
 
 
