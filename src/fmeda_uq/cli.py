@@ -168,9 +168,10 @@ def _cmd_verify(args) -> int:
         spfm_verdict, lfm_verdict, lfm_note = verify(table, config)
     except FmedaValidationError as exc:  # a propagated sigma overflows
         return _report_input_error(exc)
-    except MemoryError:  # the sample arrays take 8 bytes per sample and metric
+    except MemoryError:  # a wide table's chunk buffers hold at least one sample's row
         return _report_input_error(ValueError(
-            f"--samples {args.samples} is too large: the sample arrays do not fit in memory"))
+            f"verify with --samples {args.samples}: the sampler's buffers for this "
+            f"table do not fit in memory"))
 
     if lfm_verdict is None:
         # No detected pool: nothing to verify on the LFM side.

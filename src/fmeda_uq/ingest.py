@@ -384,30 +384,45 @@ def parse_csv(text: str) -> FmedaTable:
     return table
 
 
+def _csv_text(rows) -> str:
+    """The CSV document of rows(), an iterable of cell lists, with "\n" line ends.
+
+    csv.writer quotes a cell only for the characters of its line
+    terminator, so a lone "\r" in a name would go out unquoted and end the
+    record early on reading.  A document holding one is written again with
+    every cell quoted; any other is left as it is.
+    """
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows())
+    text = buf.getvalue()
+    if "\r" in text:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL).writerows(rows())
+        text = buf.getvalue()
+    return text
+
+
 def emit_csv(table: FmedaTable) -> str:
     """Serialize a valid table to the flat CSV layout."""
     table_arrays(table)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for part in table.parts:
-        for sub in part.subparts:
-            if sub.lambda_subpart is not None:
-                writer.writerow(
-                    [part.name, sub.name, "", fmt12(sub.lambda_subpart)]
-                    + [""] * (len(CSV_COLUMNS) - 4)
-                )
-            dist = sub.fmd_mode == DISTRIBUTION
-            for row in sub.failure_modes:
-                doc = _row_doc(row, dist)
-                if dist:
-                    doc["sigma_lambda_fit"] = doc.pop("sigma_fmd")
-                writer.writerow(
-                    [part.name, sub.name, doc["id"]]
-                    + [fmt12(doc[key]) if key in doc else "" for _, key in _CSV_NUMBERS]
-                    + [doc["dc_source"], ";".join(doc.get("safety_mechanisms", ()))]
-                )
-    return buf.getvalue()
+
+    def rows():
+        yield CSV_COLUMNS
+        for part in table.parts:
+            for sub in part.subparts:
+                if sub.lambda_subpart is not None:
+                    yield ([part.name, sub.name, "", fmt12(sub.lambda_subpart)]
+                           + [""] * (len(CSV_COLUMNS) - 4))
+                dist = sub.fmd_mode == DISTRIBUTION
+                for row in sub.failure_modes:
+                    doc = _row_doc(row, dist)
+                    if dist:
+                        doc["sigma_lambda_fit"] = doc.pop("sigma_fmd")
+                    yield ([part.name, sub.name, doc["id"]]
+                           + [fmt12(doc[key]) if key in doc else "" for _, key in _CSV_NUMBERS]
+                           + [doc["dc_source"], ";".join(doc.get("safety_mechanisms", ()))])
+
+    return _csv_text(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -635,37 +650,36 @@ def _result_markdown(result) -> str:
 
 
 def _result_csv(result) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([
-        "part", "subpart", "failure_mode", "lambda_fit", "sigma_lambda_fit",
-        "dc", "sigma_dc", "eii_dc_percent", "eii_lambda_percent", "eii_total_percent",
-    ])
-    for part, sub, fm, lam, s_lam, dc, s_dc, p_dc, p_lam, p_tot in map(_ROW_CELLS, result.rows):
-        writer.writerow([part, sub, fm, fmt12(lam), fmt12(s_lam), fmt12(dc), fmt12(s_dc),
-                         f"{p_dc:.2f}", f"{p_lam:.2f}", f"{p_tot:.2f}"])
-    writer.writerow([])
-    writer.writerow(["metric", "value"])
-    writer.writerow(["lambda_tot_fit", fmt12(result.lambda_tot)])
-    writer.writerow(["spfm", fmt12(result.spfm)])
-    writer.writerow(["sigma_spfm_full", fmt12(result.sigma_spfm_full)])
-    writer.writerow(["sigma_spfm_dc_only", fmt12(result.sigma_spfm_dc_only)])
-    writer.writerow(["sigma_spfm_lambda_only", fmt12(result.sigma_spfm_lambda_only)])
-    writer.writerow(["spfm_interval_lo", fmt12(result.interval_spfm.lo)])
-    writer.writerow(["spfm_interval_hi", fmt12(result.interval_spfm.hi)])
-    if result.lfm is None:
-        writer.writerow(["lfm", "undefined"])
-    else:
-        writer.writerow(["lfm", fmt12(result.lfm)])
-        writer.writerow(["sigma_lfm", fmt12(result.sigma_lfm)])
-        writer.writerow(["lfm_interval_lo", fmt12(result.interval_lfm.lo)])
-        writer.writerow(["lfm_interval_hi", fmt12(result.interval_lfm.hi)])
-    writer.writerow(["confidence_level", f"{result.confidence_level:.2f}"])
-    writer.writerow(["k", fmt12(result.k)])
-    writer.writerow(["mode", result.mode.value])
-    if result.verdict is not None:
-        writer.writerow(["asil_target", result.verdict.target])
-        writer.writerow(["verdict_spfm", result.verdict.spfm])
-        writer.writerow(["verdict_lfm", result.verdict.lfm or "n/a"])
-        writer.writerow(["verdict_overall", result.verdict.overall])
-    return buf.getvalue()
+    def rows():
+        yield ["part", "subpart", "failure_mode", "lambda_fit", "sigma_lambda_fit",
+               "dc", "sigma_dc", "eii_dc_percent", "eii_lambda_percent", "eii_total_percent"]
+        for part, sub, fm, lam, s_lam, dc, s_dc, p_dc, p_lam, p_tot in map(_ROW_CELLS,
+                                                                           result.rows):
+            yield [part, sub, fm, fmt12(lam), fmt12(s_lam), fmt12(dc), fmt12(s_dc),
+                   f"{p_dc:.2f}", f"{p_lam:.2f}", f"{p_tot:.2f}"]
+        yield []
+        yield ["metric", "value"]
+        yield ["lambda_tot_fit", fmt12(result.lambda_tot)]
+        yield ["spfm", fmt12(result.spfm)]
+        yield ["sigma_spfm_full", fmt12(result.sigma_spfm_full)]
+        yield ["sigma_spfm_dc_only", fmt12(result.sigma_spfm_dc_only)]
+        yield ["sigma_spfm_lambda_only", fmt12(result.sigma_spfm_lambda_only)]
+        yield ["spfm_interval_lo", fmt12(result.interval_spfm.lo)]
+        yield ["spfm_interval_hi", fmt12(result.interval_spfm.hi)]
+        if result.lfm is None:
+            yield ["lfm", "undefined"]
+        else:
+            yield ["lfm", fmt12(result.lfm)]
+            yield ["sigma_lfm", fmt12(result.sigma_lfm)]
+            yield ["lfm_interval_lo", fmt12(result.interval_lfm.lo)]
+            yield ["lfm_interval_hi", fmt12(result.interval_lfm.hi)]
+        yield ["confidence_level", f"{result.confidence_level:.2f}"]
+        yield ["k", fmt12(result.k)]
+        yield ["mode", result.mode.value]
+        if result.verdict is not None:
+            yield ["asil_target", result.verdict.target]
+            yield ["verdict_spfm", result.verdict.spfm]
+            yield ["verdict_lfm", result.verdict.lfm or "n/a"]
+            yield ["verdict_overall", result.verdict.overall]
+
+    return _csv_text(rows)

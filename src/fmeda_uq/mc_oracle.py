@@ -28,6 +28,13 @@ Chunks are sized by a fixed number of elements, not a fixed number of
 samples, and the buffers are allocated once per call, so memory does not
 grow with the row count (until one sample's row alone exceeds a buffer).
 
+No sample is kept.  Each metric's values pass through a staging block of
+_BLOCK samples, and each full block's count, mean, centred sum of squares
+(M2), min and max are merged into the running ones with the pairwise
+update of Chan, Golub & LeVeque (1983).  Blocks hold fixed runs of
+samples, so the merges, and the sigma, do not depend on the chunk size,
+and memory does not grow with the sample count: run time is linear in it.
+
 Two threads share the work of a chunk.  A helper thread draws the rate
 and latent DC streams of chunk k+1 into the spare one of two buffer sets
 while the calling thread draws the DC stream and evaluates SPFM and LFM
@@ -62,6 +69,9 @@ TRUNCATION_WARN_RATE = 1e-3
 # latent DC matrices: a chunk holds half of it, samples x rows.  It bounds
 # memory; the drawn streams do not depend on it.
 _BUFFER_ELEMENTS = 1 << 15
+# Samples per staging block of a moment accumulator: the unit of the
+# pairwise merge, so the sigma does not depend on the chunk size.
+_BLOCK = 1024
 # A spread of at most this many ulps of 1.0 (8 * np.finfo(float).eps, about
 # 1.8e-15) counts as 0 when the analytic sigma is 0.  Measured rounding
 # spreads on such tables of 2 to 5000 rows stayed under 2 ulps of 1.0.
@@ -165,15 +175,69 @@ class _Input:
         dest[:m, self.cols] = z
 
 
+class _Moments:
+    """Count, mean, M2, min and max of one metric's samples, merged by block.
+
+    add() copies values into a staging block; each full block's mean and
+    centred M2 (two passes over the block, pairwise sums) are merged into
+    the running ones with the update of Chan, Golub & LeVeque (1983).  A
+    raw sum of squares would cancel where the spread is a few ulps.
+    """
+
+    def __init__(self):
+        self.block = np.empty(_BLOCK)
+        self.fill = 0
+        self.n = 0
+        self.mean = 0.0
+        self.m2 = 0.0
+        self.lo = math.inf
+        self.hi = -math.inf
+
+    def add(self, values: np.ndarray) -> None:
+        while values.size:
+            take = min(_BLOCK - self.fill, values.size)
+            self.block[self.fill:self.fill + take] = values[:take]
+            self.fill += take
+            values = values[take:]
+            if self.fill == _BLOCK:
+                self.flush()
+
+    def flush(self) -> None:
+        """Merge the staged samples into the running moments."""
+        nb = self.fill
+        if not nb:
+            return
+        b = self.block[:nb]
+        self.lo = min(self.lo, float(b.min()))
+        self.hi = max(self.hi, float(b.max()))
+        mean_b = float(b.sum()) / nb
+        np.subtract(b, mean_b, out=b)
+        np.square(b, out=b)
+        m2_b = float(b.sum())
+        n = self.n + nb
+        delta = mean_b - self.mean
+        self.mean += delta * nb / n
+        self.m2 += m2_b + delta * delta * self.n * nb / n
+        self.n = n
+        self.fill = 0
+
+    def sigma(self) -> float:
+        """The sample standard deviation; exactly 0 for a constant stream."""
+        if self.n > 1 and self.lo != self.hi:
+            return math.sqrt(self.m2 / (self.n - 1))
+        # A constant stream has zero spread, not mean-rounding noise.
+        return 0.0
+
+
 @dataclass(frozen=True)
 class _Samples:
-    """Per-sample metric values of one pass, with its truncation counts."""
+    """The metric moments of one pass, with its truncation counts."""
 
-    spfm: np.ndarray
-    lfm: np.ndarray | None  # None unless LFM was simulated
+    spfm: _Moments
+    lfm: _Moments | None  # None unless LFM was simulated
     spfm_rate: float
     lfm_rate: float
-    dropped: int  # LFM samples with no detected pool, NaN in lfm
+    dropped: int  # LFM samples with no detected pool, left out of lfm
 
 
 def _simulate(arr: TableArrays, config: McConfig, with_lfm: bool) -> _Samples:
@@ -196,9 +260,8 @@ def _simulate(arr: TableArrays, config: McConfig, with_lfm: bool) -> _Samples:
     sets = [[np.tile(x, (chunk, 1)) for x in nominal] for _ in range(2)]
     work = np.empty_like(dc)
     det = np.empty_like(dc) if with_lfm else None
-    spfm = np.empty(config.samples)
-    lfm = np.empty(config.samples) if with_lfm else None
-    dropped = 0
+    spfm = _Moments()
+    lfm = _Moments() if with_lfm else None
 
     starts = range(0, config.samples, chunk)
     ready, free = threading.Semaphore(0), threading.Semaphore(2)
@@ -233,7 +296,7 @@ def _simulate(arr: TableArrays, config: McConfig, with_lfm: bool) -> _Samples:
             np.subtract(1.0, dc[:m], out=w)
             w *= lam[:m]
             residual = w.sum(axis=1)
-            spfm[start:start + m] = 1.0 - residual / arr.lambda_tot
+            spfm.add(1.0 - residual / arr.lambda_tot)
             if with_lfm:
                 lat = sets[k % 2][1]
                 d = det[:m]
@@ -245,9 +308,7 @@ def _simulate(arr: TableArrays, config: McConfig, with_lfm: bool) -> _Samples:
                 with np.errstate(divide="ignore", invalid="ignore"):
                     vals = 1.0 - latent / detected
                 bad = detected <= 0.0
-                dropped += int(np.count_nonzero(bad))
-                vals[bad] = np.nan
-                lfm[start:start + m] = vals
+                lfm.add(vals[~bad] if bad.any() else vals)
             free.release()
     finally:
         stopping = True
@@ -260,6 +321,11 @@ def _simulate(arr: TableArrays, config: McConfig, with_lfm: bool) -> _Samples:
             return 0.0
         return sum(inp.clamped for inp in drawn) / draws
 
+    spfm.flush()
+    dropped = 0
+    if lfm is not None:
+        lfm.flush()
+        dropped = config.samples - lfm.n
     inputs = [dc_input, *ahead]
     return _Samples(spfm, lfm, rate(inputs[:2]), rate(inputs), dropped)
 
@@ -267,20 +333,13 @@ def _simulate(arr: TableArrays, config: McConfig, with_lfm: bool) -> _Samples:
 def _verdict(
     metric: str,
     analytic: float,
-    values: np.ndarray,
+    moments: _Moments,
     rate: float,
     dropped: int,
     config: McConfig,
     tolerance: float,
 ) -> McVerdict:
-    # Only LFM samples with no detected pool are NaN.
-    kept = values[~np.isnan(values)] if dropped else values
-    if kept.size > 1 and float(kept.min()) != float(kept.max()):
-        empirical = float(np.std(kept, ddof=1))
-    else:
-        # A constant stream has zero spread; np.std would report mean-rounding
-        # noise at the ulp level instead of an exact 0.
-        empirical = 0.0
+    empirical = moments.sigma()
 
     if analytic != 0.0:
         gap = abs(empirical - analytic) / analytic

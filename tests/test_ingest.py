@@ -407,6 +407,20 @@ def test_result_markdown_escapes_pipes_and_line_breaks():
     assert [tuple(r[:3]) for r in csv_rows] == names
 
 
+def test_csv_writers_quote_a_lone_carriage_return():
+    # csv.writer quotes only the characters of its "\n" line terminator, so
+    # an unquoted "\r" would end the record early on reading.
+    table = parse_csv(HEADER + "\n"
+                      'CPU,"EX\rEC","F3\r4",50,0,,0.9,0.02,0,0,expert,\n'
+                      "CPU,EXEC,FM2,50,0,,0.99,0.001,0,0,expert,\n")
+    back = parse_csv(emit_csv(table))
+    assert back == table
+    assert [(s.name, [r.id for r in s.failure_modes]) for s in back.parts[0].subparts] \
+        == [("EX\rEC", ["F3\r4"]), ("EXEC", ["FM2"])]
+    rows = list(csv.reader(io.StringIO(emit_result(analyze(table), "csv"), newline="")))
+    assert [r[:3] for r in rows[1:3]] == [["CPU", "EX\rEC", "F3\r4"], ["CPU", "EXEC", "FM2"]]
+
+
 @pytest.mark.parametrize("fmt", ["json", "markdown", "csv"])
 def test_result_mode_may_be_given_by_value(fmt):
     table = two_fm_table()

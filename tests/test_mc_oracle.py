@@ -98,6 +98,10 @@ def test_chunking_does_not_change_the_stream():
     assert verify(table, cfg) == verify(table, cfg)
 
 
+def _state(moments):
+    return (moments.n, moments.mean, moments.m2, moments.lo, moments.hi)
+
+
 def test_verify_verdicts_equal_the_public_ones(tmp_path, capsys):
     # The CLI reports exactly the verdicts of the library's verify, and
     # the SPFM draws do not depend on whether LFM is simulated.
@@ -119,20 +123,57 @@ def test_verify_verdicts_equal_the_public_ones(tmp_path, capsys):
         else:
             assert doc["lfm"] == lfm.to_dict()
     arr = table_arrays(_all_sigmas_table())
-    assert np.array_equal(mc._simulate(arr, cfg, with_lfm=True).spfm,
-                          mc._simulate(arr, cfg, with_lfm=False).spfm)
+    assert (_state(mc._simulate(arr, cfg, with_lfm=True).spfm)
+            == _state(mc._simulate(arr, cfg, with_lfm=False).spfm))
+
+
+def _verify_peak(table, samples):
+    tracemalloc.start()
+    try:
+        verify(table, McConfig(samples=samples, seed=3))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_memory_does_not_grow_with_rows(rng):
     # Chunks hold a fixed number of elements, not a fixed number of samples.
     table = random_table(rng, n_fm=10_000, sigma_dc_latent_max=0.01)
-    tracemalloc.start()
-    try:
-        verify(table, McConfig(samples=2000, seed=3))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 2**20
+    assert _verify_peak(table, 2000) < 64 * 2**20
+
+
+def test_memory_does_not_grow_with_samples():
+    # The moments are streamed: no array holds one value per sample.
+    table = two_fm_table()
+    assert _verify_peak(table, 200_000) - _verify_peak(table, 20_000) < 0.5 * 2**20
+
+
+def test_streamed_moments_equal_the_two_pass_ones(monkeypatch, rng):
+    # Two-row tables give chunks of many blocks; the 40-row one gives blocks
+    # that span chunks.
+    seen = {}
+    add = mc._Moments.add
+
+    def collecting(self, values):
+        seen.setdefault(self, []).append(values.copy())
+        add(self, values)
+
+    monkeypatch.setattr(mc._Moments, "add", collecting)
+    tables = [_pinned_table(name) for name in sorted(_PINNED)]
+    tables += [random_table(rng, n_fm=n, sigma_dc_latent_max=0.02) for n in (1, 7, 40)]
+    cfg = McConfig(samples=20_000, seed=5)
+    for table in tables:
+        arr = table_arrays(table)
+        seen.clear()
+        s = mc._simulate(arr, cfg, with_lfm=_propagate(arr).lfm is not None)
+        for moments in filter(None, (s.spfm, s.lfm)):
+            values = np.concatenate(seen[moments])
+            assert moments.n == values.size
+            assert (moments.lo, moments.hi) == (values.min(), values.max())
+            assert moments.sigma() == pytest.approx(np.std(values, ddof=1),
+                                                    rel=1e-12, abs=0)
+        if s.lfm is not None:
+            assert s.lfm.n + s.dropped == cfg.samples
 
 
 def test_convergence_quadrupling_samples_halves_spread():
@@ -210,7 +251,8 @@ def test_pass_iff_gap_within_tolerance():
 # Verdicts of McConfig(samples=20_000, seed=5), recorded with float.hex from
 # the single-threaded sampler: per metric (empirical_sigma, analytic_sigma,
 # relative_gap, truncation_rate, passed, warning).  A stream drawn by the
-# wrong thread, or its chunks in the wrong order, changes them.
+# wrong thread, or its chunks in the wrong order, changes them.  The
+# streamed moments moved only near_bounds' SPFM sigma (1 ulp) and gap.
 _CLAMPED = "truncation clamped {} of draws; boundary effects may bias the empirical sigma"
 _PINNED = {
     "all_sigmas": (
@@ -221,7 +263,7 @@ _PINNED = {
     ),
     # More than 10% of the DC, rate and latent DC draws clamp.
     "near_bounds": (
-        ("0x1.13a3f2f240cd0p-6", "0x1.3e41ab19007c3p-6", "0x1.123cb4bcfea43p-3",
+        ("0x1.13a3f2f240ccfp-6", "0x1.3e41ab19007c3p-6", "0x1.123cb4bcfea49p-3",
          "0x1.11eb851eb851fp-3", False, _CLAMPED.format("13.375%")),
         ("0x1.e3a63675f19eep-6", "0x1.14614c8312b38p-5", "0x1.000f0b26f8408p-3",
          "0x1.210a8358564a0p-3", False, _CLAMPED.format("14.113%")),
