@@ -237,9 +237,9 @@ def _row(fields: dict, where) -> FailureModeRow:
     """Make the FailureModeRow of a parsed row: the row rules of both formats.
 
     fields maps the row keys a file sets to their parsed values: a float
-    per numeric key, a str for id, name and dc_source, and a tuple of str
-    for safety_mechanisms.  where(key) gives the ParseError context of a
-    key (line and column, or key path); it is called only on an error.
+    per numeric key, a str for id, name and dc_source, and a tuple or list
+    of str for safety_mechanisms.  where(key) gives the ParseError context
+    of a key (line and column, or key path); it is called only on an error.
     """
     has_lambda = "lambda_fit" in fields
     if has_lambda == ("fmd_fraction" in fields):
@@ -251,12 +251,12 @@ def _row(fields: dict, where) -> FailureModeRow:
     for key in ("dc", "dc_source"):
         if key not in fields:
             raise ParseError(f"{key} must be set", **where(key))
-    return FailureModeRow(
-        id=fields["id"],
-        name=fields.get("name", ""),
-        dc_source=_parse_dc_source(fields["dc_source"], where),
-        safety_mechanisms=fields.get("safety_mechanisms", ()),
-        **{field: fields[key] for key, field in _NUMBER_KEYS.items() if key in fields},
+    get = fields.get
+    return FailureModeRow(  # the fields in their order, passed by position
+        fields["id"], get("name", ""), get("lambda_fit"), get("sigma_lambda_fit", 0.0),
+        get("fmd_fraction"), get("sigma_fmd", 0.0), fields["dc"], get("sigma_dc", 0.0),
+        get("dc_latent", 0.0), get("sigma_dc_latent", 0.0),
+        _parse_dc_source(fields["dc_source"], where), get("safety_mechanisms", ()),
     )
 
 
@@ -315,7 +315,7 @@ def parse_csv(text: str) -> FmedaTable:
     parts: dict[str, dict[str, dict]] = {}
     n_rows = 0
     for record in records:
-        cells = [c.strip() for c in record]
+        cells = list(map(str.strip, record))
         if not any(cells):
             continue
         line = reader.line_num
@@ -324,10 +324,15 @@ def parse_csv(text: str) -> FmedaTable:
                 f"expected {len(CSV_COLUMNS)} columns, got {len(cells)}", line=line
             )
         part, subpart, fm_id, lambda_fit = cells[:4]
-        for column, cell in (("part", part), ("subpart", subpart)):
-            if not cell:
-                raise ParseError("cell must not be empty", line=line, column=column)
-        acc = parts.setdefault(part, {}).setdefault(subpart, {"lambda": None, "rows": []})
+        if not part or not subpart:
+            raise ParseError("cell must not be empty", line=line,
+                             column="subpart" if part else "part")
+        subs = parts.get(part)
+        if subs is None:
+            subs = parts[part] = {}
+        acc = subs.get(subpart)
+        if acc is None:
+            acc = subs[subpart] = {"lambda": None, "rows": []}
 
         if not fm_id:
             # Subpart-rate declaration row: lambda_fit only, everything else empty.
@@ -361,8 +366,9 @@ def parse_csv(text: str) -> FmedaTable:
         dc_source, sm_list = cells[10:]
         if dc_source:
             fields["dc_source"] = dc_source
-        fields["safety_mechanisms"] = tuple(
-            [s for s in map(str.strip, sm_list.split(";")) if s]) if sm_list else ()
+        if sm_list:
+            fields["safety_mechanisms"] = tuple(
+                [s for s in map(str.strip, sm_list.split(";")) if s])
         acc["rows"].append(_row(fields, lambda key: {"line": line, "column": key}))
 
     if n_rows == 0:
@@ -504,12 +510,8 @@ def parse_json(text: str) -> FmedaTable:
                 _expect_str(sd["fmd_mode"], f"{spath}.fmd_mode")
                 if "fmd_mode" in sd else None
             )
-            rows = []
-            for k, fd in enumerate(
-                _expect_list(sd["failure_modes"], f"{spath}.failure_modes")
-            ):
-                fpath = f"{spath}.failure_modes[{k}]"
-                rows.append(_parse_json_row(fd, fpath))
+            rows = [_parse_json_row(fd, spath, k) for k, fd in enumerate(
+                _expect_list(sd["failure_modes"], f"{spath}.failure_modes"))]
             subs.append(Subpart(
                 _expect_str(sd["name"], f"{spath}.name"), lam_sub, mode, tuple(rows)
             ))
@@ -521,9 +523,33 @@ def parse_json(text: str) -> FmedaTable:
 
 
 _JSON_ROW_KEYS = {"id", "name", "dc_source", "safety_mechanisms", *_NUMBER_KEYS}
+_JSON_STR_KEYS = {"id", "name", "dc_source"}
 
 
-def _parse_json_row(fd, path: str) -> FailureModeRow:
+def _parse_json_row(fd, spath: str, k: int) -> FailureModeRow:
+    """The row at spath.failure_modes[k].
+
+    A row object whose every value is already what its key needs (a
+    finite float, a str, a list of str) is read in one pass, and _row
+    gets the object itself.  Any other row is read key by key, which
+    raises the ParseError that names the first mistake.
+    """
+    if type(fd) is dict and "id" in fd:
+        for key, value in fd.items():
+            t = type(value)
+            if t is float:
+                if value - value != 0.0 or key not in _NUMBER_KEYS:  # not finite, or misplaced
+                    break
+            elif t is str:
+                if key not in _JSON_STR_KEYS:
+                    break
+            elif t is not list or key != "safety_mechanisms" \
+                    or not all([type(s) is str for s in value]):
+                break
+        else:
+            return _row(fd, lambda key: {"column": f"{spath}.failure_modes[{k}].{key}"})
+
+    path = f"{spath}.failure_modes[{k}]"
     _expect_keys(fd, path, required={"id"}, optional=_JSON_ROW_KEYS)
     fields = {}
     for key, value in fd.items():

@@ -64,6 +64,10 @@ from .uncertainty import _propagate
 
 RNG_ALGORITHM = "numpy-pcg64"
 MIN_VERDICT_SAMPLES = 1000
+# The most samples a verdict may ask for.  Run time is linear in the count
+# (about 0.17 us per sample on the worked table, so 10^9 take a few
+# minutes); a larger request is refused rather than left to run for years.
+MAX_VERDICT_SAMPLES = 10 ** 9
 TRUNCATION_WARN_RATE = 1e-3
 # Elements per chunk buffer, shared by the two buffer sets of the rate and
 # latent DC matrices: a chunk holds half of it, samples x rows.  It bounds
@@ -97,6 +101,11 @@ class McConfig:
         if self.samples < MIN_VERDICT_SAMPLES:
             raise ValueError(
                 f"at least {MIN_VERDICT_SAMPLES} samples are required for a verdict, "
+                f"got {self.samples}"
+            )
+        if self.samples > MAX_VERDICT_SAMPLES:
+            raise ValueError(
+                f"at most {MAX_VERDICT_SAMPLES} samples are allowed for a verdict, "
                 f"got {self.samples}"
             )
         if not 0 <= self.seed < 2**64:

@@ -302,7 +302,10 @@ def _rate_sum(rates: np.ndarray) -> float:
     overflow to inf is a violation, not a warning.
     """
     with np.errstate(over="ignore"):
-        return float(rates.sum())
+        return float(np.add.reduce(rates))  # what rates.sum() computes
+
+
+_INF = math.inf
 
 
 def _walk(table: FmedaTable) -> tuple[list[Violation], TableArrays | None]:
@@ -312,9 +315,18 @@ def _walk(table: FmedaTable) -> tuple[list[Violation], TableArrays | None]:
     and sigma_fmd) and a fault-simulation row's sigma_dc = e/t are derived
     here, once, from inputs that passed their checks.  arrays is None
     unless there are no violations.
+
+    A row whose numbers are all floats within their ranges, whose id is a
+    new non-empty str and whose source is EXPERT_JUDGMENT or a valid
+    fault-simulation campaign breaks no rule: one chain of comparisons
+    accepts it, and only its values are kept.  Every other row goes
+    through _row_rules, the only producer of row Violations.
     """
     out: list[Violation] = []
-    seen_ids: dict[str, str] = {}  # every id in table order once the table is valid
+    # Every id in table order, mapped to where it was first used: the
+    # subpart's location for a row the cheap check took (its location is
+    # that plus "/" and the id), a 1-tuple of the whole location otherwise.
+    seen_ids: dict = {}
 
     def bad(loc: str, fld: str, rule: str, obs: object, msg: str) -> None:
         out.append(Violation(loc, fld, rule, obs, msg))
@@ -324,7 +336,7 @@ def _walk(table: FmedaTable) -> tuple[list[Violation], TableArrays | None]:
             f"ASIL target must be one of {ASIL_LEVELS}")
 
     lambda_known = True
-    rates, others = [], []  # the rate column; the other five columns, row after row
+    values = []  # the six columns of TableArrays, row after row
 
     for part in table.parts:
         for sub in part.subparts:
@@ -353,95 +365,51 @@ def _walk(table: FmedaTable) -> tuple[list[Violation], TableArrays | None]:
             row_sum_known = True
 
             for row in sub.failure_modes:
-                loc = f"{sub_loc}/{row.id}"
-
-                if not row.id:
-                    bad(loc, "id", "id.nonempty", row.id, "row id must not be empty")
-                elif row.id in seen_ids:
-                    bad(loc, "id", "table.duplicate_id", row.id,
-                        f"id already used at {seen_ids[row.id]}")
-                else:
-                    seen_ids[row.id] = loc
-
-                if not dist:
-                    rate, sigma_rate = row.lambda_fm, row.sigma_lambda_fm
-                elif scale is None or row.fmd_fraction is None or not _finite(row.fmd_fraction):
-                    rate, sigma_rate = None, 0.0  # not derived; a violation names the cause
-                else:
-                    rate = scale * row.fmd_fraction
-                    sigma_rate = scale * row.sigma_fmd if _finite(row.sigma_fmd) else 0.0
-                numbers = (("lambda_fm", rate), ("sigma_lambda_fm", sigma_rate),
-                           ("fmd_fraction", row.fmd_fraction), ("sigma_fmd", row.sigma_fmd),
-                           ("dc", row.dc), ("sigma_dc", row.sigma_dc),
-                           ("dc_latent", row.dc_latent), ("sigma_dc_latent", row.sigma_dc_latent))
-                for fld, v in numbers:
-                    # A missing rate or fraction has its own rules below.
-                    if not _finite(v) and (v is not None or fld not in _OPTIONAL):
-                        bad(loc, fld, "value.finite", v, "value must be finite")
-
-                if _finite(row.dc) and not 0.0 <= row.dc <= 1.0:
-                    bad(loc, "dc", "dc.range", row.dc, "DC must lie in [0, 1]")
-                if _finite(row.dc_latent) and not 0.0 <= row.dc_latent <= 1.0:
-                    bad(loc, "dc_latent", "dc_latent.range", row.dc_latent,
-                        "latent DC must lie in [0, 1]")
-                for fld, v in numbers[1::2]:  # the four sigmas
-                    if _finite(v) and v < 0:
-                        bad(loc, fld, f"{fld}.nonneg", v, "sigma must be >= 0")
-
-                src = row.dc_source
-                sigma_dc = row.sigma_dc
-                if src.kind not in (EXPERT, FAULT_SIMULATION):
-                    bad(loc, "dc_source", "dc_source.kind", src.kind,
-                        "dc_source kind must be expert or faultsim")
-                elif src.is_fault_simulation:
-                    margin_ok = src.margin_e is not None and _finite(src.margin_e) \
-                        and 0.0 < src.margin_e < 1.0
-                    level_ok = src.confidence_level in FAULTSIM_CONFIDENCE_LEVELS
-                    if not margin_ok:
-                        bad(loc, "dc_source", "dc_source.margin_range", src.margin_e,
-                            "fault-simulation margin must lie in (0, 1)")
-                    if not level_ok:
-                        bad(loc, "dc_source", "dc_source.confidence_level",
-                            src.confidence_level,
-                            f"confidence level must be one of {FAULTSIM_CONFIDENCE_LEVELS}")
-                    if margin_ok and level_ok and sigma_dc == 0.0:
-                        sigma_dc = margin_to_sigma(src.margin_e, src.confidence_level)
-
+                rate, sigma_rate, frac, s_fmd = \
+                    row.lambda_fm, row.sigma_lambda_fm, row.fmd_fraction, row.sigma_fmd
+                dc, sigma_dc, lat, s_lat = row.dc, row.sigma_dc, row.dc_latent, row.sigma_dc_latent
+                rid, src = row.id, row.dc_source
+                # The cheap check; a Distribution row's rate is derived first.
                 if dist:
-                    if row.fmd_fraction is None:
-                        bad(loc, "fmd_fraction", "fmd.mode_consistency", None,
-                            "Distribution subpart rows must carry an FMD fraction")
-                        fmd_complete = False
-                    else:
-                        if _finite(row.fmd_fraction) and not 0.0 <= row.fmd_fraction <= 1.0:
-                            bad(loc, "fmd_fraction", "fmd.fraction_range",
-                                row.fmd_fraction, "FMD fraction must lie in [0, 1]")
-                        fmd_sum += row.fmd_fraction if _finite(row.fmd_fraction) else 0.0
-                        if row.lambda_fm is not None:
-                            bad(loc, "lambda_fm", "fmd.mode_consistency", row.lambda_fm,
-                                "Distribution subpart rows take their rate from the FMD fraction")
-                        if row.sigma_lambda_fm != 0.0:
-                            bad(loc, "sigma_lambda_fm", "fmd.mode_consistency", row.sigma_lambda_fm,
-                                "Distribution subpart rows take their sigma from sigma_fmd")
+                    clean = (scale is not None and rate is None and type(frac) is float
+                             and 0.0 <= frac <= 1.0 and type(s_fmd) is float
+                             and type(sigma_rate) is float and sigma_rate == 0.0)
+                    if clean:
+                        rate, sigma_rate = scale * frac, scale * s_fmd
                 else:
-                    if row.fmd_fraction is not None:
-                        bad(loc, "fmd_fraction", "fmd.mode_consistency",
-                            row.fmd_fraction,
-                            "DirectLambda subpart rows must not carry an FMD fraction")
-                    if row.lambda_fm is None:
-                        bad(loc, "lambda_fm", "lambda.missing", None,
-                            "DirectLambda rows must state lambda_fm")
-
-                if rate is None or not _finite(rate):
-                    row_sum_known = False
-                    lambda_known = False
-                else:
-                    if rate < 0:
-                        bad(loc, "lambda_fm", "lambda_fm.nonneg", rate,
-                            "failure rate must be >= 0")
+                    clean = (frac is None and type(rate) is float
+                             and type(sigma_rate) is float and type(s_fmd) is float)
+                if (clean and 0.0 <= rate < _INF and 0.0 <= sigma_rate < _INF
+                        and 0.0 <= s_fmd < _INF
+                        and type(dc) is float and 0.0 <= dc <= 1.0
+                        and type(sigma_dc) is float and 0.0 <= sigma_dc < _INF
+                        and type(lat) is float and 0.0 <= lat <= 1.0
+                        and type(s_lat) is float and 0.0 <= s_lat < _INF
+                        and type(rid) is str and rid and rid not in seen_ids
+                        and (src is EXPERT_JUDGMENT or (
+                            type(src) is DcSource and src.kind == FAULT_SIMULATION
+                            and type(src.margin_e) is float and 0.0 < src.margin_e < 1.0
+                            and src.confidence_level in FAULTSIM_CONFIDENCE_LEVELS))):
+                    seen_ids[rid] = sub_loc
+                    if sigma_dc == 0.0 and src is not EXPERT_JUDGMENT:
+                        sigma_dc = margin_to_sigma(src.margin_e, src.confidence_level)
+                    if dist:
+                        fmd_sum += frac
                     row_sum += rate
-                rates.append(rate)
-                others.extend((sigma_rate, row.dc, sigma_dc, row.dc_latent, row.sigma_dc_latent))
+                else:
+                    rate, sigma_rate, sigma_dc = _row_rules(
+                        row, f"{sub_loc}/{row.id}", dist, scale, seen_ids, bad)
+                    if dist:
+                        if row.fmd_fraction is None:
+                            fmd_complete = False
+                        else:
+                            fmd_sum += row.fmd_fraction if _finite(row.fmd_fraction) else 0.0
+                    if rate is None or not _finite(rate):
+                        row_sum_known = False
+                        lambda_known = False
+                    else:
+                        row_sum += rate
+                values.extend((rate, sigma_rate, dc, sigma_dc, lat, s_lat))
 
             if dist and fmd_complete and sub.failure_modes \
                     and abs(fmd_sum - 1.0) > FMD_SUM_TOL:
@@ -456,8 +424,13 @@ def _walk(table: FmedaTable) -> tuple[list[Violation], TableArrays | None]:
                         sub.lambda_subpart,
                         f"declared subpart rate differs from row sum {row_sum!r}")
 
+    columns = None
     if lambda_known:  # every rate is a finite number
-        rates = np.asarray(rates, dtype=np.float64)
+        if out:
+            rates = np.asarray(values[::6], dtype=np.float64)
+        else:  # every value is a finite number: a contiguous row per column
+            columns = np.fromiter(values, np.float64, len(values)).reshape(-1, 6).T.copy()
+            rates = columns[0]
         total = _rate_sum(rates)
         if total <= 0.0:
             bad("table", "lambda_tot", "table.lambda_tot_positive", total,
@@ -467,10 +440,98 @@ def _walk(table: FmedaTable) -> tuple[list[Violation], TableArrays | None]:
                 "total failure rate overflows the float range")
     if out:
         return out, None
-    columns = np.array(others, dtype=np.float64).reshape(-1, 5).T.copy()  # a contiguous row each
-    for array in (rates, columns):
-        array.flags.writeable = False
-    return out, TableArrays(tuple(seen_ids), rates, *columns, lambda_tot=total)
+    columns.flags.writeable = False
+    return out, TableArrays(tuple(seen_ids), *columns, lambda_tot=total)
+
+
+def _row_rules(row: FailureModeRow, loc: str, dist: bool, scale, seen_ids: dict,
+               bad) -> tuple[object, object, object]:
+    """Check one row against every row rule: (rate, sigma_rate, sigma_dc).
+
+    Reports each broken rule through bad(), in a fixed order, and records
+    the row's id in seen_ids.  scale is the subpart rate of a Distribution
+    row when it is a finite number, else None; the rate is None when it
+    cannot be derived (a violation names the cause).
+    """
+    if not row.id:
+        bad(loc, "id", "id.nonempty", row.id, "row id must not be empty")
+    elif row.id in seen_ids:
+        first = seen_ids[row.id]
+        where = first[0] if type(first) is tuple else f"{first}/{row.id}"
+        bad(loc, "id", "table.duplicate_id", row.id, f"id already used at {where}")
+    else:
+        seen_ids[row.id] = (loc,)
+
+    if not dist:
+        rate, sigma_rate = row.lambda_fm, row.sigma_lambda_fm
+    elif scale is None or row.fmd_fraction is None or not _finite(row.fmd_fraction):
+        rate, sigma_rate = None, 0.0  # not derived; a violation names the cause
+    else:
+        rate = scale * row.fmd_fraction
+        sigma_rate = scale * row.sigma_fmd if _finite(row.sigma_fmd) else 0.0
+    numbers = (("lambda_fm", rate), ("sigma_lambda_fm", sigma_rate),
+               ("fmd_fraction", row.fmd_fraction), ("sigma_fmd", row.sigma_fmd),
+               ("dc", row.dc), ("sigma_dc", row.sigma_dc),
+               ("dc_latent", row.dc_latent), ("sigma_dc_latent", row.sigma_dc_latent))
+    for fld, v in numbers:
+        # A missing rate or fraction has its own rules below.
+        if not _finite(v) and (v is not None or fld not in _OPTIONAL):
+            bad(loc, fld, "value.finite", v, "value must be finite")
+
+    if _finite(row.dc) and not 0.0 <= row.dc <= 1.0:
+        bad(loc, "dc", "dc.range", row.dc, "DC must lie in [0, 1]")
+    if _finite(row.dc_latent) and not 0.0 <= row.dc_latent <= 1.0:
+        bad(loc, "dc_latent", "dc_latent.range", row.dc_latent,
+            "latent DC must lie in [0, 1]")
+    for fld, v in numbers[1::2]:  # the four sigmas
+        if _finite(v) and v < 0:
+            bad(loc, fld, f"{fld}.nonneg", v, "sigma must be >= 0")
+
+    src = row.dc_source
+    sigma_dc = row.sigma_dc
+    if src.kind not in (EXPERT, FAULT_SIMULATION):
+        bad(loc, "dc_source", "dc_source.kind", src.kind,
+            "dc_source kind must be expert or faultsim")
+    elif src.is_fault_simulation:
+        margin_ok = src.margin_e is not None and _finite(src.margin_e) \
+            and 0.0 < src.margin_e < 1.0
+        level_ok = src.confidence_level in FAULTSIM_CONFIDENCE_LEVELS
+        if not margin_ok:
+            bad(loc, "dc_source", "dc_source.margin_range", src.margin_e,
+                "fault-simulation margin must lie in (0, 1)")
+        if not level_ok:
+            bad(loc, "dc_source", "dc_source.confidence_level",
+                src.confidence_level,
+                f"confidence level must be one of {FAULTSIM_CONFIDENCE_LEVELS}")
+        if margin_ok and level_ok and sigma_dc == 0.0:
+            sigma_dc = margin_to_sigma(src.margin_e, src.confidence_level)
+
+    if dist:
+        if row.fmd_fraction is None:
+            bad(loc, "fmd_fraction", "fmd.mode_consistency", None,
+                "Distribution subpart rows must carry an FMD fraction")
+        else:
+            if _finite(row.fmd_fraction) and not 0.0 <= row.fmd_fraction <= 1.0:
+                bad(loc, "fmd_fraction", "fmd.fraction_range",
+                    row.fmd_fraction, "FMD fraction must lie in [0, 1]")
+            if row.lambda_fm is not None:
+                bad(loc, "lambda_fm", "fmd.mode_consistency", row.lambda_fm,
+                    "Distribution subpart rows take their rate from the FMD fraction")
+            if row.sigma_lambda_fm != 0.0:
+                bad(loc, "sigma_lambda_fm", "fmd.mode_consistency", row.sigma_lambda_fm,
+                    "Distribution subpart rows take their sigma from sigma_fmd")
+    else:
+        if row.fmd_fraction is not None:
+            bad(loc, "fmd_fraction", "fmd.mode_consistency",
+                row.fmd_fraction,
+                "DirectLambda subpart rows must not carry an FMD fraction")
+        if row.lambda_fm is None:
+            bad(loc, "lambda_fm", "lambda.missing", None,
+                "DirectLambda rows must state lambda_fm")
+
+    if rate is not None and _finite(rate) and rate < 0:
+        bad(loc, "lambda_fm", "lambda_fm.nonneg", rate, "failure rate must be >= 0")
+    return rate, sigma_rate, sigma_dc
 
 
 def _require_finite_sigmas(**sigmas: float | None) -> None:

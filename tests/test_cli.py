@@ -433,9 +433,24 @@ def test_verify_oversized_samples_is_an_input_error(table_csv, capsys, monkeypat
 
     monkeypatch.setattr(mc, "_simulate", out_of_memory)
     code, out, err = run(capsys, ["verify", "--input", table_csv,
-                                  "--samples", "10000000000000"])
+                                  "--samples", "100000000"])
     assert (code, out) == (1, "")
-    assert "--samples 10000000000000" in err
+    assert "--samples 100000000" in err
+    assert "Traceback" not in err
+
+
+def test_verify_samples_over_the_cap_exit_one_at_once(table_csv, capsys, monkeypatch):
+    import fmeda_uq.mc_oracle as mc
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the sampler was started")
+
+    monkeypatch.setattr(mc, "_simulate", must_not_run)
+    monkeypatch.setattr(mc.threading, "Thread", must_not_run)
+    code, out, err = run(capsys, ["verify", "--input", table_csv,
+                                  "--samples", "100000000000000000000"])
+    assert (code, out) == (1, "")
+    assert f"at most {mc.MAX_VERDICT_SAMPLES} samples" in err
     assert "Traceback" not in err
 
 

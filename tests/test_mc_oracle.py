@@ -145,6 +145,7 @@ def test_memory_does_not_grow_with_rows(rng):
 def test_memory_does_not_grow_with_samples():
     # The moments are streamed: no array holds one value per sample.
     table = two_fm_table()
+    _verify_peak(table, 20_000)  # the one-time allocations of a process's first verify
     assert _verify_peak(table, 200_000) - _verify_peak(table, 20_000) < 0.5 * 2**20
 
 
@@ -218,6 +219,13 @@ def test_exactness_on_dc_only_tables_at_1e6(rng):
 def test_minimum_samples_enforced():
     with pytest.raises(ValueError, match="1000"):
         McConfig(samples=500, seed=1)
+
+
+def test_maximum_samples_enforced():
+    assert McConfig(samples=mc.MAX_VERDICT_SAMPLES).samples == 10 ** 9
+    for samples in (mc.MAX_VERDICT_SAMPLES + 1, 10 ** 20):
+        with pytest.raises(ValueError, match=f"at most {mc.MAX_VERDICT_SAMPLES} samples"):
+            McConfig(samples=samples, seed=1)
 
 
 @pytest.mark.parametrize("field, value", [

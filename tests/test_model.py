@@ -7,10 +7,11 @@ import math
 import operator
 import pickle
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fmeda_uq import (
     DcSource,
@@ -384,3 +385,137 @@ def test_cli_analyze_validates_once(suffix, tmp_path, monkeypatch, capsys):
     assert cli.main(["analyze", "--input", str(path), "--asil", "B"]) == 0
     assert capsys.readouterr().out
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# The cheap check of a clean row agrees with the rule block
+# ---------------------------------------------------------------------------
+
+
+class _RulesId(str):
+    """A row id the cheap check does not take (not exactly a str), so a row
+    carrying it goes through model._row_rules; it formats as its text."""
+
+
+_NEXT_BELOW_0 = math.nextafter(0.0, -1.0)
+# Values just inside and just outside the rules, and of the wrong kinds:
+# for the numbers in [0, 1], and for the rates and sigmas in [0, inf).
+_UNIT_EDGES = (0.0, -0.0, 1.0, _NEXT_BELOW_0, math.nextafter(1.0, 2.0), -1.0,
+               math.nan, math.inf, None, 1, True, "0.5")
+_NONNEG_EDGES = (0.0, -0.0, 5e-324, _NEXT_BELOW_0, -1.0, 1e308, math.inf, -math.inf,
+                 math.nan, None, 0, True, "0.5")
+_SOURCES = st.sampled_from((
+    model.EXPERT_JUDGMENT, DcSource(), DcSource.fault_simulation(0.01, 0.95),
+    DcSource.fault_simulation(5e-324, 0.99),
+    DcSource.fault_simulation(math.nextafter(1.0, 0.0), 0.90),
+    DcSource.fault_simulation(0.0, 0.95), DcSource.fault_simulation(1.0, 0.95),
+    DcSource.fault_simulation(0.01, 0.5), DcSource.fault_simulation(math.nan, 0.95),
+    DcSource.fault_simulation(1, 0.95), DcSource("bogus"),
+))
+# The number fields of a row, the range a valid value is drawn from, and
+# the edge values that may replace it.
+_RANGES = {"dc": (0.0, 1.0, _UNIT_EDGES), "sigma_dc": (0.0, 0.1, _NONNEG_EDGES),
+           "dc_latent": (0.0, 1.0, _UNIT_EDGES), "sigma_dc_latent": (0.0, 0.1, _NONNEG_EDGES),
+           "sigma_fmd": (0.0, 0.5, _NONNEG_EDGES), "lambda_fm": (0.0, 1e3, _NONNEG_EDGES),
+           "sigma_lambda_fm": (0.0, 10.0, _NONNEG_EDGES),
+           "fmd_fraction": (0.0, 1.0, _UNIT_EDGES)}
+
+
+@st.composite
+def _rows(draw, dist: bool, n: int):
+    """n rows of one subpart, drawn valid (a Distribution subpart's fractions
+    sum to 1); then about half of them get one number set to an edge value,
+    and a third draw a source that may break a rule."""
+    rows = []
+    for _ in range(n):
+        fields = {key: draw(st.floats(lo, hi)) for key, (lo, hi, _) in _RANGES.items()}
+        fields["id"] = draw(st.sampled_from(("", "R0", "R1")) if draw(st.integers(0, 5)) == 0
+                            else st.uuids().map(str))
+        if dist:
+            fields["lambda_fm"] = None
+            fields["sigma_lambda_fm"] = 0.0
+        else:
+            fields["fmd_fraction"] = None
+        rows.append(fields)
+    if dist:
+        total = sum(fields["fmd_fraction"] for fields in rows) or 1.0
+        for fields in rows:
+            fields["fmd_fraction"] /= total
+    for fields in rows:
+        fields["dc_source"] = draw(_SOURCES) if draw(st.integers(0, 2)) == 0 \
+            else model.EXPERT_JUDGMENT
+        if draw(st.booleans()):
+            key = draw(st.sampled_from(sorted(_RANGES)))
+            fields[key] = draw(st.sampled_from(_RANGES[key][2]))
+    return rows
+
+
+@st.composite
+def _subparts(draw):
+    """(name, lambda_subpart, fmd_mode, rows) of one subpart."""
+    dist = draw(st.booleans())
+    if dist:
+        rate = draw(st.one_of(st.floats(0.0, 1e3), st.sampled_from(_NONNEG_EDGES)))
+        mode = draw(st.sampled_from((model.DISTRIBUTION, None)))
+    else:
+        rate = draw(st.one_of(st.none(), st.none(), st.sampled_from(_NONNEG_EDGES)))
+        mode = draw(st.sampled_from((model.DIRECT_LAMBDA, model.DIRECT_LAMBDA, None, "Bogus")))
+    rows = draw(_rows(dist, draw(st.integers(1, 4))))
+    return draw(st.sampled_from(("S", "T"))), rate, mode, rows
+
+
+def _build(subparts, rules_ids: bool) -> FmedaTable:
+    subs = []
+    for name, rate, mode, rows in subparts:
+        fms = tuple(FailureModeRow(**dict(
+            fields, id=_RulesId(fields["id"]) if rules_ids else fields["id"]))
+            for fields in rows)
+        subs.append(Subpart(name, rate, mode, fms))
+    return FmedaTable((Part("P", tuple(subs)),))
+
+
+def _spy_row_rules(calls: list):
+    """model._row_rules, recording (row, the violations it reported) per call."""
+    real = model._row_rules
+
+    def spy(row, loc, dist, scale, seen_ids, bad):
+        found = []
+
+        def record(*violation):
+            found.append(violation)
+            bad(*violation)
+
+        calls.append((row, found))
+        return real(row, loc, dist, scale, seen_ids, record)
+    return spy
+
+
+@settings(settings.get_profile("fuzz"), max_examples=300)
+@given(st.lists(_subparts(), min_size=1, max_size=3))
+def test_cheap_check_accepts_only_rows_the_rules_pass(subparts):
+    table = _build(subparts, rules_ids=False)
+    rows = [row for part in table.parts for sub in part.subparts for row in sub.failure_modes]
+    fast_calls, rule_calls = [], []
+    with mock.patch.object(model, "_row_rules", _spy_row_rules(fast_calls)):
+        fast = model._walk(table)
+    with mock.patch.object(model, "_row_rules", _spy_row_rules(rule_calls)):
+        rules = model._walk(_build(subparts, rules_ids=True))
+
+    # Every row of the second table went through the rule block, in order.
+    # A row that the cheap check took (no call in the first walk) is one for
+    # which the rule block reports nothing.
+    assert len(rule_calls) == len(rows)
+    checked = {id(row) for row, _ in fast_calls}
+    for row, (_, found) in zip(rows, rule_calls):
+        if id(row) not in checked:
+            assert found == [], row
+
+    assert [str(v) for v in fast[0]] == [str(v) for v in rules[0]]
+    if rules[1] is None:
+        assert fast[1] is None
+        return
+    assert fast[1].ids == rules[1].ids
+    for name in ("lam", "sigma_lam", "dc", "sigma_dc", "dc_lat", "sigma_dc_lat"):
+        a, b = getattr(fast[1], name), getattr(rules[1], name)
+        assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
+    assert fast[1].lambda_tot.hex() == rules[1].lambda_tot.hex()
