@@ -23,13 +23,18 @@ digits, JSON keys are sorted, and no timestamps are embedded, so equal
 inputs produce byte-identical documents.  Report percentages render at
 2 decimals.  The JSON writer lays out an array of same-key objects (the
 report's rows and EII entries, a subpart's failure modes) with one
-template per array; each float's token is still taken from fmt12.
+template per array, and writes a long run of them a column at a time:
+one C-level %.12g (fmt12's format) per float column, whose tokens are
+checked at once for the few floats whose JSON token differs from it
+(integral values, exponents 12-15, subnormals, nan and the infinities);
+only those go through _float_token.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import operator
@@ -111,9 +116,12 @@ def _json_text(obj, newline: str = "\n") -> str:
     Objects are written by _objects_text: an array whose first member is
     a non-empty object gets one template for the whole array (the
     report's rows, eii and eii_totals, a subpart's failure_modes), and a
-    lone object a template of its own.  Each container joins its own pieces once, brackets included, so the
-    pieces of one report row are freed once the row's text is built and
-    a large member's text is not copied again by its container.
+    lone object a template of its own.  A long array of such objects is
+    written a column at a time, a short one or a lone object member by
+    member; both give the same text.  Each container joins its own
+    pieces once, brackets included, so the pieces of one report row are
+    freed once the row's text is built and a large member's text is not
+    copied again by its container.
     """
     if isinstance(obj, float):
         return _float_token(obj)
@@ -143,17 +151,29 @@ def _json_text(obj, newline: str = "\n") -> str:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
+# Measured on the report's rows and EII entries and a table's failure
+# modes, the column path breaks even with the member loop at 4 to 8
+# members, and blocks of 128 to 20000 members run at one speed.
+_COLUMNS_MIN = 8
+_BLOCK = 256
+
+
 def _objects_text(objs, newline: str) -> list[str]:
     """The texts of an array's members, the first of them a non-empty dict.
 
     The first member's sorted keys make the array's one template, built
     here once: the text before each value, with the key and the indent
-    baked in.  Every member with that key set is written as the template
-    joined with its values' tokens: a float's _float_token, a str's JSON
-    string, and _json_text of anything else.  Any other member is written
-    by _json_text.  The pieces are joined rather than %-formatted: %
-    over-allocates each text and then shrinks it, and the holes that
-    leaves raised the peak RSS of a 10^4-row report.
+    baked in.  A member with that key set is its template joined with its
+    values' tokens: a float's _float_token, a str's JSON string, and
+    _json_text of anything else.  Any other member is written by
+    _json_text.
+
+    An array of at least _COLUMNS_MIN members, all plain dicts with the
+    template's keys, is written by _column_texts, _BLOCK members at a
+    time; any other array member by member, as is a lone object.  Each
+    member's text is joined rather than %-formatted: % over-allocates
+    each text and then shrinks it, and the holes that leaves raised the
+    peak RSS of a 10^4-row report.
     """
     keys = sorted(objs[0])
     for key in keys:
@@ -165,6 +185,11 @@ def _objects_text(objs, newline: str) -> list[str]:
     tail = newline + "}"
     key_set = objs[0].keys()
     texts = []
+    if len(objs) >= _COLUMNS_MIN \
+            and all([type(obj) is dict and obj.keys() == key_set for obj in objs]):
+        for start in range(0, len(objs), _BLOCK):
+            texts += _column_texts(objs[start:start + _BLOCK], keys, heads, tail, inner)
+        return texts
     for obj in objs:
         if not isinstance(obj, dict) or obj.keys() != key_set:
             texts.append(_json_text(obj, newline))
@@ -178,6 +203,43 @@ def _objects_text(objs, newline: str) -> list[str]:
         pieces.append(tail)
         texts.append("".join(pieces))
     return texts
+
+
+def _column_texts(block, keys, heads, tail, inner: str) -> list[str]:
+    """The texts of dicts that all have the given keys, a column at a time.
+
+    An all-float column is formatted by one %.12g over the whole column.
+    A token is _float_token's when it has a "." (an integral value, an
+    exponent without one, nan and the infinities have none) and holds
+    neither "e+1" (the exponents 12-15 take repr) nor "e-3" (subnormals);
+    the other exponents these catch are written again unchanged.
+    That is checked once over the column's text; only when it fails is
+    each token checked, and each failing one replaced by _float_token,
+    which raises ValueError on nan and the infinities.  An all-str column
+    is mapped through the JSON string encoder, and a mixed column takes
+    the per-value dispatch of the member loop.  Each member's text is one
+    join of the heads, its tokens and the tail.
+    """
+    columns = []
+    for head, key in zip(heads, keys):
+        column = tuple(map(operator.itemgetter(key), block))
+        types = set(map(type, column))
+        if types == {float}:
+            text = ("%.12g," * len(column))[:-1] % column
+            tokens = text.split(",")
+            if text.count(".") != len(column) or "e+1" in text or "e-3" in text:
+                for i, token in enumerate(tokens):
+                    if "." not in token or "e+1" in token or "e-3" in token:
+                        tokens[i] = _float_token(column[i])
+        elif types == {str}:
+            tokens = map(_encode_str, column)
+        else:
+            tokens = [_float_token(v) if type(v) is float
+                      else _encode_str(v) if type(v) is str
+                      else _json_text(v, inner) for v in column]
+        columns += (itertools.repeat(head), tokens)
+    columns.append(itertools.repeat(tail))
+    return list(map("".join, zip(*columns)))
 
 
 def _parse_float(cell: str, line: int | None, column: str) -> float:
@@ -490,32 +552,42 @@ def parse_json(text: str) -> FmedaTable:
     if "asil_target" in doc:
         asil = _expect_str(doc["asil_target"], "$.asil_target")
 
+    # A well-formed part or subpart passes a few type tests and key-set
+    # comparisons; its key path is built, and the _expect_* helper that
+    # raises the ParseError called, only when one of them fails.
     parts = []
     for i, pd in enumerate(_expect_list(doc["parts"], "$.parts")):
-        ppath = f"$.parts[{i}]"
-        _expect_keys(pd, ppath, required={"name", "subparts"}, optional=set())
+        if type(pd) is not dict or pd.keys() != _PART_KEYS:
+            _expect_keys(pd, f"$.parts[{i}]", required=_PART_KEYS, optional=set())
+        sds = pd["subparts"]
+        if type(sds) is not list:
+            _expect_list(sds, f"$.parts[{i}].subparts")
         subs = []
-        for j, sd in enumerate(_expect_list(pd["subparts"], f"{ppath}.subparts")):
-            spath = f"{ppath}.subparts[{j}]"
-            _expect_keys(
-                sd, spath,
-                required={"name", "failure_modes"},
-                optional={"lambda_fit", "fmd_mode"},
-            )
-            lam_sub = (
-                _expect_number(sd["lambda_fit"], f"{spath}.lambda_fit")
-                if "lambda_fit" in sd else None
-            )
-            mode = (
-                _expect_str(sd["fmd_mode"], f"{spath}.fmd_mode")
-                if "fmd_mode" in sd else None
-            )
-            rows = [_parse_json_row(fd, spath, k) for k, fd in enumerate(
-                _expect_list(sd["failure_modes"], f"{spath}.failure_modes"))]
-            subs.append(Subpart(
-                _expect_str(sd["name"], f"{spath}.name"), lam_sub, mode, tuple(rows)
-            ))
-        parts.append(Part(_expect_str(pd["name"], f"{ppath}.name"), tuple(subs)))
+        for j, sd in enumerate(sds):
+            if type(sd) is not dict or not _SUBPART_KEYS >= sd.keys() >= _SUBPART_REQUIRED:
+                _expect_keys(sd, f"$.parts[{i}].subparts[{j}]",
+                             required=_SUBPART_REQUIRED, optional=_SUBPART_KEYS)
+            lam_sub = mode = None
+            if "lambda_fit" in sd:
+                lam_sub = sd["lambda_fit"]
+                if type(lam_sub) is not float or lam_sub - lam_sub != 0.0:
+                    lam_sub = _expect_number(lam_sub, f"$.parts[{i}].subparts[{j}].lambda_fit")
+            if "fmd_mode" in sd:
+                mode = sd["fmd_mode"]
+                if type(mode) is not str:
+                    _expect_str(mode, f"$.parts[{i}].subparts[{j}].fmd_mode")
+            fds = sd["failure_modes"]
+            if type(fds) is not list:
+                _expect_list(fds, f"$.parts[{i}].subparts[{j}].failure_modes")
+            rows = tuple([_parse_json_row(fd, i, j, k) for k, fd in enumerate(fds)])
+            name = sd["name"]
+            if type(name) is not str:
+                _expect_str(name, f"$.parts[{i}].subparts[{j}].name")
+            subs.append(Subpart(name, lam_sub, mode, rows))
+        name = pd["name"]
+        if type(name) is not str:
+            _expect_str(name, f"$.parts[{i}].name")
+        parts.append(Part(name, tuple(subs)))
 
     table = FmedaTable(tuple(parts), asil)
     table_arrays(table)  # validates, and caches the arrays for analyze
@@ -524,10 +596,13 @@ def parse_json(text: str) -> FmedaTable:
 
 _JSON_ROW_KEYS = {"id", "name", "dc_source", "safety_mechanisms", *_NUMBER_KEYS}
 _JSON_STR_KEYS = {"id", "name", "dc_source"}
+_PART_KEYS = {"name", "subparts"}
+_SUBPART_REQUIRED = {"name", "failure_modes"}
+_SUBPART_KEYS = {"name", "failure_modes", "lambda_fit", "fmd_mode"}
 
 
-def _parse_json_row(fd, spath: str, k: int) -> FailureModeRow:
-    """The row at spath.failure_modes[k].
+def _parse_json_row(fd, i: int, j: int, k: int) -> FailureModeRow:
+    """The row at $.parts[i].subparts[j].failure_modes[k].
 
     A row object whose every value is already what its key needs (a
     finite float, a str, a list of str) is read in one pass, and _row
@@ -547,9 +622,10 @@ def _parse_json_row(fd, spath: str, k: int) -> FailureModeRow:
                     or not all([type(s) is str for s in value]):
                 break
         else:
-            return _row(fd, lambda key: {"column": f"{spath}.failure_modes[{k}].{key}"})
+            return _row(fd, lambda key: {
+                "column": f"$.parts[{i}].subparts[{j}].failure_modes[{k}].{key}"})
 
-    path = f"{spath}.failure_modes[{k}]"
+    path = f"$.parts[{i}].subparts[{j}].failure_modes[{k}]"
     _expect_keys(fd, path, required={"id"}, optional=_JSON_ROW_KEYS)
     fields = {}
     for key, value in fd.items():

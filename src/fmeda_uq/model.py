@@ -489,7 +489,10 @@ def _row_rules(row: FailureModeRow, loc: str, dist: bool, scale, seen_ids: dict,
 
     src = row.dc_source
     sigma_dc = row.sigma_dc
-    if src.kind not in (EXPERT, FAULT_SIMULATION):
+    if not isinstance(src, DcSource):
+        bad(loc, "dc_source", "dc_source.kind", src,
+            "dc_source must be a DcSource of kind expert or faultsim")
+    elif src.kind not in (EXPERT, FAULT_SIMULATION):
         bad(loc, "dc_source", "dc_source.kind", src.kind,
             "dc_source kind must be expert or faultsim")
     elif src.is_fault_simulation:

@@ -9,7 +9,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fmeda_uq import (
     DcSource,
@@ -541,23 +541,81 @@ def _object_arrays(draw, mixed: bool):
     return [draw(same)] + draw(st.lists(st.one_of(same, other), max_size=6))
 
 
+# Floats whose %.12g token is not their JSON token: integral values
+# (123.0000000000001 rounds to "123", 1e11 is "100000000000"), the exponents
+# 12-15, exponents written without a "." (1e-05, 1e+16) and subnormals; and
+# floats whose token the column check sends the slow way although it is
+# right (1.5e-30, 2.5e+19).  The mixins are the other values a float key
+# may hold.
+_COLUMN_TRIGGERS = [0.0, -0.0, 5.0, 123.0000000000001, 1e11, 5.5e12, 9.99999999999e15,
+                    1e16, 2.5e19, 2.5e20, 1e-05, 1.5e-30, 5e-324, 1e-310, sys.float_info.min]
+_COLUMN_MIXINS = [7, None, np.float64(0.25), np.float64(1e13), "s", True, [1.5], {"k": 2.0}]
+
+
+@st.composite
+def _long_object_arrays(draw):
+    """Arrays past the column gate and past one block, triggers at random rows.
+
+    Each key holds floats, strs, or floats mixed with other values, with
+    one planted value, often alone, and a few more at drawn rows; now and
+    then a member with other keys or no object at all breaks the array's
+    key set, which sends the whole array to the member loop.
+    """
+    n = draw(st.sampled_from([ingest._COLUMNS_MIN, ingest._BLOCK - 1, ingest._BLOCK + 1,
+                              2 * ingest._BLOCK + ingest._COLUMNS_MIN - 1]))
+    keys = draw(_KEYS)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    objs = [{} for _ in range(n)]
+    for key in keys:
+        kind = draw(st.sampled_from(["float", "str", "mixed"]))
+        if kind == "str":
+            column = [f"v{i}\u00e9" for i in range(n)]
+        else:
+            column = [float(x) for x in rng.standard_normal(n) * 10.0 ** rng.integers(-6, 6, n)]
+        plants = {"float": _COLUMN_TRIGGERS, "str": _COLUMN_MIXINS,
+                  "mixed": _COLUMN_TRIGGERS + _COLUMN_MIXINS}[kind]
+        plant = st.tuples(st.integers(0, n - 1), st.sampled_from(plants))
+        for row, value in [draw(plant)] + draw(st.lists(plant, max_size=4)):
+            column[row] = value
+        for obj, value in zip(objs, column):
+            obj[key] = value
+    for row, other in draw(st.lists(st.tuples(st.integers(1, n - 1), st.sampled_from(
+            [{"other": 1.0}, 2.5, None, "x"])), max_size=2)):
+        objs[row] = other
+    return objs
+
+
 @settings(settings.get_profile("fuzz"), max_examples=200)
-@given(objs=st.one_of(_object_arrays(mixed=False), _object_arrays(mixed=True)))
+@given(objs=st.one_of(_object_arrays(mixed=False), _object_arrays(mixed=True),
+                      _long_object_arrays()))
+@example(objs=[{"a": f"s{i}"} for i in range(ingest._COLUMNS_MIN)] + [{"a": 7}])
 def test_object_arrays_equal_json_dumps(objs):
     for doc in (objs, {"rows": objs, "eii": tuple(objs)}):
         assert ingest._json_text(doc) + "\n" == _reference(doc)
 
 
+def _long_array(value, row: int = ingest._BLOCK + 10) -> list:
+    """An array on the column path, value at row under key "b"."""
+    objs = [{"a": float(i) + 0.5, "b": {"c": 0.5}} for i in range(ingest._BLOCK + 20)]
+    objs[row]["b"] = value
+    return objs
+
+
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
 def test_non_finite_floats_in_an_object_array_are_rejected(x):
+    long = _long_array(1.5)
+    long[ingest._BLOCK + 10]["a"] = x
     for objs in ([{"a": x, "b": "s"}], [{"a": 1.0, "b": "s"}, {"a": x, "b": "s"}],
-                 [{"a": 1.0}, {"a": [x]}]):
+                 [{"a": 1.0}, {"a": [x]}], long, _long_array([x])):
         with pytest.raises(ValueError):
             ingest._json_text(objs)
 
 
 def test_non_str_keys_in_an_object_array_are_rejected():
-    for objs in ([{1: 2.0}, {1: 3.0}], [{"a": 1.0}, {1: 2.0}], [{"a": 1.0}, {"a": {1: 2.0}}]):
+    long = _long_array(1.5)
+    long[ingest._BLOCK + 10] = {1: 2.0}
+    for objs in ([{1: 2.0}, {1: 3.0}], [{"a": 1.0}, {1: 2.0}], [{"a": 1.0}, {"a": {1: 2.0}}],
+                 [{1: 2.0}] * len(long), long, _long_array({1: 2.0}), _long_array({2: 1.0}, 3)):
         with pytest.raises(TypeError):
             ingest._json_text(objs)
 
@@ -572,7 +630,11 @@ def test_documents_equal_json_dumps_on_the_acceptance_corpus(monkeypatch):
         return real(obj, newline)
 
     monkeypatch.setattr(ingest, "_json_text", capture)
-    for name, table, _ in fixture_corpus():
+    # One table of more rows than two blocks of the column path, so that
+    # its report rows, EII entries and failure modes cross block boundaries.
+    multi_block = random_table(np.random.default_rng(17), n_fm=2 * ingest._BLOCK + 88,
+                               sigma_dc_latent_max=0.02)
+    for name, table, _ in fixture_corpus() + [("multi_block", multi_block, True)]:
         for confidence in (0.90, 0.99):
             result = analyze(table, confidence_level=confidence, asil_target="D")
             assert emit_result(result, "json") == _reference(result.to_dict()), name

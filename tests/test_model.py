@@ -138,6 +138,17 @@ def test_faultsim_source_rules():
     assert any(v.rule == "dc_source.confidence_level" for v in validate(bad_level))
 
 
+def test_a_source_that_is_not_a_dc_source_is_one_violation():
+    table = make_table([dict(lambda_fm=1.0, dc=0.5, dc_source="expert")])
+    [violation] = validate(table)
+    assert (violation.rule, violation.field, violation.observed) == \
+        ("dc_source.kind", "dc_source", "expert")
+    with pytest.raises(FmedaValidationError):
+        table_arrays(table)
+    with pytest.raises(FmedaValidationError):
+        analyze(table)
+
+
 def test_distribution_mode_materializes_rates():
     table = make_table(
         [
