@@ -9,10 +9,12 @@ through model.table_arrays (validated and extracted once per table, by
 the parser when the table was parsed) and runs the propagation kernel
 once; everything else is read off that one result.
 
-Each report row, EII entry and EII total is built once, as the JSON
-object the report document carries (keys "part", "failure_mode",
-"lambda_fm_fit", ...); to_dict() puts those same objects in the document
-and the markdown and CSV emitters read the same keys.  A row's
+The report is one document, AnalysisResult.to_dict(): the JSON report
+is that document, and the markdown and CSV reports are views of it
+(ingest.emit_result reads nothing else), so to_dict() is the only place
+that names the result's fields.  Each report row, EII entry and EII total
+is built once, as the JSON object the document carries (keys "part",
+"failure_mode", "lambda_fm_fit", ...), and to_dict() shares it.  A row's
 lambda_fm_fit, sigma_lambda_fm_fit and sigma_dc are read off the arrays:
 a Distribution row's rate is derived from its FMD fraction, and a
 sampled fault-injection campaign's DC gets sigma_dc = e/t unless it
@@ -28,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .eii import NO_UNCERTAINTY_NOTE, _entries
+from .ingest import FORMAT_VERSION
 from .metrics import AsilVerdict, asil_verdict
 from .model import FmedaTable, _require_finite_sigmas, cutoff, iter_rows, table_arrays
 from .uncertainty import (
@@ -76,7 +79,7 @@ class AnalysisResult:
 
     def to_dict(self) -> dict:
         doc = {
-            "version": "fmeda-uq/1",
+            "version": FORMAT_VERSION,
             "lambda_tot_fit": self.lambda_tot,
             "spfm": self.spfm,
             "lfm": self.lfm,
@@ -90,16 +93,9 @@ class AnalysisResult:
             "mode": self.mode.value,
             "confidence_level": self.confidence_level,
             "k": self.k,
-            "interval_spfm": {
-                "lo": self.interval_spfm.lo,
-                "hi": self.interval_spfm.hi,
-                "clamped": self.interval_spfm.clamped,
-            },
-            "interval_lfm": None if self.interval_lfm is None else {
-                "lo": self.interval_lfm.lo,
-                "hi": self.interval_lfm.hi,
-                "clamped": self.interval_lfm.clamped,
-            },
+            "interval_spfm": _interval_doc(self.interval_spfm),
+            "interval_lfm": (None if self.interval_lfm is None
+                             else _interval_doc(self.interval_lfm)),
             "eii": list(self.eii_entries),
             "eii_totals": list(self.eii_totals),
             "eii_note": self.eii_note,
@@ -114,6 +110,10 @@ class AnalysisResult:
         if self.stamp is not None:
             doc["stamp"] = self.stamp
         return doc
+
+
+def _interval_doc(interval: Interval) -> dict:
+    return {"lo": interval.lo, "hi": interval.hi, "clamped": interval.clamped}
 
 
 def analyze(

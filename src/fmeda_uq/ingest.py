@@ -28,6 +28,12 @@ one C-level %.12g (fmt12's format) per float column, whose tokens are
 checked at once for the few floats whose JSON token differs from it
 (integral values, exponents 12-15, subnormals, nan and the infinities);
 only those go through _float_token.
+
+An analysis result has one document, AnalysisResult.to_dict().  The
+JSON report is that document; the markdown and CSV reports are views of
+it, written from two tables here: _COLUMNS for the failure-mode table
+and _summary for the summary lines.  No emitter reads an AnalysisResult
+attribute, so only to_dict() names the result's fields.
 """
 
 from __future__ import annotations
@@ -667,27 +673,82 @@ def emit_json(table: FmedaTable) -> str:
 
 
 def emit_result(result, format: str = "json") -> str:
-    """Render an AnalysisResult as json, markdown or csv."""
+    """Render an AnalysisResult's report document, to_dict(), as json, markdown or csv."""
+    if format not in ("json", "markdown", "csv"):
+        raise ValueError(f"unknown result format {format!r}; expected json, markdown or csv")
+    doc = result.to_dict()
     if format == "json":
-        return _json_text(result.to_dict()) + "\n"
-    if format == "markdown":
-        return _result_markdown(result)
-    if format == "csv":
-        return _result_csv(result)
-    raise ValueError(f"unknown result format {format!r}; expected json, markdown or csv")
+        return _json_text(doc) + "\n"
+    return _result_markdown(doc) if format == "markdown" else _result_csv(doc)
 
 
-# The report row's values in the column order of the markdown and CSV tables.
-_ROW_CELLS = operator.itemgetter(
-    "part", "subpart", "failure_mode", "lambda_fm_fit", "sigma_lambda_fm_fit", "dc",
-    "sigma_dc", "eii_dc_percent", "eii_lambda_percent", "eii_total_percent")
+# The report's failure-mode table: (row key, markdown header, CSV header,
+# cell format).  The name columns come first and have no format: CSV writes
+# a name as it is, and markdown escapes it with _md_cell.
+_COLUMNS = (
+    ("part", "part", "part", None),
+    ("subpart", "subpart", "subpart", None),
+    ("failure_mode", "failure mode", "failure_mode", None),
+    ("lambda_fm_fit", "lambda_fm [FIT]", "lambda_fit", "%.12g"),
+    ("sigma_lambda_fm_fit", "sigma_lambda_fm [FIT]", "sigma_lambda_fit", "%.12g"),
+    ("dc", "DC", "dc", "%.12g"),
+    ("sigma_dc", "sigma_DC", "sigma_dc", "%.12g"),
+    ("eii_dc_percent", "EII from sigma_DC [%]", "eii_dc_percent", "%.2f"),
+    ("eii_lambda_percent", "EII from sigma_lambda_fm [%]", "eii_lambda_percent", "%.2f"),
+    ("eii_total_percent", "total EII [%]", "eii_total_percent", "%.2f"),
+)
+# Each format writes a row through one template built here from the table.
+_NAMES = operator.itemgetter(*[key for key, *_, fmt in _COLUMNS if fmt is None])
+_NUMBERS = operator.itemgetter(*[key for key, *_, fmt in _COLUMNS if fmt])
+_MD_ROW = "| " + " | ".join([fmt or "%s" for *_, fmt in _COLUMNS]) + " |"
+_CSV_NUMBERS_ROW = ",".join([fmt for *_, fmt in _COLUMNS if fmt])
 
 
-def _interval_text(interval) -> str:
-    text = f"[{fmt12(interval.lo)}, {fmt12(interval.hi)}]"
-    if interval.clamped:
-        text += " (clamped to [0, 1])"
-    return text
+def _summary(doc: dict):
+    """Each summary line: its markdown label and text, and the CSV (metric,
+    value) rows of the same values; the EII note, the stamp and an absent
+    ASIL target are markdown only.  A new summary field is one document
+    key in AnalysisResult.to_dict and one entry here.
+    """
+    def number(label, metric, x, unit=""):
+        text = fmt12(x)
+        return label, text + unit, [(metric, text)]
+
+    def interval(label, metric, iv):
+        lo, hi = fmt12(iv["lo"]), fmt12(iv["hi"])
+        text = f"[{lo}, {hi}]" + (" (clamped to [0, 1])" if iv["clamped"] else "")
+        return label, text, [(metric + "_lo", lo), (metric + "_hi", hi)]
+
+    sigma = doc["sigma_spfm"]
+    yield number("lambda_tot", "lambda_tot_fit", doc["lambda_tot_fit"], " FIT")
+    yield number("SPFM", "spfm", doc["spfm"])
+    yield number("sigma_SPFM (full)", "sigma_spfm_full", sigma["full"])
+    yield number("sigma_SPFM (DC-only)", "sigma_spfm_dc_only", sigma["dc_only"])
+    yield number("sigma_SPFM (lambda-only)", "sigma_spfm_lambda_only", sigma["lambda_only"])
+    yield interval("SPFM interval", "spfm_interval", doc["interval_spfm"])
+    if doc["lfm"] is None:
+        yield "LFM", f"undefined ({doc['lfm_note']})", [("lfm", "undefined")]
+    else:
+        yield number("LFM", "lfm", doc["lfm"])
+        yield number("sigma_LFM", "sigma_lfm", doc["sigma_lfm"])
+        yield interval("LFM interval", "lfm_interval", doc["interval_lfm"])
+    level, k = f"{doc['confidence_level']:.2f}", fmt12(doc["k"])
+    yield "confidence level", f"{level} (k = {k})", [("confidence_level", level), ("k", k)]
+    yield "propagation mode", doc["mode"], [("mode", doc["mode"])]
+    asil = doc["asil"]
+    if asil is None:
+        yield "ASIL target", "none", []
+    else:
+        lfm = "" if asil["lfm"] is None else f", LFM {asil['lfm']}"
+        text = f"{asil['target']} -> SPFM {asil['spfm']}{lfm}, overall {asil['overall']}"
+        yield "ASIL target", text, [
+            ("asil_target", asil["target"]), ("verdict_spfm", asil["spfm"]),
+            ("verdict_lfm", asil["lfm"] or "n/a"), ("verdict_overall", asil["overall"])]
+    if doc["eii_note"]:
+        yield "note", doc["eii_note"], []
+    stamp = doc.get("stamp")
+    if stamp:
+        yield "generated by", f"{stamp.get('tool', '')} at {stamp.get('created', '')}", []
 
 
 # A backslash and a pipe are escaped, so a name cannot add a table cell;
@@ -704,84 +765,24 @@ def _md_cell(text: str) -> str:
     return text.replace("\r\n", "\n").translate(_MD_CELL)
 
 
-def _result_markdown(result) -> str:
-    lines = ["# FMEDA uncertainty analysis", "", "## Failure modes", ""]
-    lines.append(
-        "| part | subpart | failure mode | lambda_fm [FIT] | sigma_lambda_fm [FIT] "
-        "| DC | sigma_DC | EII from sigma_DC [%] | EII from sigma_lambda_fm [%] "
-        "| total EII [%] |"
-    )
-    lines.append("|" + " --- |" * 10)
-    for part, sub, fm, lam, s_lam, dc, s_dc, p_dc, p_lam, p_tot in map(_ROW_CELLS, result.rows):
-        lines.append(
-            f"| {_md_cell(part)} | {_md_cell(sub)} | {_md_cell(fm)} "
-            f"| {fmt12(lam)} | {fmt12(s_lam)} | {fmt12(dc)} | {fmt12(s_dc)} "
-            f"| {p_dc:.2f} | {p_lam:.2f} | {p_tot:.2f} |"
-        )
+def _result_markdown(doc: dict) -> str:
+    lines = ["# FMEDA uncertainty analysis", "", "## Failure modes", "",
+             "| " + " | ".join([header for _, header, _, _ in _COLUMNS]) + " |",
+             "|" + " --- |" * len(_COLUMNS)]
+    lines += [_MD_ROW % (*map(_md_cell, _NAMES(row)), *_NUMBERS(row)) for row in doc["rows"]]
     lines += ["", "## Summary", ""]
-    lines.append(f"- lambda_tot: {fmt12(result.lambda_tot)} FIT")
-    lines.append(f"- SPFM: {fmt12(result.spfm)}")
-    lines.append(f"- sigma_SPFM (full): {fmt12(result.sigma_spfm_full)}")
-    lines.append(f"- sigma_SPFM (DC-only): {fmt12(result.sigma_spfm_dc_only)}")
-    lines.append(f"- sigma_SPFM (lambda-only): {fmt12(result.sigma_spfm_lambda_only)}")
-    lines.append(f"- SPFM interval: {_interval_text(result.interval_spfm)}")
-    if result.lfm is None:
-        lines.append(f"- LFM: undefined ({result.lfm_note})")
-    else:
-        lines.append(f"- LFM: {fmt12(result.lfm)}")
-        lines.append(f"- sigma_LFM: {fmt12(result.sigma_lfm)}")
-        lines.append(f"- LFM interval: {_interval_text(result.interval_lfm)}")
-    lines.append(
-        f"- confidence level: {result.confidence_level:.2f} (k = {fmt12(result.k)})"
-    )
-    lines.append(f"- propagation mode: {result.mode.value}")
-    if result.verdict is None:
-        lines.append("- ASIL target: none")
-    else:
-        v = result.verdict
-        lfm_part = f", LFM {v.lfm}" if v.lfm is not None else ""
-        lines.append(
-            f"- ASIL target: {v.target} -> SPFM {v.spfm}{lfm_part}, overall {v.overall}"
-        )
-    if result.eii_note:
-        lines.append(f"- note: {result.eii_note}")
-    if result.stamp:
-        lines.append(f"- generated by: {result.stamp.get('tool', '')} "
-                     f"at {result.stamp.get('created', '')}")
+    lines += [f"- {label}: {text}" for label, text, _ in _summary(doc)]
     return "\n".join(lines) + "\n"
 
 
-def _result_csv(result) -> str:
+def _result_csv(doc: dict) -> str:
     def rows():
-        yield ["part", "subpart", "failure_mode", "lambda_fit", "sigma_lambda_fit",
-               "dc", "sigma_dc", "eii_dc_percent", "eii_lambda_percent", "eii_total_percent"]
-        for part, sub, fm, lam, s_lam, dc, s_dc, p_dc, p_lam, p_tot in map(_ROW_CELLS,
-                                                                           result.rows):
-            yield [part, sub, fm, fmt12(lam), fmt12(s_lam), fmt12(dc), fmt12(s_dc),
-                   f"{p_dc:.2f}", f"{p_lam:.2f}", f"{p_tot:.2f}"]
+        yield [header for _, _, header, _ in _COLUMNS]
+        for row in doc["rows"]:
+            yield [*_NAMES(row), *(_CSV_NUMBERS_ROW % _NUMBERS(row)).split(",")]
         yield []
         yield ["metric", "value"]
-        yield ["lambda_tot_fit", fmt12(result.lambda_tot)]
-        yield ["spfm", fmt12(result.spfm)]
-        yield ["sigma_spfm_full", fmt12(result.sigma_spfm_full)]
-        yield ["sigma_spfm_dc_only", fmt12(result.sigma_spfm_dc_only)]
-        yield ["sigma_spfm_lambda_only", fmt12(result.sigma_spfm_lambda_only)]
-        yield ["spfm_interval_lo", fmt12(result.interval_spfm.lo)]
-        yield ["spfm_interval_hi", fmt12(result.interval_spfm.hi)]
-        if result.lfm is None:
-            yield ["lfm", "undefined"]
-        else:
-            yield ["lfm", fmt12(result.lfm)]
-            yield ["sigma_lfm", fmt12(result.sigma_lfm)]
-            yield ["lfm_interval_lo", fmt12(result.interval_lfm.lo)]
-            yield ["lfm_interval_hi", fmt12(result.interval_lfm.hi)]
-        yield ["confidence_level", f"{result.confidence_level:.2f}"]
-        yield ["k", fmt12(result.k)]
-        yield ["mode", result.mode.value]
-        if result.verdict is not None:
-            yield ["asil_target", result.verdict.target]
-            yield ["verdict_spfm", result.verdict.spfm]
-            yield ["verdict_lfm", result.verdict.lfm or "n/a"]
-            yield ["verdict_overall", result.verdict.overall]
+        for *_, metric_rows in _summary(doc):
+            yield from metric_rows
 
     return _csv_text(rows)

@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -130,21 +130,11 @@ class McVerdict:
     warning: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "metric": self.metric,
-            "empirical_sigma": self.empirical_sigma,
-            "analytic_sigma": self.analytic_sigma,
-            # JSON has no infinity; null marks a gap with no finite size.
-            "relative_gap": self.relative_gap if math.isfinite(self.relative_gap) else None,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "truncation_rate": self.truncation_rate,
-            "samples": self.samples,
-            "seed": self.seed,
-            "truncate": self.truncate,
-            "rng_algorithm": self.rng_algorithm,
-            "warning": self.warning,
-        }
+        doc = {field.name: getattr(self, field.name) for field in fields(self)}
+        # JSON has no infinity; null marks a gap with no finite size.
+        if not math.isfinite(self.relative_gap):
+            doc["relative_gap"] = None
+        return doc
 
 
 class _Input:
