@@ -143,14 +143,8 @@ def _cmd_sample_size(args) -> int:
     if args.format == "json":
         sys.stdout.write(json.dumps(asdict(plan), sort_keys=True, indent=2) + "\n")
     else:
-        sys.stdout.write(
-            f"population:       {plan.population}\n"
-            f"proportion:       {plan.proportion}\n"
-            f"margin:           {plan.margin}\n"
-            f"confidence level: {plan.confidence_level}\n"
-            f"cutoff:           {plan.cutoff}\n"
-            f"sample size:      {plan.sample_size}\n"
-        )
+        sys.stdout.write("".join([f"{name.replace('_', ' ') + ':':18}{value}\n"
+                                  for name, value in asdict(plan).items()]))
     return 0
 
 

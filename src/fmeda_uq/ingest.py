@@ -13,10 +13,13 @@ Both spell a failure-mode row with the same keys: _row builds every parsed
 row, so both formats reject the same row mistakes, and _row_doc writes
 every emitted row.
 
-Unknown columns and unknown JSON keys are rejected rather than ignored so
-authoring mistakes surface immediately.  Empty cells are allowed only
-where a default is defined (sigmas and dc_latent default to 0, sm_list to
-the empty list); everything else must be explicit.
+Parsing stops at the first malformed value, and its ParseError names it
+by line and column (CSV) or key path (JSON); unknown columns and keys are
+rejected, not ignored, so authoring mistakes surface at once.  Each JSON
+value is checked once, and each row read in one pass; a key path is built
+only for the error.  Empty cells are allowed only where a default is
+defined (sigmas and dc_latent default to 0, sm_list to the empty list);
+everything else must be explicit.
 
 Emission is deterministic: floats are serialized with 12 significant
 digits, JSON keys are sorted, and no timestamps are embedded, so equal
@@ -39,6 +42,7 @@ attribute, so only to_dict() names the result's fields.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import json
@@ -504,37 +508,51 @@ def emit_csv(table: FmedaTable) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _expect_keys(obj, path: str, required: set[str], optional: set[str]) -> None:
+def _at(indices: tuple, key: str | None) -> dict:
+    """The ParseError context of key (None: the object itself) in the JSON
+    object at indices: () for the document, (i,) for part i, (i, j) for its
+    subpart j, (i, j, k) for that subpart's row k.  Bound to an object's
+    indices, it is the where(key) that the checks below and _row take; they
+    call it only to build a ParseError.
+    """
+    path = "$" + "".join(map("{}[{}]".format, (".parts", ".subparts", ".failure_modes"), indices))
+    return {"column": path if key is None else f"{path}.{key}"}
+
+
+def _expect_keys(obj, where, keys: set[str], required: set[str]) -> None:
+    if type(obj) is dict and keys >= obj.keys() >= required:
+        return
     if not isinstance(obj, dict):
+        path = where(None)["column"]
         raise ParseError(f"expected an object at {path}, got {type(obj).__name__}")
-    unknown = sorted(set(obj) - required - optional)
-    if unknown:
-        raise ParseError(f"unknown key {unknown[0]!r}", column=f"{path}.{unknown[0]}")
-    for key in sorted(required - set(obj)):
-        raise ParseError(f"missing required key {key!r}", column=path)
+    unknown = min(obj.keys() - keys, default=None)
+    if unknown is not None:
+        raise ParseError(f"unknown key {unknown!r}", **where(unknown))
+    raise ParseError(f"missing required key {min(required - obj.keys())!r}", **where(None))
 
 
-def _expect_str(value, path: str) -> str:
-    if not isinstance(value, str):
-        raise ParseError(f"expected a string, got {type(value).__name__}", column=path)
+def _expect_str(value, where, key: str) -> str:
+    if type(value) is not str:
+        raise ParseError(f"expected a string, got {type(value).__name__}", **where(key))
     return value
 
 
-def _expect_number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParseError(f"expected a number, got {type(value).__name__}", column=path)
-    try:
-        number = float(value)
-    except OverflowError:  # an int beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise ParseError("expected a finite number", column=path)
-    return number
+def _expect_number(value, where, key: str) -> float:
+    if type(value) is int:
+        try:
+            value = float(value)
+        except OverflowError:  # an int beyond the float range
+            value = math.inf
+    elif type(value) is not float:
+        raise ParseError(f"expected a number, got {type(value).__name__}", **where(key))
+    if value - value != 0.0:  # inf or nan
+        raise ParseError("expected a finite number", **where(key))
+    return value
 
 
-def _expect_list(value, path: str) -> list:
-    if not isinstance(value, list):
-        raise ParseError(f"expected an array, got {type(value).__name__}", column=path)
+def _expect_list(value, where, key: str) -> list:
+    if type(value) is not list:
+        raise ParseError(f"expected an array, got {type(value).__name__}", **where(key))
     return value
 
 
@@ -547,104 +565,71 @@ def parse_json(text: str) -> FmedaTable:
     except RecursionError:
         raise ParseError("invalid JSON: nested too deeply") from None
 
-    _expect_keys(doc, "$", required={"version", "parts"}, optional={"asil_target"})
-    version = _expect_str(doc["version"], "$.version")
+    doc_where = functools.partial(_at, ())
+    _expect_keys(doc, doc_where, {"version", "parts", "asil_target"}, {"version", "parts"})
+    version = _expect_str(doc["version"], doc_where, "version")
     if version != FORMAT_VERSION:
-        raise ParseError(
-            f"unsupported document version {version!r}; expected {FORMAT_VERSION!r}",
-            column="$.version",
-        )
-    asil = None
-    if "asil_target" in doc:
-        asil = _expect_str(doc["asil_target"], "$.asil_target")
+        raise ParseError(f"unsupported document version {version!r}; "
+                         f"expected {FORMAT_VERSION!r}", **doc_where("version"))
+    asil = _expect_str(doc["asil_target"], doc_where, "asil_target") if "asil_target" in doc \
+        else None
 
-    # A well-formed part or subpart passes a few type tests and key-set
-    # comparisons; its key path is built, and the _expect_* helper that
-    # raises the ParseError called, only when one of them fails.
     parts = []
-    for i, pd in enumerate(_expect_list(doc["parts"], "$.parts")):
-        if type(pd) is not dict or pd.keys() != _PART_KEYS:
-            _expect_keys(pd, f"$.parts[{i}]", required=_PART_KEYS, optional=set())
-        sds = pd["subparts"]
-        if type(sds) is not list:
-            _expect_list(sds, f"$.parts[{i}].subparts")
+    for i, pd in enumerate(_expect_list(doc["parts"], doc_where, "parts")):
+        part_where = functools.partial(_at, (i,))
+        _expect_keys(pd, part_where, _PART_KEYS, _PART_KEYS)
         subs = []
-        for j, sd in enumerate(sds):
-            if type(sd) is not dict or not _SUBPART_KEYS >= sd.keys() >= _SUBPART_REQUIRED:
-                _expect_keys(sd, f"$.parts[{i}].subparts[{j}]",
-                             required=_SUBPART_REQUIRED, optional=_SUBPART_KEYS)
-            lam_sub = mode = None
-            if "lambda_fit" in sd:
-                lam_sub = sd["lambda_fit"]
-                if type(lam_sub) is not float or lam_sub - lam_sub != 0.0:
-                    lam_sub = _expect_number(lam_sub, f"$.parts[{i}].subparts[{j}].lambda_fit")
-            if "fmd_mode" in sd:
-                mode = sd["fmd_mode"]
-                if type(mode) is not str:
-                    _expect_str(mode, f"$.parts[{i}].subparts[{j}].fmd_mode")
-            fds = sd["failure_modes"]
-            if type(fds) is not list:
-                _expect_list(fds, f"$.parts[{i}].subparts[{j}].failure_modes")
-            rows = tuple([_parse_json_row(fd, i, j, k) for k, fd in enumerate(fds)])
-            name = sd["name"]
-            if type(name) is not str:
-                _expect_str(name, f"$.parts[{i}].subparts[{j}].name")
-            subs.append(Subpart(name, lam_sub, mode, rows))
-        name = pd["name"]
-        if type(name) is not str:
-            _expect_str(name, f"$.parts[{i}].name")
-        parts.append(Part(name, tuple(subs)))
+        for j, sd in enumerate(_expect_list(pd["subparts"], part_where, "subparts")):
+            where = functools.partial(_at, (i, j))
+            _expect_keys(sd, where, _SUBPART_KEYS, _SUBPART_REQUIRED)
+            lam_sub = _expect_number(sd["lambda_fit"], where, "lambda_fit") \
+                if "lambda_fit" in sd else None
+            mode = _expect_str(sd["fmd_mode"], where, "fmd_mode") if "fmd_mode" in sd else None
+            rows = tuple([_parse_json_row(fd, functools.partial(_at, (i, j, k))) for k, fd in
+                          enumerate(_expect_list(sd["failure_modes"], where, "failure_modes"))])
+            subs.append(Subpart(_expect_str(sd["name"], where, "name"), lam_sub, mode, rows))
+        parts.append(Part(_expect_str(pd["name"], part_where, "name"), tuple(subs)))
 
     table = FmedaTable(tuple(parts), asil)
     table_arrays(table)  # validates, and caches the arrays for analyze
     return table
 
 
-_JSON_ROW_KEYS = {"id", "name", "dc_source", "safety_mechanisms", *_NUMBER_KEYS}
-_JSON_STR_KEYS = {"id", "name", "dc_source"}
 _PART_KEYS = {"name", "subparts"}
-_SUBPART_REQUIRED = {"name", "failure_modes"}
 _SUBPART_KEYS = {"name", "failure_modes", "lambda_fit", "fmd_mode"}
+_SUBPART_REQUIRED = {"name", "failure_modes"}
+_ROW_KEYS = {"id", "name", "dc_source", "safety_mechanisms", *_NUMBER_KEYS}
 
 
-def _parse_json_row(fd, i: int, j: int, k: int) -> FailureModeRow:
-    """The row at $.parts[i].subparts[j].failure_modes[k].
+def _parse_json_row(fd, where) -> FailureModeRow:
+    """The row at where(None), read in one pass.
 
-    A row object whose every value is already what its key needs (a
-    finite float, a str, a list of str) is read in one pass, and _row
-    gets the object itself.  Any other row is read key by key, which
-    raises the ParseError that names the first mistake.
+    A value that is what its key needs (a finite float, a str, a list of
+    str) is taken as it is.  At the first other value the row's keys are
+    checked and the object copied once; from then on an int is converted to
+    a float, and the first bad value raises the ParseError that names it.
     """
-    if type(fd) is dict and "id" in fd:
-        for key, value in fd.items():
-            t = type(value)
-            if t is float:
-                if value - value != 0.0 or key not in _NUMBER_KEYS:  # not finite, or misplaced
-                    break
-            elif t is str:
-                if key not in _JSON_STR_KEYS:
-                    break
-            elif t is not list or key != "safety_mechanisms" \
-                    or not all([type(s) is str for s in value]):
-                break
-        else:
-            return _row(fd, lambda key: {
-                "column": f"$.parts[{i}].subparts[{j}].failure_modes[{k}].{key}"})
-
-    path = f"$.parts[{i}].subparts[{j}].failure_modes[{k}]"
-    _expect_keys(fd, path, required={"id"}, optional=_JSON_ROW_KEYS)
-    fields = {}
+    if type(fd) is not dict or "id" not in fd:  # _expect_keys raises on such a row
+        _expect_keys(fd, where, _ROW_KEYS, {"id"})
+    fields = fd
     for key, value in fd.items():
+        t = type(value)
+        if t is float and value - value == 0.0 and key in _NUMBER_KEYS \
+                or t is str and key in {"id", "name", "dc_source"} \
+                or t is list and key == "safety_mechanisms" \
+                and all([type(s) is str for s in value]):
+            continue
+        if fields is fd:  # the row's first other value
+            _expect_keys(fd, where, _ROW_KEYS, {"id"})
+            fields = dict(fd)
         if key in _NUMBER_KEYS:
-            fields[key] = _expect_number(value, f"{path}.{key}")
-        elif key == "safety_mechanisms":
-            fields[key] = tuple(
-                _expect_str(s, f"{path}.{key}[{i}]")
-                for i, s in enumerate(_expect_list(value, f"{path}.{key}"))
-            )
-        else:
-            fields[key] = _expect_str(value, f"{path}.{key}")
-    return _row(fields, lambda key: {"column": f"{path}.{key}"})
+            fields[key] = _expect_number(value, where, key)
+        elif key != "safety_mechanisms":
+            _expect_str(value, where, key)  # raises: a str of these keys was taken above
+        else:  # raises on the first member that is not a str
+            for n, s in enumerate(_expect_list(value, where, key)):
+                _expect_str(s, where, f"{key}[{n}]")
+    return _row(fields, where)
 
 
 def emit_json(table: FmedaTable) -> str:

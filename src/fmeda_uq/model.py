@@ -281,11 +281,12 @@ def table_arrays(table: FmedaTable) -> TableArrays:
 
 
 def _finite(x: object) -> bool:
-    """True iff x is a finite int or float; None is not a number either."""
+    """True iff x is a finite int or float.  None is not a number, nor is a
+    bool, which neither parser reads as one."""
     if type(x) is float:
         return x - x == 0.0  # inf - inf and nan - nan are nan
     try:
-        return isinstance(x, (int, float)) and math.isfinite(x)
+        return isinstance(x, (int, float)) and type(x) is not bool and math.isfinite(x)
     except OverflowError:  # an int beyond the float range
         return False
 

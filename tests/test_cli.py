@@ -291,6 +291,19 @@ def test_sample_size_text_format(capsys):
     assert "sample size:      278" in out
 
 
+def test_sample_size_text_format_lists_every_field_of_the_plan(capsys):
+    code, out, _ = run(capsys, ["sample-size", "--population", "50000",
+                                "--margin", "0.01", "--confidence", "0.99",
+                                "--proportion", "0.2", "--format", "text"])
+    assert code == 0
+    assert out == ("population:       50000\n"
+                   "proportion:       0.2\n"
+                   "margin:           0.01\n"
+                   "confidence level: 0.99\n"
+                   "cutoff:           2.5758\n"
+                   "sample size:      8757\n")
+
+
 def test_sample_size_invalid_margin(capsys):
     code, out, err = run(capsys, ["sample-size", "--population", "1000",
                                   "--margin", "1.5", "--confidence", "0.95"])

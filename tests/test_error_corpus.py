@@ -301,6 +301,109 @@ def _json_cases():
         ' "lambda_fit": 5.0}]}]}]}')
 
 
+# The structure of a JSON document.  Each case edits a copy of a valid
+# document whose edited part, subpart and row all sit at index 1, so every
+# index of a key path shows.
+def _structure_doc() -> dict:
+    return {"version": FORMAT_VERSION, "asil_target": "B", "parts": [
+        {"name": "P0", "subparts": [
+            {"name": "D", "fmd_mode": "Distribution", "lambda_fit": 100.0, "failure_modes": [
+                {"id": "D1", "fmd_fraction": 0.4, "sigma_fmd": 0.01, "dc": 0.9,
+                 "dc_source": "expert"},
+                {"id": "D2", "fmd_fraction": 0.6, "dc": 0.8,
+                 "dc_source": "faultsim:e=0.01:cl=0.95"}]}]},
+        {"name": "P1", "subparts": [
+            {"name": "S0", "failure_modes": [
+                {"id": "A", "lambda_fit": 10.0, "dc": 0.9, "dc_source": "expert"}]},
+            {"name": "S1", "fmd_mode": "DirectLambda", "lambda_fit": 50.0, "failure_modes": [
+                {"id": "C", "lambda_fit": 30.0, "dc": 0.7, "dc_source": "expert"},
+                dict(_GOOD_ROW, id="B", lambda_fit=20.0)]}]}]}
+
+
+# Each level's edited object, as a path of keys and indices from the document.
+_LEVELS = {
+    "document": (),
+    "part": ("parts", 1),
+    "subpart": ("parts", 1, "subparts", 1),
+    "row": ("parts", 1, "subparts", 1, "failure_modes", 1),
+}
+_LEVEL_KEYS = {
+    "document": ("version", "asil_target", "parts"),
+    "part": ("name", "subparts"),
+    "subpart": ("name", "fmd_mode", "lambda_fit", "failure_modes"),
+    "row": ("id", "name", "lambda_fit", "sigma_lambda_fit", "fmd_fraction", "sigma_fmd", "dc",
+            "sigma_dc", "dc_latent", "sigma_dc_latent", "dc_source", "safety_mechanisms"),
+}
+# Each key is set in turn to each of these, or deleted; the first nine
+# also replace the whole document, part, subpart or row.
+STRUCTURE_VALUES = (None, True, 0, 1.5, 10 ** 400, "x", "", [], [1], {}, {"a": 1})
+_DELETE = object()
+
+
+def _object(doc, path):
+    """The object at path in doc, or None where an earlier edit replaced it."""
+    obj = doc
+    for step in path:
+        if isinstance(obj, dict) and step in obj \
+                or isinstance(obj, list) and type(step) is int and step < len(obj):
+            obj = obj[step]
+        else:
+            return None
+    return obj
+
+
+def _edited(edits) -> str:
+    """The structure document's text after edits, each (path, key, value).
+
+    An edit sets the key of the object at path to value, or deletes it; one
+    whose object an earlier edit replaced is skipped.
+    """
+    doc = _structure_doc()
+    for path, key, value in edits:
+        obj = _object(doc, path)
+        if not isinstance(obj, dict):
+            continue
+        if value is _DELETE:
+            obj.pop(key, None)
+        else:
+            obj[key] = value
+    return json.dumps(doc)
+
+
+def _replaced(path, value) -> str:
+    """The structure document's text with the object at path replaced by value."""
+    if not path:
+        return json.dumps(value)
+    doc = _structure_doc()
+    _object(doc, path[:-1])[path[-1]] = value
+    return json.dumps(doc)
+
+
+def _json_structure_cases():
+    yield "json_structure/clean", _edited(())
+    for level, path in _LEVELS.items():
+        for key in _LEVEL_KEYS[level]:
+            for i, value in enumerate(STRUCTURE_VALUES):
+                yield f"json_structure/{level}/{key}/{i}", _edited([(path, key, value)])
+            yield f"json_structure/{level}/{key}/delete", _edited([(path, key, _DELETE)])
+        yield f"json_structure/{level}/unknown_key", _edited([(path, "zz", 1)])
+        yield f"json_structure/{level}/unknown_keys", _edited(
+            [(path, "zz", 1), (path, "colour", "red")])
+        for i, value in enumerate(STRUCTURE_VALUES[:9]):
+            yield f"json_structure/{level}/not_object/{i}", _replaced(path, value)
+    rng = random.Random(19)
+    values = STRUCTURE_VALUES + (_DELETE, 0.5, "expert", ["SM"])
+    for n in range(80):
+        # The first half edits any level, the second only the row.
+        levels = list(_LEVELS) if n < 40 else ["row"]
+        edits = []
+        for _ in range(rng.randrange(1, 4)):
+            level = rng.choice(levels)
+            key = rng.choice(_LEVEL_KEYS[level] + ("zz",))
+            edits.append((_LEVELS[level], key, rng.choice(values)))
+        yield f"json_structure/mix/{n}", _edited(edits)
+
+
 _CSV_HEADER = ",".join(CSV_COLUMNS)
 _CSV_GOOD = "P,S,FM0,10,1,,0.9,0.01,0.5,0.02,expert,SM1;SM2"
 
@@ -342,6 +445,8 @@ def _csv_cases():
 
 def document_cases():
     for name, text in _json_cases():
+        yield name, parse_json, text
+    for name, text in _json_structure_cases():
         yield name, parse_json, text
     for name, text in _csv_cases():
         yield name, parse_csv, text

@@ -227,6 +227,16 @@ def test_none_sigma_fmd_is_a_violation():
         ("sigma_fmd", "value.finite", None)]
 
 
+def test_a_bool_where_a_number_belongs_is_a_violation():
+    # Neither parser reads a bool as a number, so a table holding one must
+    # not validate: it could be written out ("dc": true) but not read back.
+    table = make_table([dict(lambda_fm=10.0, dc=True, sigma_dc=0.01)])
+    assert [(v.field, v.rule, v.observed) for v in validate(table)] == [
+        ("dc", "value.finite", True)]
+    with pytest.raises(FmedaValidationError):
+        emit_json(table)
+
+
 def test_violation_message_prints_an_int_beyond_the_digit_limit():
     table = make_table([dict(lambda_fm=10**5000, dc=0.9)])
     with pytest.raises(FmedaValidationError) as err:
