@@ -33,13 +33,7 @@ from .eii import NO_UNCERTAINTY_NOTE, _entries
 from .ingest import FORMAT_VERSION
 from .metrics import AsilVerdict, asil_verdict
 from .model import FmedaTable, _require_finite_sigmas, cutoff, iter_rows, table_arrays
-from .uncertainty import (
-    Interval,
-    PropagationMode,
-    _by_mode,
-    _propagate,
-    confidence_interval,
-)
+from .uncertainty import Interval, PropagationMode, _propagate, confidence_interval
 
 
 @dataclass(frozen=True)
@@ -74,8 +68,7 @@ class AnalysisResult:
     @property
     def sigma_spfm(self) -> float:
         """The sigma selected by the propagation mode (drives the verdict)."""
-        return _by_mode(self.mode, self.sigma_spfm_full, self.sigma_spfm_dc_only,
-                        self.sigma_spfm_lambda_only)
+        return getattr(self, f"sigma_spfm_{self.mode.value}")
 
     def to_dict(self) -> dict:
         doc = {
@@ -84,11 +77,8 @@ class AnalysisResult:
             "spfm": self.spfm,
             "lfm": self.lfm,
             "lfm_note": self.lfm_note,
-            "sigma_spfm": {
-                "full": self.sigma_spfm_full,
-                "dc_only": self.sigma_spfm_dc_only,
-                "lambda_only": self.sigma_spfm_lambda_only,
-            },
+            "sigma_spfm": {m.value: getattr(self, f"sigma_spfm_{m.value}")
+                           for m in PropagationMode},
             "sigma_lfm": self.sigma_lfm,
             "mode": self.mode.value,
             "confidence_level": self.confidence_level,
@@ -133,12 +123,11 @@ def analyze(
     mode = PropagationMode(mode)
     arr = table_arrays(table)
     prop = _propagate(arr)
-    # sigma_spfm_full bounds the other two variants.
-    _require_finite_sigmas(sigma_spfm=prop.sigma_spfm_full, sigma_lfm=prop.sigma_lfm)
+    sigma_spfm = prop.sigma_spfm_by_mode
+    # The FULL sigma bounds the other two.
+    _require_finite_sigmas(sigma_spfm=sigma_spfm[PropagationMode.FULL], sigma_lfm=prop.sigma_lfm)
     k = cutoff(confidence_level)
-    selected = _by_mode(mode, prop.sigma_spfm_full, prop.sigma_spfm_dc_only,
-                        prop.sigma_spfm_lambda_only)
-    interval_spfm = confidence_interval(prop.spfm, selected, confidence_level)
+    interval_spfm = confidence_interval(prop.spfm, sigma_spfm[mode], confidence_level)
 
     interval_lfm: Interval | None = None
     if prop.lfm is not None:
@@ -150,7 +139,7 @@ def analyze(
     target = asil_target if asil_target is not None else table.asil_target
     verdict = None
     if target is not None:
-        verdict = asil_verdict(target, spfm=prop.spfm, sigma_spfm=selected,
+        verdict = asil_verdict(target, spfm=prop.spfm, sigma_spfm=sigma_spfm[mode],
                                lfm=prop.lfm, sigma_lfm=prop.sigma_lfm, k=k)
 
     rows, totals = [], []
@@ -181,9 +170,9 @@ def analyze(
         spfm=prop.spfm,
         lfm=prop.lfm,
         lfm_note=prop.lfm_note,
-        sigma_spfm_full=prop.sigma_spfm_full,
-        sigma_spfm_dc_only=prop.sigma_spfm_dc_only,
-        sigma_spfm_lambda_only=prop.sigma_spfm_lambda_only,
+        sigma_spfm_full=sigma_spfm[PropagationMode.FULL],
+        sigma_spfm_dc_only=sigma_spfm[PropagationMode.DC_ONLY],
+        sigma_spfm_lambda_only=sigma_spfm[PropagationMode.LAMBDA_ONLY],
         sigma_lfm=prop.sigma_lfm,
         mode=mode,
         confidence_level=confidence_level,

@@ -8,22 +8,22 @@ reported side by side:
 * variance_share = term / (lambda_tot^2 * sigma_SPFM^2)
 
 where term is lambda_i^2*sigma_DC_i^2 for DC entries and
-(1-DC_i)^2*sigma_lambda_i^2 for rate entries; the propagation kernel
-returns term / lambda_tot^2 directly.  The shares partition the
-variance, so they sum to 1 and back the percentage report columns; the
-raw values divide by sigma_SPFM only once and do not sum to anything
-meaningful, but rank identically (same numerators, positive constant
-denominators).  analysis.analyze takes the entries and each row's
-percents from one _entries call on its one propagation, and reads the
-report rows and the per-failure-mode totals ({"failure_mode",
-"percent"}) off those percents.
+(1-DC_i)^2*sigma_lambda_i^2 for rate entries: term / lambda_tot^2 is an
+entry of the DC or w row of the kernel's SPFM term array, the two rows
+the FULL mode sums.  The shares partition the variance, so they sum to 1
+and back the percentage report columns; the raw values divide by
+sigma_SPFM only once and do not sum to anything meaningful, but rank
+identically (same numerators, positive constant denominators).
+analysis.analyze takes the entries and each row's percents from one
+_entries call on its one propagation, and reads the report rows and the
+per-failure-mode totals ({"failure_mode", "percent"}) off those percents.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .uncertainty import _Propagation
+from .uncertainty import _MODE_ROWS, PropagationMode, _Propagation
 
 INPUT_DC = "dc"
 INPUT_LAMBDA = "lambda_fm"
@@ -44,12 +44,12 @@ def _entries(ids: tuple[str, ...], prop: _Propagation
     is nothing to attribute: no entries, zero percents, no row; see
     NO_UNCERTAINTY_NOTE for the report wording.
     """
-    terms = np.column_stack((prop.terms_dc, prop.terms_lam))
-    s_full = prop.sigma_spfm_full
+    terms = prop.spfm_terms[_MODE_ROWS[PropagationMode.FULL]]  # (2, n): DC and w rows
+    s_full = prop.sigma_spfm_by_mode[PropagationMode.FULL]
     if s_full == 0.0:
-        return [], np.zeros_like(terms), np.zeros(len(ids), dtype=bool)
-    share = terms / float(prop.terms_dc.sum() + prop.terms_lam.sum())
-    flat_terms, flat_share = terms.ravel(), share.ravel()
+        return [], np.zeros((len(ids), 2)), np.zeros(len(ids), dtype=bool)
+    flat_terms = terms.T.ravel()  # table row 0's DC and rate terms, then row 1's, ...
+    flat_share = flat_terms / float(sum(terms.sum(axis=1)))  # the FULL variance
     positive = np.flatnonzero(flat_terms > 0.0)
     order = positive[np.argsort(-flat_share[positive], kind="stable")]
     inputs = (INPUT_DC, INPUT_LAMBDA)
@@ -59,4 +59,4 @@ def _entries(ids: tuple[str, ...], prop: _Propagation
         for k, term, s in zip(order.tolist(), flat_terms[order].tolist(),
                               flat_share[order].tolist())
     ]
-    return entries, share * 100.0, (terms > 0.0).any(axis=1)
+    return entries, (flat_share * 100.0).reshape(-1, 2), (terms > 0.0).any(axis=0)

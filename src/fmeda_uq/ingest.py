@@ -14,12 +14,13 @@ row, so both formats reject the same row mistakes, and _row_doc writes
 every emitted row.
 
 Parsing stops at the first malformed value, and its ParseError names it
-by line and column (CSV) or key path (JSON); unknown columns and keys are
-rejected, not ignored, so authoring mistakes surface at once.  Each JSON
-value is checked once, and each row read in one pass; a key path is built
-only for the error.  Empty cells are allowed only where a default is
-defined (sigmas and dc_latent default to 0, sm_list to the empty list);
-everything else must be explicit.
+by line and column (CSV) or key path (JSON); unknown columns and keys,
+and a key written twice in one JSON object, are rejected, not ignored, so
+authoring mistakes surface at once.  Each JSON value is checked once, and
+each row read in one pass; a key path is built only for the error.  Empty
+cells are allowed only where a default is defined (sigmas and dc_latent
+default to 0, sm_list to the empty list); everything else must be
+explicit.
 
 Emission is deterministic: floats are serialized with 12 significant
 digits, JSON keys are sorted, and no timestamps are embedded, so equal
@@ -556,10 +557,21 @@ def _expect_list(value, where, key: str) -> list:
     return value
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object; without this hook json.loads keeps a repeated key's last value."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ParseError(f"repeated key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return obj
+
+
 def parse_json(text: str) -> FmedaTable:
     """Parse the nested JSON document into a validated table."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
+    except ParseError:  # a repeated key
+        raise
     except ValueError as exc:  # JSONDecodeError, or an int of too many digits
         raise ParseError(f"invalid JSON: {exc}") from None
     except RecursionError:

@@ -60,7 +60,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .model import FmedaTable, TableArrays, _require_finite_sigmas, table_arrays
-from .uncertainty import _propagate
+from .uncertainty import PropagationMode, _propagate
 
 RNG_ALGORITHM = "numpy-pcg64"
 MIN_VERDICT_SAMPLES = 1000
@@ -386,10 +386,10 @@ def verify(table: FmedaTable, config: McConfig) -> tuple[McVerdict, McVerdict | 
     """
     arr = table_arrays(table)
     prop = _propagate(arr)
-    _require_finite_sigmas(sigma_spfm=prop.sigma_spfm_full, sigma_lfm=prop.sigma_lfm)
+    sigma_spfm = prop.sigma_spfm_by_mode[PropagationMode.FULL]
+    _require_finite_sigmas(sigma_spfm=sigma_spfm, sigma_lfm=prop.sigma_lfm)
     s = _simulate(arr, config, with_lfm=prop.lfm is not None)
-    spfm = _verdict("SPFM", prop.sigma_spfm_full, s.spfm, s.spfm_rate, 0, config,
-                    SPFM_TOLERANCE)
+    spfm = _verdict("SPFM", sigma_spfm, s.spfm, s.spfm_rate, 0, config, SPFM_TOLERANCE)
     if prop.lfm is None:
         return spfm, None, prop.lfm_note
     lfm = _verdict("LFM", prop.sigma_lfm, s.lfm, s.lfm_rate, s.dropped, config,

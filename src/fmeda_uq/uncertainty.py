@@ -7,19 +7,12 @@ SPFM follows from the squared partial derivatives:
     sigma_SPFM = (1/lambda_tot) * sqrt(  sum_i lambda_i^2  * sigma_DC_i^2
                                        + sum_i (1 - DC_i)^2 * sigma_lambda_i^2 )
 
-The two sums can be kept separately: DC_ONLY drops the rate-uncertainty
-sum, LAMBDA_ONLY drops the DC-uncertainty sum, and FULL keeps both, so
-that sigma_full^2 = sigma_dc_only^2 + sigma_lambda_only^2 holds exactly.
-
 lambda_tot is held fixed at its nominal value throughout: the propagation
 model treats the total rate as a constant of the analysis, and rate
 fluctuations of individual modes enter only through the numerator terms.
 The Monte Carlo oracle in mc_oracle uses the same convention, so the two
-routes are comparable.
-
-sigma_LFM has no compact closed form; it is assembled from the analytic
-partial derivatives of the LFM ratio (again with lambda_tot fixed), which
-the kernel's result keeps for finite-difference cross-checking.
+routes are comparable.  sigma_LFM has no compact closed form; it is
+assembled from the analytic partial derivatives of the LFM ratio.
 
 One kernel, _propagate, computes every metric, sigma, variance term and
 partial from a TableArrays.  It works on the normalized weights
@@ -27,6 +20,15 @@ w_i = lambda_i/lambda_tot and sigma_lambda_i/lambda_tot, so its results do
 not depend on the scale of the rates, from subnormal to near-overflow
 FIT values.  Its callers, analysis.analyze and mc_oracle.verify, each
 extract the arrays once and run it once.
+
+The kernel keeps one input Jacobian.  Each per-input array is (3, n): one
+column per row of the table, and one row per kind of input, in the order
+DC, latent DC, w.  The input sigmas, each metric's partials and the SPFM
+variance terms (partial * sigma)^2 share that layout; SPFM does not
+depend on the latent DCs, so its latent row is 0.  A propagation mode is
+the set of SPFM term rows it sums (_MODE_ROWS): FULL the DC and w rows,
+DC_ONLY the DC row, LAMBDA_ONLY the w row.  So
+sigma_full^2 = sigma_dc_only^2 + sigma_lambda_only^2 holds exactly.
 
 Cross-covariances between inputs are deliberately not modeled; the data
 model carries no covariance inputs.
@@ -54,14 +56,12 @@ class PropagationMode(str, enum.Enum):
     LAMBDA_ONLY = "lambda_only"
 
 
-def _by_mode(mode: PropagationMode, full: float, dc_only: float,
-             lambda_only: float) -> float:
-    """The sigma_SPFM variant a propagation mode selects."""
-    return {
-        PropagationMode.FULL: full,
-        PropagationMode.DC_ONLY: dc_only,
-        PropagationMode.LAMBDA_ONLY: lambda_only,
-    }[mode]
+# The SPFM term rows each mode sums: row 0 DC, row 2 w.
+_MODE_ROWS = {
+    PropagationMode.FULL: slice(0, 3, 2),
+    PropagationMode.DC_ONLY: slice(0, 1),
+    PropagationMode.LAMBDA_ONLY: slice(2, 3),
+}
 
 
 @dataclass(frozen=True)
@@ -77,22 +77,23 @@ class Interval:
 class _Propagation:
     """Everything the kernel derives from one TableArrays.
 
-    Variance terms and sigmas are dimensionless.  Rate partials are per
-    unit of normalized weight w_i; divide by lambda_tot for per-FIT values.
-    The LFM fields are None when no row has DC_i * w_i > 0.
+    The arrays are (3, n), rows DC, latent DC and w; input_sigmas holds
+    sigma_DC_i, sigma_DC_lat_i and sigma_lambda_i/lambda_tot.  Everything
+    is dimensionless: divide a w partial by lambda_tot for a per-FIT one.
+    spfm_terms is (spfm_partials * input_sigmas)^2; its latent row is 0,
+    like the partials'.  The LFM fields are None when no row has
+    DC_i * w_i > 0.
     """
 
     spfm: float
     lfm: float | None
     lfm_note: str | None   # why LFM is undefined
-    terms_dc: np.ndarray   # (w_i * sigma_DC_i)^2
-    terms_lam: np.ndarray  # ((1 - DC_i) * sigma_lambda_i / lambda_tot)^2
-    sigma_spfm_full: float
-    sigma_spfm_dc_only: float
-    sigma_spfm_lambda_only: float
+    input_sigmas: np.ndarray
+    spfm_partials: np.ndarray
+    spfm_terms: np.ndarray
+    sigma_spfm_by_mode: dict[PropagationMode, float]
+    lfm_partials: np.ndarray | None
     sigma_lfm: float | None
-    spfm_partials: tuple[np.ndarray, np.ndarray]  # d/dDC, d/dw
-    lfm_partials: tuple[np.ndarray, np.ndarray, np.ndarray] | None  # d/dDC, d/dDC_lat, d/dw
 
 
 # Overflow shows up as a non-finite sigma, not as a warning; the callers that
@@ -104,16 +105,16 @@ def _propagate(arr: TableArrays) -> _Propagation:
     if not (math.isfinite(lambda_tot) and lambda_tot > 0.0):
         raise UndefinedMetricError("lambda_tot must be finite and > 0 to compute SPFM")
     w = arr.lam / lambda_tot
-    sigma_w = arr.sigma_lam / lambda_tot
+    sigmas = np.array((arr.sigma_dc, arr.sigma_dc_lat, arr.sigma_lam / lambda_tot))
     undetected = 1.0 - arr.dc
 
+    # SPFM = 1 - sum((1 - DC_i) * w_i): dSPFM/dDC_i = w_i, dSPFM/dw_i = -(1 - DC_i).
     spfm_value = 1.0 - float(np.dot(undetected, w))
-    terms_dc = (w * arr.sigma_dc) ** 2
-    terms_lam = (undetected * sigma_w) ** 2
-    var_dc = float(terms_dc.sum())
-    var_lam = float(terms_lam.sum())
+    spfm_partials = np.array((w, np.zeros(w.size), -undetected))
+    terms = (spfm_partials * sigmas) ** 2
+    variances = terms.sum(axis=1).tolist()
 
-    lfm_value = s_lfm = lfm_grads = None
+    lfm_value = s_lfm = lfm_partials = None
     lfm_note = ("LFM is undefined: every fault is residual "
                 "(no detected pool: no row has DC*lambda > 0)")
     detected_w = arr.dc * w
@@ -137,28 +138,25 @@ def _propagate(arr: TableArrays) -> _Propagation:
         c = arr.dc_lat - arr.dc_lat[0]
         numerator = (c * detected - float(np.dot(c, detected_w))
                      - (1.0 - float(arr.dc_lat[0])) * gap)
-        d_dc = w * (numerator / detected) / detected
-        d_dc_lat = detected_w / detected
-        d_w = -((1.0 - arr.dc_lat) * arr.dc + (latent / detected) * undetected) / detected
-        lfm_grads = (d_dc, d_dc_lat, d_w)
+        lfm_partials = np.array((
+            w * (numerator / detected),
+            detected_w,
+            -((1.0 - arr.dc_lat) * arr.dc + (latent / detected) * undetected),
+        )) / detected
         lfm_note = None
-        s_lfm = math.sqrt(float(sum(
-            np.dot(t, t) for t in (d_dc * arr.sigma_dc, d_dc_lat * arr.sigma_dc_lat,
-                                   d_w * sigma_w)
-        )))
+        s_lfm = math.sqrt(float(sum(np.dot(t, t) for t in lfm_partials * sigmas)))
 
     return _Propagation(
         spfm=spfm_value,
         lfm=lfm_value,
         lfm_note=lfm_note,
-        terms_dc=terms_dc,
-        terms_lam=terms_lam,
-        sigma_spfm_full=math.sqrt(var_dc + var_lam),
-        sigma_spfm_dc_only=math.sqrt(var_dc),
-        sigma_spfm_lambda_only=math.sqrt(var_lam),
+        input_sigmas=sigmas,
+        spfm_partials=spfm_partials,
+        spfm_terms=terms,
+        sigma_spfm_by_mode={mode: math.sqrt(sum(variances[rows]))
+                            for mode, rows in _MODE_ROWS.items()},
+        lfm_partials=lfm_partials,
         sigma_lfm=s_lfm,
-        spfm_partials=(w, -undetected),
-        lfm_partials=lfm_grads,
     )
 
 

@@ -99,7 +99,7 @@ def test_acceptance_3_gradient_checks():
                              sigma_dc_latent_max=0.02)
         arr = table_arrays(table)
         prop = _propagate(arr)
-        s_dc, s_w = prop.spfm_partials
+        s_dc, _, s_w = prop.spfm_partials
         l_dc, l_lat, l_w = prop.lfm_partials
         s_lam, l_lam = s_w / arr.lambda_tot, l_w / arr.lambda_tot
         for i in range(arr.dc.size):

@@ -21,7 +21,7 @@ PUBLIC = {
 # the report's rows and EII entries are the document's own dicts.
 REMOVED = {
     "metrics": ("spfm", "lfm", "MetricValue", "SPFM_KIND", "LFM_KIND"),
-    "uncertainty": ("sigma_spfm", "sigma_lfm", "spfm_partials", "lfm_partials"),
+    "uncertainty": ("sigma_spfm", "sigma_lfm", "spfm_partials", "lfm_partials", "_by_mode"),
     "eii": ("eii_table", "EiiEntry"),
     "analysis": ("ReportRow",),
     "mc_oracle": ("mc_sigma_spfm", "mc_sigma_lfm", "_verify"),
@@ -48,6 +48,15 @@ def test_removed_names_are_gone():
             assert not hasattr(module, name), f"fmeda_uq.{module_name}.{name}"
     assert not hasattr(_Propagation, "sigma_spfm")
     assert not hasattr(_Propagation, "require_lfm")
+
+
+def test_propagation_keeps_one_array_per_metric():
+    # The (3, n) arrays and the sigmas keyed by mode replaced these.
+    names = {f.name for f in dataclasses.fields(_Propagation)}
+    gone = {"terms_dc", "terms_lam", "sigma_spfm_full", "sigma_spfm_dc_only",
+            "sigma_spfm_lambda_only"}
+    assert not names & gone
+    assert len(names) < 11
 
 
 def test_result_has_no_asil_target_field():

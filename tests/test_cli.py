@@ -10,7 +10,7 @@ import warnings
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fmeda_uq import cli, emit_json
+from fmeda_uq import PropagationMode, cli, emit_json
 from conftest import make_table, strict_json, two_fm_table
 
 TWO_FM_CSV = (
@@ -79,6 +79,15 @@ def test_analyze_malformed_csv_exit_one(tmp_path, capsys):
     assert out == ""
     assert "line 2" in err
     assert "dc" in err
+
+
+def test_analyze_repeated_json_key_exit_one(tmp_path, capsys):
+    text = emit_json(two_fm_table()).replace('"dc": 0.9,', '"dc": 0.99, "dc": 0.5,', 1)
+    assert '"dc": 0.5' in text
+    code, out, err = run(capsys, ["analyze", "--input", _write(tmp_path, "t.json", text)])
+    assert code == 1
+    assert out == ""
+    assert "repeated key 'dc'" in err
 
 
 def test_analyze_validation_errors_listed(tmp_path, capsys):
@@ -357,7 +366,9 @@ def test_verify_corrupted_analytic_path_exits_four(table_csv, capsys, monkeypatc
 
     def doubled(arr):
         prop = real(arr)
-        return dataclasses.replace(prop, sigma_spfm_full=prop.sigma_spfm_full * 2.0)
+        sigma = dict(prop.sigma_spfm_by_mode)
+        sigma[PropagationMode.FULL] *= 2.0
+        return dataclasses.replace(prop, sigma_spfm_by_mode=sigma)
 
     monkeypatch.setattr(mc, "_propagate", doubled)
     code, out, _ = run(capsys, ["verify", "--input", table_csv,
@@ -401,7 +412,7 @@ def test_verify_spread_against_zero_analytic_sigma_fails(table_csv, capsys, monk
 
     real = mc._propagate
     monkeypatch.setattr(mc, "_propagate", lambda arr: dataclasses.replace(
-        real(arr), sigma_spfm_full=0.0))
+        real(arr), sigma_spfm_by_mode=dict.fromkeys(PropagationMode, 0.0)))
     code, out, _ = run(capsys, ["verify", "--input", table_csv, "--samples", "20000"])
     assert code == 4
     doc = strict_json(out)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from fmeda_uq import analyze
+from fmeda_uq import PropagationMode, analyze
 from fmeda_uq.eii import INPUT_DC, INPUT_LAMBDA
 from fmeda_uq.model import table_arrays
 from fmeda_uq.uncertainty import _propagate
@@ -181,20 +181,37 @@ def test_entries_totals_and_row_percents(rows, entries, totals, row_percents):
         assert part == e["percent"]
 
 
+def test_shares_are_the_dc_and_w_term_rows_over_their_sum(rng):
+    # Rows 0 and 2 of the kernel's SPFM term array: DC and w.
+    for _ in range(40):
+        table = random_table(rng, n_range=(1, 40), sigma_dc_latent_max=0.05)
+        dc, _, w = _propagate(table_arrays(table)).spfm_terms
+        total = float(dc.sum() + w.sum())
+        res = analyze(table)
+        assert [(r["eii_dc_percent"], r["eii_lambda_percent"]) for r in res.rows] == [
+            (d / total * 100.0, x / total * 100.0) for d, x in zip(dc.tolist(), w.tolist())]
+        index = {r["failure_mode"]: i for i, r in enumerate(res.rows)}
+        for e in res.eii_entries:
+            row = (dc if e["input"] == INPUT_DC else w)[index[e["failure_mode"]]]
+            assert e["variance_share"] == row / total
+
+
 def _loop_reference(table):
     """Entries, totals and row percents, one input at a time in Python."""
     arr = table_arrays(table)
     prop = _propagate(arr)
-    total = float(prop.terms_dc.sum() + prop.terms_lam.sum())
+    terms_dc, _, terms_lam = prop.spfm_terms
+    total = float(terms_dc.sum() + terms_lam.sum())
+    sigma_full = prop.sigma_spfm_by_mode[PropagationMode.FULL]
     entries, totals, rows = [], [], []
     for i, fm_id in enumerate(arr.ids):
         pcts = {}
-        for kind, term in ((INPUT_DC, float(prop.terms_dc[i])),
-                           (INPUT_LAMBDA, float(prop.terms_lam[i]))):
+        for kind, term in ((INPUT_DC, float(terms_dc[i])),
+                           (INPUT_LAMBDA, float(terms_lam[i]))):
             if term > 0.0:
                 share = term / total
                 pcts[kind] = share * 100.0
-                entries.append((fm_id, kind, i, term / prop.sigma_spfm_full, share,
+                entries.append((fm_id, kind, i, term / sigma_full, share,
                                 share * 100.0))
         dc_pct, lam_pct = pcts.get(INPUT_DC, 0.0), pcts.get(INPUT_LAMBDA, 0.0)
         if pcts:

@@ -379,8 +379,44 @@ def _replaced(path, value) -> str:
     return json.dumps(doc)
 
 
+_SAME = object()
+
+
+def _repeated(path, key, value=_SAME) -> str:
+    """The structure document's text with key written twice in the object at
+    path: the second time right after the first, with the same value, or
+    with value when one is given.  A key the object lacks is added first."""
+    doc = _structure_doc()
+    obj = _object(doc, path)
+    obj.setdefault(key, value)
+    items = list(obj.items())
+    at = [k for k, _ in items].index(key) + 1
+    items.insert(at, ("\0", obj[key] if value is _SAME else value))
+    obj.clear()
+    obj.update(items)
+    return json.dumps(doc).replace(json.dumps("\0"), json.dumps(key))
+
+
+def _repeated_key_cases():
+    """A key written twice in one object, at every level."""
+    for level, path in _LEVELS.items():
+        obj = _object(_structure_doc(), path)
+        for key in _LEVEL_KEYS[level]:
+            if key in obj:
+                yield f"json_structure/{level}/{key}/repeated", _repeated(path, key)
+        yield f"json_structure/{level}/unknown_key/repeated", _repeated(path, "zz", 1)
+    doc = _structure_doc()
+    yield "json_structure/document/parts/repeated_other", _repeated(
+        (), "parts", [dict(doc["parts"][1], name="Q")])
+    yield "json_structure/part/name/repeated_other", _repeated(_LEVELS["part"], "name", "Q")
+    yield "json_structure/subpart/lambda_fit/repeated_other", _repeated(
+        _LEVELS["subpart"], "lambda_fit", 60.0)
+    yield "json_structure/row/dc/repeated_other", _repeated(_LEVELS["row"], "dc", 0.5)
+
+
 def _json_structure_cases():
     yield "json_structure/clean", _edited(())
+    yield from _repeated_key_cases()
     for level, path in _LEVELS.items():
         for key in _LEVEL_KEYS[level]:
             for i, value in enumerate(STRUCTURE_VALUES):

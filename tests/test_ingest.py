@@ -271,6 +271,20 @@ def test_json_unknown_key_rejected():
         parse_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("old, new, key", [
+    ('"version": "fmeda-uq/1"', '"version": "fmeda-uq/1", "version": "fmeda-uq/1"', "version"),
+    ('"name": "CPU"', '"name": "CPU", "name": "GPU"', "name"),
+    ('"name": "EXEC"', '"name": "EXEC", "name": "EXEC"', "name"),
+    ('"dc": 0.9', '"dc": 0.99, "dc": 0.5', "dc"),
+], ids=["document", "part", "subpart", "row"])
+def test_json_repeated_key_rejected(old, new, key):
+    # json.loads would keep the last value silently.
+    assert MINIMAL_JSON.count(old) == 1
+    with pytest.raises(ParseError) as err:
+        parse_json(MINIMAL_JSON.replace(old, new))
+    assert str(err.value) == f"repeated key {key!r}"
+
+
 def test_json_version_checked():
     doc = json.loads(MINIMAL_JSON)
     doc["version"] = "fmeda-uq/2"

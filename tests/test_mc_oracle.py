@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import fmeda_uq.mc_oracle as mc
-from fmeda_uq import McConfig, cli, emit_json, verify
+from fmeda_uq import McConfig, PropagationMode, cli, emit_json, verify
 from fmeda_uq.model import table_arrays
 from fmeda_uq.uncertainty import _propagate
 from conftest import make_table, random_table, strict_json, two_fm_table
@@ -249,7 +249,7 @@ def test_pass_iff_gap_within_tolerance():
     arr = table_arrays(two_fm_table())
     cfg = McConfig(samples=5000, seed=2)
     s = mc._simulate(arr, cfg, with_lfm=False)
-    analytic = _propagate(arr).sigma_spfm_full
+    analytic = _propagate(arr).sigma_spfm_by_mode[PropagationMode.FULL]
     v = mc._verdict("SPFM", analytic, s.spfm, s.spfm_rate, 0, cfg, 1e-9)
     assert not v.passed and v.relative_gap > v.tolerance
     w = mc._verdict("SPFM", analytic, s.spfm, s.spfm_rate, 0, cfg, 0.5)

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fmeda_uq import FmedaValidationError, McConfig, analyze, asil_verdict, verify
+from fmeda_uq import FmedaValidationError, McConfig, PropagationMode, analyze, asil_verdict, verify
 from fmeda_uq.model import TableArrays, iter_rows, table_arrays
 from fmeda_uq.uncertainty import UndefinedMetricError, _propagate
 from conftest import make_table, random_table, two_fm_table
@@ -37,7 +37,7 @@ def test_point_metrics_survive_an_overflowing_sigma():
         prop = _propagate(table_arrays(table))
         assert prop.spfm == pytest.approx(1 - (0.1e-10 + 0.5) / (50 + 1e-10))
         assert math.isfinite(prop.lfm)
-        assert not math.isfinite(prop.sigma_spfm_full)
+        assert not math.isfinite(prop.sigma_spfm_by_mode[PropagationMode.FULL])
     with pytest.raises(FmedaValidationError, match="table.sigma_finite"):
         analyze(table)
     with pytest.raises(FmedaValidationError, match="table.sigma_finite"):

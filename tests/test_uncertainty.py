@@ -115,7 +115,7 @@ def test_spfm_partials_match_finite_differences(rng):
     for _ in range(30):
         table = random_table(rng, n_range=(2, 10))
         arr = table_arrays(table)
-        d_dc, d_w = _propagate(arr).spfm_partials
+        d_dc, _, d_w = _propagate(arr).spfm_partials
         d_lam = d_w / arr.lambda_tot
         for i in range(arr.dc.size):
             fd = _fd_gradient(
@@ -186,6 +186,41 @@ def test_sigma_lfm_undefined_without_detected_pool():
     res = analyze(table)
     assert res.sigma_lfm is None
     assert res.lfm_note is not None
+
+
+def test_kernel_arrays_share_one_row_layout(rng):
+    # Every per-input array is (3, n): rows DC, latent DC, w; one column per
+    # table row.  Each sigma is the square root of its (partial * sigma)^2
+    # rows, and each mode's SPFM sigma sums exactly the rows it keeps.
+    full, dc_only, lambda_only = PropagationMode
+    for _ in range(40):
+        arr = table_arrays(random_table(rng, n_range=(1, 40), sigma_dc_latent_max=0.05))
+        prop = _propagate(arr)
+        w, n = arr.lam / arr.lambda_tot, arr.dc.size
+        assert prop.input_sigmas.tolist() == [
+            arr.sigma_dc.tolist(), arr.sigma_dc_lat.tolist(),
+            (arr.sigma_lam / arr.lambda_tot).tolist()]
+        assert prop.spfm_partials.tolist() == [w.tolist(), [0.0] * n, (arr.dc - 1.0).tolist()]
+        assert np.array_equal(prop.spfm_terms, (prop.spfm_partials * prop.input_sigmas) ** 2)
+        assert prop.spfm_terms[1].tolist() == [0.0] * n
+        var_dc, var_lat, var_w = (float(row.sum()) for row in prop.spfm_terms)
+        assert var_lat == 0.0
+        assert prop.sigma_spfm_by_mode == {full: math.sqrt(var_dc + var_w),
+                                           dc_only: math.sqrt(var_dc),
+                                           lambda_only: math.sqrt(var_w)}
+        if prop.lfm is None:
+            assert prop.lfm_partials is None and prop.sigma_lfm is None
+            continue
+        assert prop.lfm_partials.shape == (3, n)
+        lfm_terms = (prop.lfm_partials * prop.input_sigmas) ** 2
+        assert prop.sigma_lfm == pytest.approx(
+            math.sqrt(sum(float(row.sum()) for row in lfm_terms)), rel=1e-12, abs=1e-300)
+
+
+def test_undefined_lfm_has_no_partials():
+    prop = _propagate(table_arrays(make_table([dict(lambda_fm=10.0, dc=0.0, sigma_dc=0.01)])))
+    assert (prop.lfm, prop.lfm_partials, prop.sigma_lfm) == (None, None, None)
+    assert prop.spfm_partials.shape == (3, 1)
 
 
 # ---------------------------------------------------------------------------
