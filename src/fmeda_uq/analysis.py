@@ -27,12 +27,13 @@ instead of failing, so SPFM reporting still works.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .eii import NO_UNCERTAINTY_NOTE, _entries
 from .ingest import FORMAT_VERSION
 from .metrics import AsilVerdict, asil_verdict
-from .model import FmedaTable, _require_finite_sigmas, cutoff, iter_rows, table_arrays
+from .model import FmedaTable, FmedaValidationError, Violation, cutoff, iter_rows, table_arrays
 from .uncertainty import Interval, PropagationMode, _propagate, confidence_interval
 
 
@@ -104,6 +105,21 @@ class AnalysisResult:
 
 def _interval_doc(interval: Interval) -> dict:
     return {"lo": interval.lo, "hi": interval.hi, "clamped": interval.clamped}
+
+
+def _require_finite_sigmas(**sigmas: float | None) -> None:
+    """Raise table.sigma_finite for each sigma that overflowed; None (no LFM) is skipped.
+
+    validate() cannot see this: the sigmas exist only after propagation.
+    """
+    violations = [
+        Violation("table", name, "table.sigma_finite", value,
+                  "propagated sigma overflows the float range")
+        for name, value in sigmas.items()
+        if value is not None and not math.isfinite(value)
+    ]
+    if violations:
+        raise FmedaValidationError(violations)
 
 
 def analyze(

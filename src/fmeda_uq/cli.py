@@ -25,10 +25,10 @@ from pathlib import Path
 
 from . import __version__
 from .analysis import analyze
-from .ingest import FmedaValidationError, ParseError, emit_result, parse_csv, parse_json
+from .ingest import ParseError, emit_result, parse_csv, parse_json
 from .mc_oracle import McConfig, verify
 from .metrics import FAIL, PASS_FRAGILE
-from .model import ASIL_LEVELS, NORMAL_CUTOFFS
+from .model import ASIL_LEVELS, NORMAL_CUTOFFS, FmedaValidationError
 from .sampling import sample_size
 from .uncertainty import PropagationMode
 
@@ -150,17 +150,12 @@ def _cmd_sample_size(args) -> int:
 
 def _cmd_verify(args) -> int:
     try:
+        # The config first: samples or seed out of range stop before the read.
         config = McConfig(samples=args.samples, seed=args.seed,
                           truncate=not args.no_truncate)
-    except ValueError as exc:  # samples or seed out of range
-        return _report_input_error(exc)
-    try:
         table = _load_table(args.input)
-    except (ParseError, FmedaValidationError) as exc:
-        return _report_input_error(exc)
-    try:
         spfm_verdict, lfm_verdict, lfm_note = verify(table, config)
-    except FmedaValidationError as exc:  # a propagated sigma overflows
+    except ValueError as exc:  # McConfig's range checks, ParseError, FmedaValidationError
         return _report_input_error(exc)
     except MemoryError:  # a wide table's chunk buffers hold at least one sample's row
         return _report_input_error(ValueError(

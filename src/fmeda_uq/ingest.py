@@ -57,7 +57,6 @@ from .model import (
     EXPERT_JUDGMENT,
     FailureModeRow,
     FmedaTable,
-    FmedaValidationError,
     Part,
     Subpart,
     table_arrays,
@@ -526,6 +525,9 @@ def _expect_keys(obj, where, keys: set[str], required: set[str]) -> None:
     if not isinstance(obj, dict):
         path = where(None)["column"]
         raise ParseError(f"expected an object at {path}, got {type(obj).__name__}")
+    repeated = obj.get(_REPEATED)
+    if repeated is not None:
+        raise ParseError(f"repeated key {repeated!r}", **where(repeated))
     unknown = min(obj.keys() - keys, default=None)
     if unknown is not None:
         raise ParseError(f"unknown key {unknown!r}", **where(unknown))
@@ -557,12 +559,19 @@ def _expect_list(value, where, key: str) -> list:
     return value
 
 
+_REPEATED = object()  # _unique_keys' mark: not a str, so never a JSON key
+
+
 def _unique_keys(pairs: list) -> dict:
-    """A JSON object; without this hook json.loads keeps a repeated key's last value."""
+    """A JSON object; without this hook json.loads keeps a repeated key's last value.
+
+    An object that repeats a key holds the first such key under _REPEATED,
+    and _expect_keys reports it at its path when the walk reaches the object.
+    """
     obj = dict(pairs)
     if len(obj) != len(pairs):
         keys = [key for key, _ in pairs]
-        raise ParseError(f"repeated key {next(k for k in keys if keys.count(k) > 1)!r}")
+        obj[_REPEATED] = next(k for k in keys if keys.count(k) > 1)
     return obj
 
 
@@ -570,8 +579,6 @@ def parse_json(text: str) -> FmedaTable:
     """Parse the nested JSON document into a validated table."""
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
-    except ParseError:  # a repeated key
-        raise
     except ValueError as exc:  # JSONDecodeError, or an int of too many digits
         raise ParseError(f"invalid JSON: {exc}") from None
     except RecursionError:

@@ -8,10 +8,12 @@ empirical sigma against the analytic one at a relative tolerance (3% for
 SPFM; 5% for LFM, whose ratio form makes first-order propagation carry
 genuine truncation error).
 
-Conventions shared with the analytic model so the two routes agree: both
-read the same model.table_arrays extraction (fault-simulation rows carry
-sigma_DC = e/t), lambda_tot stays fixed at its nominal value while
-individual rates are perturbed, and inputs are mutually independent.
+The analytic side of verify is analyze: a verdict checks the sigma that
+analyze reports, so a fault between the kernel and the report fails it
+too.  Conventions shared with the analytic model so the two routes
+agree: both read the same model.table_arrays extraction (fault-simulation
+rows carry sigma_DC = e/t), lambda_tot stays fixed at its nominal value
+while individual rates are perturbed, and inputs are mutually independent.
 With truncation enabled (the default), DC draws clamp to [0, 1] and rate
 draws to [0, inf); the clamp rate is reported, and above 0.1% the verdict
 carries a warning because boundary effects then bias the comparison.
@@ -59,8 +61,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .model import FmedaTable, TableArrays, _require_finite_sigmas, table_arrays
-from .uncertainty import PropagationMode, _propagate
+from .analysis import analyze
+from .model import FmedaTable, TableArrays, table_arrays
 
 RNG_ALGORITHM = "numpy-pcg64"
 MIN_VERDICT_SAMPLES = 1000
@@ -236,7 +238,6 @@ class _Samples:
     lfm: _Moments | None  # None unless LFM was simulated
     spfm_rate: float
     lfm_rate: float
-    dropped: int  # LFM samples with no detected pool, left out of lfm
 
 
 def _simulate(arr: TableArrays, config: McConfig, with_lfm: bool) -> _Samples:
@@ -316,17 +317,13 @@ def _simulate(arr: TableArrays, config: McConfig, with_lfm: bool) -> _Samples:
 
     def rate(drawn: list[_Input]) -> float:
         draws = config.samples * sum(inp.cols.size for inp in drawn)
-        if not (config.truncate and draws):
-            return 0.0
-        return sum(inp.clamped for inp in drawn) / draws
+        return sum(inp.clamped for inp in drawn) / draws if draws else 0.0
 
     spfm.flush()
-    dropped = 0
     if lfm is not None:
         lfm.flush()
-        dropped = config.samples - lfm.n
     inputs = [dc_input, *ahead]
-    return _Samples(spfm, lfm, rate(inputs[:2]), rate(inputs), dropped)
+    return _Samples(spfm, lfm, rate(inputs[:2]), rate(inputs))
 
 
 def _verdict(
@@ -334,11 +331,12 @@ def _verdict(
     analytic: float,
     moments: _Moments,
     rate: float,
-    dropped: int,
     config: McConfig,
     tolerance: float,
 ) -> McVerdict:
     empirical = moments.sigma()
+    # Only LFM drops samples: those whose sampled detected pool is empty.
+    dropped = config.samples - moments.n
 
     if analytic != 0.0:
         gap = abs(empirical - analytic) / analytic
@@ -378,20 +376,17 @@ def _verdict(
 
 
 def verify(table: FmedaTable, config: McConfig) -> tuple[McVerdict, McVerdict | None, str | None]:
-    """Check the analytic sigma_SPFM and sigma_LFM against one seeded pass.
+    """Check the sigma_SPFM and sigma_LFM that analyze reports against one seeded pass.
 
     Returns (SPFM verdict, LFM verdict, None), or (SPFM verdict, None,
     the reason) when LFM is undefined.  Raises FmedaValidationError for
     an invalid table or a propagated sigma that overflows.
     """
-    arr = table_arrays(table)
-    prop = _propagate(arr)
-    sigma_spfm = prop.sigma_spfm_by_mode[PropagationMode.FULL]
-    _require_finite_sigmas(sigma_spfm=sigma_spfm, sigma_lfm=prop.sigma_lfm)
-    s = _simulate(arr, config, with_lfm=prop.lfm is not None)
-    spfm = _verdict("SPFM", sigma_spfm, s.spfm, s.spfm_rate, 0, config, SPFM_TOLERANCE)
-    if prop.lfm is None:
-        return spfm, None, prop.lfm_note
-    lfm = _verdict("LFM", prop.sigma_lfm, s.lfm, s.lfm_rate, s.dropped, config,
-                   LFM_TOLERANCE)
-    return spfm, lfm, None
+    result = analyze(table)
+    sigma_spfm, sigma_lfm, lfm_note = result.sigma_spfm_full, result.sigma_lfm, result.lfm_note
+    del result  # its rows and EII entries are not kept while sampling
+    s = _simulate(table_arrays(table), config, with_lfm=sigma_lfm is not None)
+    spfm = _verdict("SPFM", sigma_spfm, s.spfm, s.spfm_rate, config, SPFM_TOLERANCE)
+    if sigma_lfm is None:
+        return spfm, None, lfm_note
+    return spfm, _verdict("LFM", sigma_lfm, s.lfm, s.lfm_rate, config, LFM_TOLERANCE), None

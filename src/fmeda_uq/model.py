@@ -21,6 +21,8 @@ given.  One walk over the rows checks every invariant and, for a valid
 table, extracts the row-aligned arrays: validate() returns its Violation
 records (data, not exceptions), and table_arrays() raises
 FmedaValidationError carrying them or returns (and caches) the arrays.
+Propagated sigmas are not checked here: analysis.analyze, which is also
+the analytic side of mc_oracle.verify, rejects one that overflows.
 """
 
 from __future__ import annotations
@@ -537,19 +539,3 @@ def _row_rules(row: FailureModeRow, loc: str, dist: bool, scale, seen_ids: dict,
         bad(loc, "lambda_fm", "lambda_fm.nonneg", rate, "failure rate must be >= 0")
     return rate, sigma_rate, sigma_dc
 
-
-def _require_finite_sigmas(**sigmas: float | None) -> None:
-    """Raise table.sigma_finite for each propagated sigma that overflowed.
-
-    validate() cannot see this: the sigmas exist only after propagation,
-    so analyze and the Monte Carlo verdicts call this on the ones they
-    report.  None (an undefined LFM) is skipped.
-    """
-    violations = [
-        Violation("table", name, "table.sigma_finite", value,
-                  "propagated sigma overflows the float range")
-        for name, value in sigmas.items()
-        if value is not None and not math.isfinite(value)
-    ]
-    if violations:
-        raise FmedaValidationError(violations)

@@ -18,8 +18,8 @@ One kernel, _propagate, computes every metric, sigma, variance term and
 partial from a TableArrays.  It works on the normalized weights
 w_i = lambda_i/lambda_tot and sigma_lambda_i/lambda_tot, so its results do
 not depend on the scale of the rates, from subnormal to near-overflow
-FIT values.  Its callers, analysis.analyze and mc_oracle.verify, each
-extract the arrays once and run it once.
+FIT values.  Its one caller, analysis.analyze, extracts the arrays once
+and runs it once; mc_oracle.verify checks the sigmas analyze reports.
 
 The kernel keeps one input Jacobian.  Each per-input array is (3, n): one
 column per row of the table, and one row per kind of input, in the order
@@ -96,8 +96,8 @@ class _Propagation:
     sigma_lfm: float | None
 
 
-# Overflow shows up as a non-finite sigma, not as a warning; the callers that
-# report a sigma reject it (model._require_finite_sigmas).
+# Overflow shows up as a non-finite sigma, not as a warning; analyze, which
+# reports the sigmas, rejects it.
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _propagate(arr: TableArrays) -> _Propagation:
     """SPFM, LFM, their first-order sigmas and partials, lambda_tot fixed."""

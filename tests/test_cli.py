@@ -358,11 +358,9 @@ def test_verify_zero_sigma_trivially_passes(tmp_path, capsys):
 
 def test_verify_corrupted_analytic_path_exits_four(table_csv, capsys, monkeypatch):
     # Negative control: break the analytic route and the oracle must notice.
-    import dataclasses
+    import fmeda_uq.analysis as analysis
 
-    import fmeda_uq.mc_oracle as mc
-
-    real = mc._propagate
+    real = analysis._propagate
 
     def doubled(arr):
         prop = real(arr)
@@ -370,11 +368,39 @@ def test_verify_corrupted_analytic_path_exits_four(table_csv, capsys, monkeypatc
         sigma[PropagationMode.FULL] *= 2.0
         return dataclasses.replace(prop, sigma_spfm_by_mode=sigma)
 
-    monkeypatch.setattr(mc, "_propagate", doubled)
+    monkeypatch.setattr(analysis, "_propagate", doubled)
     code, out, _ = run(capsys, ["verify", "--input", table_csv,
                                 "--samples", "20000"])
     assert code == 4
     assert strict_json(out)["spfm"]["passed"] is False
+
+
+def test_verify_checks_the_sigma_that_analyze_reports(tmp_path, capsys, monkeypatch):
+    # A fault between the kernel and the report, the DC-only sigma stored as
+    # the full one, must fail verify: it has no kernel route of its own.
+    import fmeda_uq.analysis as analysis
+    import fmeda_uq.mc_oracle as mc
+
+    assert not hasattr(mc, "_propagate")
+    real = analysis._propagate
+
+    def dc_only_as_full(arr):
+        prop = real(arr)
+        sigma = dict(prop.sigma_spfm_by_mode)
+        sigma[PropagationMode.FULL] = sigma[PropagationMode.DC_ONLY]
+        return dataclasses.replace(prop, sigma_spfm_by_mode=sigma)
+
+    path = _write(tmp_path, "rates.csv", TWO_FM_CSV.splitlines()[0] + "\n"
+                  "CPU,EXEC,FM1,50,10,,0.6,0.01,0.6,0,expert,\n"
+                  "CPU,EXEC,FM2,50,10,,0.7,0.01,0.8,0,expert,\n")
+    argv = ["verify", "--input", path, "--samples", "20000"]
+    assert run(capsys, argv)[0] == 0
+    monkeypatch.setattr(analysis, "_propagate", dc_only_as_full)
+    code, out, _ = run(capsys, argv)
+    assert code == 4
+    spfm = strict_json(out)["spfm"]
+    assert spfm["analytic_sigma"] == analysis.analyze(cli._load_table(path)).sigma_spfm_full
+    assert spfm["passed"] is False
 
 
 def test_verify_rounding_noise_is_not_a_mismatch(tmp_path, capsys):
@@ -406,12 +432,11 @@ def test_verify_equal_latent_coverage_is_not_a_mismatch(tmp_path, capsys):
 
 def test_verify_spread_against_zero_analytic_sigma_fails(table_csv, capsys, monkeypatch):
     # Negative control: an analytic route that claims no spread at all.
-    import dataclasses
-
+    import fmeda_uq.analysis as analysis
     import fmeda_uq.mc_oracle as mc
 
-    real = mc._propagate
-    monkeypatch.setattr(mc, "_propagate", lambda arr: dataclasses.replace(
+    real = analysis._propagate
+    monkeypatch.setattr(analysis, "_propagate", lambda arr: dataclasses.replace(
         real(arr), sigma_spfm_by_mode=dict.fromkeys(PropagationMode, 0.0)))
     code, out, _ = run(capsys, ["verify", "--input", table_csv, "--samples", "20000"])
     assert code == 4

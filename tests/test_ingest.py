@@ -271,18 +271,80 @@ def test_json_unknown_key_rejected():
         parse_json(json.dumps(doc))
 
 
-@pytest.mark.parametrize("old, new, key", [
-    ('"version": "fmeda-uq/1"', '"version": "fmeda-uq/1", "version": "fmeda-uq/1"', "version"),
-    ('"name": "CPU"', '"name": "CPU", "name": "GPU"', "name"),
-    ('"name": "EXEC"', '"name": "EXEC", "name": "EXEC"', "name"),
-    ('"dc": 0.9', '"dc": 0.99, "dc": 0.5', "dc"),
+@pytest.mark.parametrize("old, new, path", [
+    ('"version": "fmeda-uq/1"', '"version": "fmeda-uq/1", "version": "fmeda-uq/1"',
+     "$.version"),
+    ('"name": "CPU"', '"name": "CPU", "name": "GPU"', "$.parts[0].name"),
+    ('"name": "EXEC"', '"name": "EXEC", "name": "EXEC"', "$.parts[0].subparts[0].name"),
+    ('"dc": 0.9', '"dc": 0.99, "dc": 0.5', "$.parts[0].subparts[0].failure_modes[0].dc"),
 ], ids=["document", "part", "subpart", "row"])
-def test_json_repeated_key_rejected(old, new, key):
+def test_json_repeated_key_rejected(old, new, path):
     # json.loads would keep the last value silently.
     assert MINIMAL_JSON.count(old) == 1
     with pytest.raises(ParseError) as err:
         parse_json(MINIMAL_JSON.replace(old, new))
-    assert str(err.value) == f"repeated key {key!r}"
+    key = path.rsplit(".", 1)[1]
+    assert (err.value.line, err.value.column) == (None, path)
+    assert str(err.value) == f"column {path!r}: repeated key {key!r}"
+
+
+def _two_of_each() -> dict:
+    """A document of two parts, each of two subparts, each of two rows."""
+    def sub(j):
+        return {"name": f"S{j}", "failure_modes": [
+            {"id": f"FM{j}{k}", "lambda_fit": 10.0, "dc": 0.9} for k in range(2)]}
+    return {"version": "fmeda-uq/1", "parts": [
+        {"name": f"P{i}", "subparts": [sub(2 * i + j) for j in range(2)]} for i in range(2)]}
+
+
+_FIRST_ROW = ("parts", 0, "subparts", 0, "failure_modes", 0)
+_LAST_ROW = ("parts", 1, "subparts", 1, "failure_modes", 1)
+
+
+# The document's own keys are checked first, so its repeated key is always
+# the first mistake; at the other levels either mistake may come first.
+@pytest.mark.parametrize("repeated, bad_row, column", [
+    (("version",), _LAST_ROW, "$.version"),
+    (("parts", 0, "name"), _LAST_ROW, "$.parts[0].name"),
+    (("parts", 0, "subparts", 0, "name"), _LAST_ROW, "$.parts[0].subparts[0].name"),
+    ((*_FIRST_ROW, "dc"), _LAST_ROW, "$.parts[0].subparts[0].failure_modes[0].dc"),
+    (("parts", 1, "name"), _FIRST_ROW, None),
+    (("parts", 0, "subparts", 1, "name"), _FIRST_ROW, None),
+    (("parts", 0, "subparts", 0, "failure_modes", 1, "dc"), _FIRST_ROW, None),
+], ids=["document", "part", "subpart", "row",
+        "part_after_bad_value", "subpart_after_bad_value", "row_after_bad_value"])
+def test_json_first_mistake_in_document_order_is_the_error(repeated, bad_row, column):
+    # A repeated key is reported at its key path when the walk reaches its
+    # object (column), or a bad value in an earlier row is (column None).
+    doc = _two_of_each()
+    obj = doc
+    for step in bad_row:
+        obj = obj[step]
+    obj["lambda_fit"] = "x"
+    *at, key = repeated
+    obj = doc
+    for step in at:
+        obj = obj[step]
+    obj["\0"] = obj[key]
+    with pytest.raises(ParseError) as err:
+        parse_json(json.dumps(doc).replace(json.dumps("\0"), json.dumps(key)))
+    if column is None:
+        assert err.value.column == "$.parts[0].subparts[0].failure_modes[0].lambda_fit"
+        assert str(err.value).endswith("expected a number, got str")
+    else:
+        assert str(err.value) == f"column {column!r}: repeated key {key!r}"
+
+
+@pytest.mark.parametrize("old, new", [
+    ('"lambda_fit": 100', '"lambda_fit": {"a": 1, "a": 1}'),
+    ('"dc_source": "expert"', '"dc_source": {"a": 1, "a": 1}'),
+], ids=["number", "string"])
+def test_json_repeated_key_object_as_a_value_reads_dict(old, new):
+    # An object with a repeated key where a value belongs is a wrong type,
+    # reported like any other object there.
+    with pytest.raises(ParseError) as err:
+        parse_json(MINIMAL_JSON.replace(old, new))
+    assert str(err.value).endswith("got dict")
 
 
 def test_json_version_checked():
