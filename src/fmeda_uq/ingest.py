@@ -25,13 +25,13 @@ explicit.
 Emission is deterministic: floats are serialized with 12 significant
 digits, JSON keys are sorted, and no timestamps are embedded, so equal
 inputs produce byte-identical documents.  Report percentages render at
-2 decimals.  The JSON writer lays out an array of same-key objects (the
-report's rows and EII entries, a subpart's failure modes) with one
-template per array, and writes a long run of them a column at a time:
-one C-level %.12g (fmt12's format) per float column, whose tokens are
-checked at once for the few floats whose JSON token differs from it
-(integral values, exponents 12-15, subnormals, nan and the infinities);
-only those go through _float_token.
+2 decimals.  The JSON writer writes an object key by key, in sorted
+key order.  A long array of objects that all have the same keys (the
+report's rows and EII entries, most subparts' failure modes) it writes
+a column at a time: one C-level %.12g (fmt12's format) per float
+column, whose tokens are checked at once for the few floats whose JSON
+token differs from it (integral values, exponents 12-15, subnormals,
+nan and the infinities); only those go through _float_token.
 
 An analysis result has one document, AnalysisResult.to_dict().  The
 JSON report is that document; the markdown and CSV reports are views of
@@ -120,18 +120,18 @@ def _json_text(obj, newline: str = "\n") -> str:
     """JSON text of obj, laid out as json.dumps(sort_keys=True, indent=2).
 
     Each float x is written as float(fmt12(x)).  NaN and infinities raise
-    ValueError, as allow_nan=False does; newline carries the indent of
-    the enclosing container.
+    ValueError, as allow_nan=False does, and a key that is not a str
+    raises TypeError; newline carries the indent of the enclosing
+    container.
 
-    Objects are written by _objects_text: an array whose first member is
-    a non-empty object gets one template for the whole array (the
-    report's rows, eii and eii_totals, a subpart's failure_modes), and a
-    lone object a template of its own.  A long array of such objects is
-    written a column at a time, a short one or a lone object member by
-    member; both give the same text.  Each container joins its own
-    pieces once, brackets included, so the pieces of one report row are
-    freed once the row's text is built and a large member's text is not
-    copied again by its container.
+    An object is written key by key: its sorted keys, each with the text
+    of its value.  An array of at least _COLUMNS_MIN plain dicts that all
+    have the first one's keys (the report's rows and EII entries, a
+    subpart's failure modes) is written by _column_texts; both give the
+    same text.  Each container joins its own pieces once, brackets
+    included, so the pieces of one report row are freed once the row's
+    text is built and a large member's text is not copied again by its
+    container.
     """
     if isinstance(obj, float):
         return _float_token(obj)
@@ -146,13 +146,22 @@ def _json_text(obj, newline: str = "\n") -> str:
     if isinstance(obj, int):
         return int.__repr__(obj)
     if isinstance(obj, dict):
-        return _objects_text([obj], newline)[0] if obj else "{}"
+        if not obj:
+            return "{}"
+        inner = newline + "  "
+        pieces = []
+        for key, head in zip(*_heads(obj, inner)):
+            pieces += (head, _json_text(obj[key], inner))
+        pieces.append(newline + "}")
+        return "".join(pieces)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         inner = newline + "  "
-        if isinstance(obj[0], dict) and obj[0]:
-            items = _objects_text(obj, inner)
+        keys = obj[0].keys() if type(obj[0]) is dict else None
+        if len(obj) >= _COLUMNS_MIN and keys \
+                and all([type(o) is dict and o.keys() == keys for o in obj]):
+            items = _column_texts(obj, inner)
         else:
             items = [_json_text(item, inner) for item in obj]
         items[0] = "[" + inner + items[0]
@@ -161,62 +170,31 @@ def _json_text(obj, newline: str = "\n") -> str:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
+def _heads(obj: dict, inner: str) -> tuple[list, list[str]]:
+    """The sorted keys of a non-empty dict, and the text before each value:
+    the separator, the indent and the key."""
+    keys = sorted(obj)
+    for key in keys:
+        if not isinstance(key, str):
+            raise TypeError(f"keys must be str, not {type(key).__name__}")
+    heads = ["," + inner + _encode_str(key) + ": " for key in keys]
+    heads[0] = "{" + heads[0][1:]
+    return keys, heads
+
+
 # Measured on the report's rows and EII entries and a table's failure
-# modes, the column path breaks even with the member loop at 4 to 8
-# members, and blocks of 128 to 20000 members run at one speed.
+# modes, the column path is faster than the key-by-key writer from 3
+# members on (1.1-1.3 times at 3 to 6, 1.7-2.5 times at 8), and blocks of
+# 128 to 20000 members run at one speed.  A gate of 3 or 4 gained nothing
+# on portfolio(7)'s tables and reports, which hold few such arrays of 3
+# to 7 members, so it stays at 8.
 _COLUMNS_MIN = 8
 _BLOCK = 256
 
 
-def _objects_text(objs, newline: str) -> list[str]:
-    """The texts of an array's members, the first of them a non-empty dict.
-
-    The first member's sorted keys make the array's one template, built
-    here once: the text before each value, with the key and the indent
-    baked in.  A member with that key set is its template joined with its
-    values' tokens: a float's _float_token, a str's JSON string, and
-    _json_text of anything else.  Any other member is written by
-    _json_text.
-
-    An array of at least _COLUMNS_MIN members, all plain dicts with the
-    template's keys, is written by _column_texts, _BLOCK members at a
-    time; any other array member by member, as is a lone object.  Each
-    member's text is joined rather than %-formatted: % over-allocates
-    each text and then shrinks it, and the holes that leaves raised the
-    peak RSS of a 10^4-row report.
-    """
-    keys = sorted(objs[0])
-    for key in keys:
-        if not isinstance(key, str):
-            raise TypeError(f"keys must be str, not {type(key).__name__}")
-    inner = newline + "  "
-    heads = ["{" + inner + _encode_str(keys[0]) + ": "]
-    heads += ["," + inner + _encode_str(key) + ": " for key in keys[1:]]
-    tail = newline + "}"
-    key_set = objs[0].keys()
-    texts = []
-    if len(objs) >= _COLUMNS_MIN \
-            and all([type(obj) is dict and obj.keys() == key_set for obj in objs]):
-        for start in range(0, len(objs), _BLOCK):
-            texts += _column_texts(objs[start:start + _BLOCK], keys, heads, tail, inner)
-        return texts
-    for obj in objs:
-        if not isinstance(obj, dict) or obj.keys() != key_set:
-            texts.append(_json_text(obj, newline))
-            continue
-        pieces = []
-        for head, v in zip(heads, map(obj.__getitem__, keys)):
-            pieces.append(head)
-            pieces.append(_float_token(v) if type(v) is float
-                          else _encode_str(v) if type(v) is str
-                          else _json_text(v, inner))
-        pieces.append(tail)
-        texts.append("".join(pieces))
-    return texts
-
-
-def _column_texts(block, keys, heads, tail, inner: str) -> list[str]:
-    """The texts of dicts that all have the given keys, a column at a time.
+def _column_texts(objs, newline: str) -> list[str]:
+    """The texts of plain dicts that all have the first one's keys, a
+    column at a time, _BLOCK members per block.
 
     An all-float column is formatted by one %.12g over the whole column.
     A token is _float_token's when it has a "." (an integral value, an
@@ -226,30 +204,37 @@ def _column_texts(block, keys, heads, tail, inner: str) -> list[str]:
     That is checked once over the column's text; only when it fails is
     each token checked, and each failing one replaced by _float_token,
     which raises ValueError on nan and the infinities.  An all-str column
-    is mapped through the JSON string encoder, and a mixed column takes
-    the per-value dispatch of the member loop.  Each member's text is one
-    join of the heads, its tokens and the tail.
+    is mapped through the JSON string encoder, and any other column
+    through _json_text.  Each member's text is one join of the heads, its
+    tokens and the tail: joined rather than %-formatted, since %
+    over-allocates each text and then shrinks it, and the holes that
+    leaves raised the peak RSS of a 10^4-row report.
     """
-    columns = []
-    for head, key in zip(heads, keys):
-        column = tuple(map(operator.itemgetter(key), block))
-        types = set(map(type, column))
-        if types == {float}:
-            text = ("%.12g," * len(column))[:-1] % column
-            tokens = text.split(",")
-            if text.count(".") != len(column) or "e+1" in text or "e-3" in text:
-                for i, token in enumerate(tokens):
-                    if "." not in token or "e+1" in token or "e-3" in token:
-                        tokens[i] = _float_token(column[i])
-        elif types == {str}:
-            tokens = map(_encode_str, column)
-        else:
-            tokens = [_float_token(v) if type(v) is float
-                      else _encode_str(v) if type(v) is str
-                      else _json_text(v, inner) for v in column]
-        columns += (itertools.repeat(head), tokens)
-    columns.append(itertools.repeat(tail))
-    return list(map("".join, zip(*columns)))
+    inner = newline + "  "
+    keys, heads = _heads(objs[0], inner)
+    tail = newline + "}"
+    texts = []
+    for start in range(0, len(objs), _BLOCK):
+        block = objs[start:start + _BLOCK]
+        columns = []
+        for head, key in zip(heads, keys):
+            column = tuple(map(operator.itemgetter(key), block))
+            types = set(map(type, column))
+            if types == {float}:
+                text = ("%.12g," * len(column))[:-1] % column
+                tokens = text.split(",")
+                if text.count(".") != len(column) or "e+1" in text or "e-3" in text:
+                    for i, token in enumerate(tokens):
+                        if "." not in token or "e+1" in token or "e-3" in token:
+                            tokens[i] = _float_token(column[i])
+            elif types == {str}:
+                tokens = map(_encode_str, column)
+            else:
+                tokens = [_json_text(v, inner) for v in column]
+            columns += (itertools.repeat(head), tokens)
+        columns.append(itertools.repeat(tail))
+        texts += map("".join, zip(*columns))
+    return texts
 
 
 def _parse_float(cell: str, line: int | None, column: str) -> float:

@@ -133,9 +133,10 @@ class McVerdict:
 
     def to_dict(self) -> dict:
         doc = {field.name: getattr(self, field.name) for field in fields(self)}
-        # JSON has no infinity; null marks a gap with no finite size.
-        if not math.isfinite(self.relative_gap):
-            doc["relative_gap"] = None
+        # JSON has no infinity or nan; null marks a value with no finite size.
+        for name in ("empirical_sigma", "relative_gap"):
+            if not math.isfinite(doc[name]):
+                doc[name] = None
         return doc
 
 
@@ -247,12 +248,22 @@ def _simulate(arr: TableArrays, config: McConfig, with_lfm: bool) -> _Samples:
     helper thread draws the rates (and latent DCs) of the next chunk into
     the spare one of two buffer sets: `ready` counts the sets it has filled,
     `free` the sets it may fill.
+
+    The rates, their sigmas and lambda_tot are first scaled by 2**-e, where
+    e is lambda_tot's binary exponent, so lambda_tot lies in [0.5, 1) and
+    the sums of drawn rates stay finite where the rates sit near the top
+    of the float range.  The metrics are ratios of rates, and a
+    power-of-two scaling changes no rounding while every value, scaled
+    and unscaled, is a normal float; then the samples are those of the
+    unscaled rates bit for bit.
     """
     chunk = min(config.samples, max(1, _BUFFER_ELEMENTS // (2 * arr.lam.size)))
+    e = math.frexp(arr.lambda_tot)[1]
+    lam_nominal, lambda_tot = np.ldexp(arr.lam, -e), math.ldexp(arr.lambda_tot, -e)
     streams = [np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(3)]
     dc_input = _Input(streams[0], chunk, arr.dc, arr.sigma_dc, 1.0)
-    ahead = [_Input(streams[1], chunk, arr.lam, arr.sigma_lam, None)]
-    nominal = [arr.lam]
+    ahead = [_Input(streams[1], chunk, lam_nominal, np.ldexp(arr.sigma_lam, -e), None)]
+    nominal = [lam_nominal]
     if with_lfm:
         ahead.append(_Input(streams[2], chunk, arr.dc_lat, arr.sigma_dc_lat, 1.0))
         nominal.append(arr.dc_lat)
@@ -296,7 +307,7 @@ def _simulate(arr: TableArrays, config: McConfig, with_lfm: bool) -> _Samples:
             np.subtract(1.0, dc[:m], out=w)
             w *= lam[:m]
             residual = w.sum(axis=1)
-            spfm.add(1.0 - residual / arr.lambda_tot)
+            spfm.add(1.0 - residual / lambda_tot)
             if with_lfm:
                 lat = sets[k % 2][1]
                 d = det[:m]
@@ -304,7 +315,7 @@ def _simulate(arr: TableArrays, config: McConfig, with_lfm: bool) -> _Samples:
                 np.subtract(1.0, lat[:m], out=w)
                 w *= d
                 latent = w.sum(axis=1)
-                detected = d.sum(axis=1) + (arr.lambda_tot - lam[:m].sum(axis=1))
+                detected = d.sum(axis=1) + (lambda_tot - lam[:m].sum(axis=1))
                 with np.errstate(divide="ignore", invalid="ignore"):
                     vals = 1.0 - latent / detected
                 bad = detected <= 0.0

@@ -100,11 +100,16 @@ class Violation:
     message: str
 
     def __str__(self) -> str:
-        try:
-            observed = repr(self.observed)
-        except ValueError:  # an int beyond sys.get_int_max_str_digits()
-            observed = f"an int of {self.observed.bit_length()} bits"
-        return f"[{self.rule}] {self.location}.{self.field}: {self.message} (observed {observed})"
+        return (f"[{self.rule}] {self.location}.{self.field}: {self.message} "
+                f"(observed {_repr(self.observed)})")
+
+
+def _repr(x: object) -> str:
+    """repr(x), or a description of an int too long for one."""
+    try:
+        return repr(x)
+    except ValueError:  # an int beyond sys.get_int_max_str_digits()
+        return f"an int of {x.bit_length()} bits"
 
 
 @dataclass(frozen=True)
@@ -320,10 +325,14 @@ def _walk(table: FmedaTable) -> tuple[list[Violation], TableArrays | None]:
     unless there are no violations.
 
     A row whose numbers are all floats within their ranges, whose id is a
-    new non-empty str and whose source is EXPERT_JUDGMENT or a valid
-    fault-simulation campaign breaks no rule: one chain of comparisons
-    accepts it, and only its values are kept.  Every other row goes
-    through _row_rules, the only producer of row Violations.
+    new non-empty str, whose name and safety mechanisms are strs and whose
+    source is EXPERT_JUDGMENT or a valid fault-simulation campaign breaks
+    no rule: one chain of comparisons accepts it, and only its values are
+    kept.  Every other row goes through _row_rules, the only producer of
+    row Violations.  A part, subpart or row of the wrong type is a
+    Violation, and so is a part or subpart name or a row id that a CSV
+    cell would not read back as itself (see _name), so every valid table
+    can be written in both file formats and read back.
     """
     out: list[Violation] = []
     # Every id in table order, mapped to where it was first used: the
@@ -341,9 +350,21 @@ def _walk(table: FmedaTable) -> tuple[list[Violation], TableArrays | None]:
     lambda_known = True
     values = []  # the six columns of TableArrays, row after row
 
-    for part in table.parts:
-        for sub in part.subparts:
-            sub_loc = f"{part.name}/{sub.name}"
+    part_names: set = set()
+    for i, part in enumerate(table.parts):
+        if not isinstance(part, Part):
+            bad("table", f"parts[{i}]", "table.part_type", part, "each part must be a Part")
+            lambda_known = False
+            continue
+        part_loc = _name(part.name, "part", "", part_names, bad)
+        sub_names: set = set()
+        for j, sub in enumerate(part.subparts):
+            if not isinstance(sub, Subpart):
+                bad(part_loc, f"subparts[{j}]", "part.subpart_type", sub,
+                    "each subpart must be a Subpart")
+                lambda_known = False
+                continue
+            sub_loc = part_loc + "/" + _name(sub.name, "subpart", part_loc + "/", sub_names, bad)
             dist = sub.fmd_mode == DISTRIBUTION
 
             if sub.fmd_mode not in (DIRECT_LAMBDA, DISTRIBUTION):
@@ -367,11 +388,16 @@ def _walk(table: FmedaTable) -> tuple[list[Violation], TableArrays | None]:
             row_sum = 0.0
             row_sum_known = True
 
-            for row in sub.failure_modes:
+            for k, row in enumerate(sub.failure_modes):
+                if not isinstance(row, FailureModeRow):
+                    bad(sub_loc, f"failure_modes[{k}]", "subpart.row_type", row,
+                        "each failure mode must be a FailureModeRow")
+                    fmd_complete = row_sum_known = lambda_known = False
+                    continue
                 rate, sigma_rate, frac, s_fmd = \
                     row.lambda_fm, row.sigma_lambda_fm, row.fmd_fraction, row.sigma_fmd
                 dc, sigma_dc, lat, s_lat = row.dc, row.sigma_dc, row.dc_latent, row.sigma_dc_latent
-                rid, src = row.id, row.dc_source
+                rid, src, sms = row.id, row.dc_source, row.safety_mechanisms
                 # The cheap check; a Distribution row's rate is derived first.
                 if dist:
                     clean = (scale is not None and rate is None and type(frac) is float
@@ -389,6 +415,9 @@ def _walk(table: FmedaTable) -> tuple[list[Violation], TableArrays | None]:
                         and type(lat) is float and 0.0 <= lat <= 1.0
                         and type(s_lat) is float and 0.0 <= s_lat < _INF
                         and type(rid) is str and rid and rid not in seen_ids
+                        and rid == rid.strip()
+                        and type(row.name) is str
+                        and (not sms or all([type(s) is str for s in sms]))
                         and (src is EXPERT_JUDGMENT or (
                             type(src) is DcSource and src.kind == FAULT_SIMULATION
                             and type(src.margin_e) is float and 0.0 < src.margin_e < 1.0
@@ -400,8 +429,8 @@ def _walk(table: FmedaTable) -> tuple[list[Violation], TableArrays | None]:
                         fmd_sum += frac
                     row_sum += rate
                 else:
-                    rate, sigma_rate, sigma_dc = _row_rules(
-                        row, f"{sub_loc}/{row.id}", dist, scale, seen_ids, bad)
+                    loc = f"{sub_loc}/{rid if isinstance(rid, str) else _repr(rid)}"
+                    rate, sigma_rate, sigma_dc = _row_rules(row, loc, dist, scale, seen_ids, bad)
                     if dist:
                         if row.fmd_fraction is None:
                             fmd_complete = False
@@ -447,23 +476,51 @@ def _walk(table: FmedaTable) -> tuple[list[Violation], TableArrays | None]:
     return out, TableArrays(tuple(seen_ids), *columns, lambda_tot=total)
 
 
+def _name(name: object, what: str, prefix: str, seen: set, bad) -> str:
+    """A part's or subpart's name as a step of a location.
+
+    The CSV reader strips every cell and groups rows by part and subpart
+    name, so a name must be a non-empty str with no whitespace at either
+    end (else name.str, and the location shows its repr) and new among
+    the names in seen (else name.duplicate), each a Violation at prefix.
+    Row ids follow the same cell rule in _row_rules.
+    """
+    if not (isinstance(name, str) and name and name == name.strip()):
+        step = _repr(name)
+        bad(prefix + step, "name", "name.str", name,
+            f"{what} name must be a non-empty str with no whitespace at either end")
+        return step
+    if name in seen:
+        bad(prefix + name, "name", "name.duplicate", name,
+            f"{what} name already used in this {'table' if what == 'part' else 'part'}")
+    seen.add(name)
+    return name
+
+
 def _row_rules(row: FailureModeRow, loc: str, dist: bool, scale, seen_ids: dict,
                bad) -> tuple[object, object, object]:
     """Check one row against every row rule: (rate, sigma_rate, sigma_dc).
 
     Reports each broken rule through bad(), in a fixed order, and records
-    the row's id in seen_ids.  scale is the subpart rate of a Distribution
+    a new str id in seen_ids.  scale is the subpart rate of a Distribution
     row when it is a finite number, else None; the rate is None when it
     cannot be derived (a violation names the cause).
     """
     if not row.id:
         bad(loc, "id", "id.nonempty", row.id, "row id must not be empty")
+    elif not isinstance(row.id, str) or row.id != row.id.strip():
+        bad(loc, "id", "id.str", row.id, "row id must be a str with no whitespace at either end")
     elif row.id in seen_ids:
         first = seen_ids[row.id]
         where = first[0] if type(first) is tuple else f"{first}/{row.id}"
         bad(loc, "id", "table.duplicate_id", row.id, f"id already used at {where}")
     else:
         seen_ids[row.id] = (loc,)
+    if not isinstance(row.name, str) and row.name is not row.id:  # a name "" is the id
+        bad(loc, "name", "name.str", row.name, "row name must be a str")
+    if not all([isinstance(s, str) for s in row.safety_mechanisms]):
+        bad(loc, "safety_mechanisms", "safety_mechanisms.str", row.safety_mechanisms,
+            "each safety mechanism must be a str")
 
     if not dist:
         rate, sigma_rate = row.lambda_fm, row.sigma_lambda_fm

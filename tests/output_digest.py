@@ -11,8 +11,10 @@ verify runs on verify_table 1-3 at the workload's sample count and seed.
 Every document goes into the digest in a fixed order.
 
 Run it at two commits: a refactor that changes no output prints the same
-digest at both.  The file is not a test module, so pytest does not
-collect it.  It takes about 25 seconds on one core.
+digest at both.  It exits 1 when the digest is not EXPECTED, the digest
+of the committed outputs; a change that moves an output on purpose
+updates EXPECTED with it.  The file is not a test module, so pytest does
+not collect it.  It takes about 25 seconds on one core.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from fmeda_uq import (  # noqa: E402
     verify,
 )
 
+EXPECTED = "13a1005fcece39385bcd90cea90ed378248835ab926ba8302fcf63ddb6aef556  8751 documents"
 TARGETS = (None, "A", "B", "D")
 FORMATS = ("json", "markdown", "csv")
 
@@ -69,7 +72,11 @@ def main() -> int:
         verdicts = verify(table, McConfig(samples=gen.VERIFY_SAMPLES, seed=seed))
         digest.update(f"verify{seed}\n{verdicts!r}\n".encode())
         documents += 1
-    print(f"{digest.hexdigest()}  {documents} documents")
+    line = f"{digest.hexdigest()}  {documents} documents"
+    print(line)
+    if line != EXPECTED:
+        print(f"expected {EXPECTED}", file=sys.stderr)
+        return 1
     return 0
 
 

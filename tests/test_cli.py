@@ -215,6 +215,21 @@ def test_analyze_huge_rates_match_unit_rates(table_csv, tmp_path, capsys):
         assert doc[key] == want[key], key
 
 
+def test_verify_rates_near_the_top_of_the_float_range(tmp_path, capsys):
+    # lambda_tot is 1.6e308, finite; a sum of drawn rates of this size is not.
+    path = _write(tmp_path, "top.csv", TWO_FM_CSV.splitlines()[0] + "\n"
+                  "CPU,EXEC,FM1,8e307,3e307,,0.9,0.01,0.5,0,expert,\n"
+                  "CPU,EXEC,FM2,8e307,3e307,,0.95,0.01,0.5,0,expert,\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["verify", "--input", path, "--samples", "2000"])
+    assert (code, err) == (0, "")
+    doc = strict_json(out)
+    assert doc["all_pass"] is True
+    for metric in ("spfm", "lfm"):
+        assert doc[metric]["empirical_sigma"] > 0.0
+
+
 def test_analyze_subnormal_rate(tmp_path, capsys):
     path = _write(tmp_path, "tiny.csv", TWO_FM_CSV.splitlines()[0] + "\n"
                   "CPU,EXEC,FM1,1e-320,0,,0.9,0.02,0,0,expert,\n")

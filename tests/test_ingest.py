@@ -6,6 +6,7 @@ import io
 import json
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from fmeda_uq import (
     parse_csv,
     parse_json,
 )
-from fmeda_uq import ingest
+from fmeda_uq import FailureModeRow, FmedaTable, Part, Subpart, ingest
 from fmeda_uq.ingest import fmt12
 from fmeda_uq.model import table_arrays
 from conftest import fixture_corpus, make_table, random_table, two_fm_table
@@ -635,7 +636,7 @@ def _long_object_arrays(draw):
     Each key holds floats, strs, or floats mixed with other values, with
     one planted value, often alone, and a few more at drawn rows; now and
     then a member with other keys or no object at all breaks the array's
-    key set, which sends the whole array to the member loop.
+    key set, which sends each member to the key-by-key writer.
     """
     n = draw(st.sampled_from([ingest._COLUMNS_MIN, ingest._BLOCK - 1, ingest._BLOCK + 1,
                               2 * ingest._BLOCK + ingest._COLUMNS_MIN - 1]))
@@ -696,7 +697,8 @@ def test_non_str_keys_in_an_object_array_are_rejected():
             ingest._json_text(objs)
 
 
-def test_documents_equal_json_dumps_on_the_acceptance_corpus(monkeypatch):
+def _capture_documents(monkeypatch) -> list:
+    """The documents that ingest._json_text is asked to write, from now on."""
     captured = []
     real = ingest._json_text
 
@@ -706,6 +708,11 @@ def test_documents_equal_json_dumps_on_the_acceptance_corpus(monkeypatch):
         return real(obj, newline)
 
     monkeypatch.setattr(ingest, "_json_text", capture)
+    return captured
+
+
+def test_documents_equal_json_dumps_on_the_acceptance_corpus(monkeypatch):
+    captured = _capture_documents(monkeypatch)
     # One table of more rows than two blocks of the column path, so that
     # its report rows, EII entries and failure modes cross block boundaries.
     multi_block = random_table(np.random.default_rng(17), n_fm=2 * ingest._BLOCK + 88,
@@ -718,3 +725,65 @@ def test_documents_equal_json_dumps_on_the_acceptance_corpus(monkeypatch):
         text = emit_json(table)
         assert len(captured) == 1
         assert text == _reference(captured[0]), name
+
+
+def _alternating_keys_table() -> FmedaTable:
+    """Subparts of 8 to 13 rows whose optional keys alternate, as in the
+    benchmark's SoC table: a name on every other row, safety mechanisms on
+    every third.  Each such array of failure modes has members of several
+    key sets, so each member is written key by key."""
+    rng = np.random.default_rng(23)
+    parts = []
+    for p in range(3):
+        subs = []
+        for s in range(4):
+            n = ingest._COLUMNS_MIN + s + p
+            dist = s == 3
+            rows = []
+            for i in range(n):
+                fields = dict(id=f"P{p}S{s}R{i}", dc=float(rng.uniform(0.5, 1.0)),
+                              sigma_dc=float(rng.uniform(0.0, 0.02)))
+                if dist:
+                    fields.update(fmd_fraction=1.0 / n if i else 1.0 - (n - 1) * (1.0 / n))
+                else:
+                    fields.update(lambda_fm=float(rng.uniform(1.0, 50.0)),
+                                  sigma_lambda_fm=float(rng.uniform(0.0, 2.0)))
+                if i % 2 == 0:
+                    fields["name"] = f"mode {i} \u00e9"
+                if i % 3 == 0:
+                    fields["safety_mechanisms"] = ("SM1", f"SM{i}")
+                rows.append(FailureModeRow(**fields))
+            subs.append(Subpart(f"S{s}", 100.0 if dist else None, None, tuple(rows)))
+        parts.append(Part(f"P{p}", tuple(subs)))
+    return FmedaTable(tuple(parts), "D")
+
+
+def test_objects_with_alternating_keys_equal_json_dumps(monkeypatch):
+    table = _alternating_keys_table()
+    captured = _capture_documents(monkeypatch)
+    text = emit_json(table)
+    assert len(captured) == 1
+    assert text == _reference(captured[0])
+    for part in captured[0]["parts"]:
+        for sub in part["subparts"]:
+            rows = sub["failure_modes"]
+            assert len(rows) >= ingest._COLUMNS_MIN
+            assert len({frozenset(row) for row in rows}) == 4
+    result = analyze(table)
+    assert emit_result(result, "json") == _reference(result.to_dict())
+    assert emit_json(parse_json(text)) == text
+
+
+def test_report_writer_peak_memory_is_about_twice_its_text():
+    # The member texts and the one text they are joined into; a container
+    # that copied its joined members again would take about 3 times.
+    result = analyze(random_table(np.random.default_rng(3), n_fm=10_000,
+                                  sigma_dc_latent_max=0.02), asil_target="D")
+    emit_result(result, "json")  # one-time allocations
+    tracemalloc.start()
+    try:
+        text = emit_result(result, "json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.25 * len(text)

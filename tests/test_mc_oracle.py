@@ -1,5 +1,6 @@
 """Monte Carlo oracle: agreement with the closed forms, determinism, truncation."""
 
+import json
 import threading
 import tracemalloc
 
@@ -241,6 +242,14 @@ def test_verdict_serializes():
     assert doc["metric"] == "SPFM"
     assert doc["rng_algorithm"] == "numpy-pcg64"
     assert isinstance(doc["passed"], bool)
+
+
+def test_verdict_writes_a_non_finite_spread_as_null():
+    v = mc.McVerdict("SPFM", float("nan"), 0.01, float("inf"), 0.03, False, 0.0, 1000, 1,
+                     True)
+    doc = v.to_dict()
+    assert doc["empirical_sigma"] is None and doc["relative_gap"] is None
+    assert strict_json(json.dumps(doc, allow_nan=False)) == doc
 
 
 def test_pass_iff_gap_within_tolerance():
