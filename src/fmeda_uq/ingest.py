@@ -150,7 +150,7 @@ def _json_text(obj, newline: str = "\n") -> str:
             return "{}"
         inner = newline + "  "
         pieces = []
-        for key, head in zip(*_heads(obj, inner)):
+        for key, head in zip(*_heads(tuple(obj), inner)):
             pieces += (head, _json_text(obj[key], inner))
         pieces.append(newline + "}")
         return "".join(pieces)
@@ -170,16 +170,19 @@ def _json_text(obj, newline: str = "\n") -> str:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _heads(obj: dict, inner: str) -> tuple[list, list[str]]:
-    """The sorted keys of a non-empty dict, and the text before each value:
-    the separator, the indent and the key."""
-    keys = sorted(obj)
+@functools.lru_cache(maxsize=256)
+def _heads(keys: tuple, inner: str) -> tuple[tuple, tuple[str, ...]]:
+    """The sorted keys of a non-empty dict, given as tuple(dict), and the
+    text before each value: the separator, the indent and the key.  Built
+    once per key order and indent, so rows whose optional keys differ
+    share theirs too."""
+    keys = sorted(keys)
     for key in keys:
         if not isinstance(key, str):
             raise TypeError(f"keys must be str, not {type(key).__name__}")
     heads = ["," + inner + _encode_str(key) + ": " for key in keys]
     heads[0] = "{" + heads[0][1:]
-    return keys, heads
+    return tuple(keys), tuple(heads)
 
 
 # Measured on the report's rows and EII entries and a table's failure
@@ -211,7 +214,7 @@ def _column_texts(objs, newline: str) -> list[str]:
     leaves raised the peak RSS of a 10^4-row report.
     """
     inner = newline + "  "
-    keys, heads = _heads(objs[0], inner)
+    keys, heads = _heads(tuple(objs[0]), inner)
     tail = newline + "}"
     texts = []
     for start in range(0, len(objs), _BLOCK):

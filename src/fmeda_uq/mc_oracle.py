@@ -19,33 +19,33 @@ draws to [0, inf); the clamp rate is reported, and above 0.1% the verdict
 carries a warning because boundary effects then bias the comparison.
 Disable truncation for mathematical-fidelity checks.
 
-One pass serves both metrics.  Each kind of uncertain input (DC, rate,
-latent DC) has its own numpy PCG64 child stream, spawned from the
-config's seed by np.random.SeedSequence, and only the columns with a
-nonzero sigma are drawn, sample by sample in row order.  So the drawn
-values do not depend on the chunk size, and the SPFM samples do not
-depend on whether the table has an LFM to simulate: a given (table,
-config) gives the same verdicts bit for bit across runs and platforms.
-Chunks are sized by a fixed number of elements, not a fixed number of
-samples, and the buffers are allocated once per call, so memory does not
-grow with the row count (until one sample's row alone exceeds a buffer).
+One pass serves both metrics.  The samples are split into two fixed
+halves, floor(samples/2) and the rest, each seeded by its own
+np.random.SeedSequence child of the config's seed and drawing each kind
+of uncertain input (DC, rate, latent DC) from its own PCG64 child
+stream.  Only the columns with a nonzero sigma are drawn, sample by
+sample in row order.  So the drawn values do not depend on the chunk
+size, and the SPFM samples do not depend on whether the table has an LFM
+to simulate: a given (table, config) gives the same verdicts bit for bit
+across runs and platforms.  Chunks hold a fixed number of elements, not
+of samples, so memory does not grow with the row count (until one
+sample's row alone exceeds a buffer).
+
+Two threads run the halves, the calling thread the first and one helper
+thread the second, with the same sequential sampler (_shard) and buffers
+of their own; numpy releases the GIL while it fills and transforms them.
+Every stream is drawn by one thread, so the verdicts depend neither on
+the scheduling nor on the chunk size, and the threads do equal work
+whatever each kind of draw costs.  A half that raises sets a stop event,
+which the other checks once per chunk.  On one CPU the threads take turns.
 
 No sample is kept.  Each metric's values pass through a staging block of
 _BLOCK samples, and each full block's count, mean, centred sum of squares
 (M2), min and max are merged into the running ones with the pairwise
-update of Chan, Golub & LeVeque (1983).  Blocks hold fixed runs of
-samples, so the merges, and the sigma, do not depend on the chunk size,
-and memory does not grow with the sample count: run time is linear in it.
-
-Two threads share the work of a chunk.  A helper thread draws the rate
-and latent DC streams of chunk k+1 into the spare one of two buffer sets
-while the calling thread draws the DC stream and evaluates SPFM and LFM
-for chunk k; numpy releases the GIL while it fills and transforms the
-buffers.  Each stream is drawn by one thread only, chunk after chunk, so
-the drawn values, the clamp counts and the verdicts depend neither on
-the scheduling nor on the chunk size.  The element budget covers both
-buffer sets together, so buffer memory is what one set took before.  On
-a single CPU the two threads only take turns, and the gain is gone.
+update of Chan, Golub & LeVeque (1983); so are the second half's into
+the first's.  Blocks hold fixed runs of samples, so the sigma does not
+depend on the chunk size, and memory does not grow with the sample
+count: run time is linear in it.
 
 Each LFM sample divides by its detected pool summed as sum(DC*lambda)
 plus the gap lambda_tot - sum(lambda), as the kernel does.  Written as
@@ -71,9 +71,9 @@ MIN_VERDICT_SAMPLES = 1000
 # minutes); a larger request is refused rather than left to run for years.
 MAX_VERDICT_SAMPLES = 10 ** 9
 TRUNCATION_WARN_RATE = 1e-3
-# Elements per chunk buffer, shared by the two buffer sets of the rate and
-# latent DC matrices: a chunk holds half of it, samples x rows.  It bounds
-# memory; the drawn streams do not depend on it.
+# Elements per chunk matrix, shared by the two halves: each half's chunk
+# holds half of it, samples x rows.  It bounds memory; the drawn streams
+# do not depend on it.
 _BUFFER_ELEMENTS = 1 << 15
 # Samples per staging block of a moment accumulator: the unit of the
 # pairwise merge, so the sigma does not depend on the chunk size.
@@ -144,7 +144,7 @@ class _Input:
     """One kind of uncertain input: its child stream and the columns it draws.
 
     Only columns with a nonzero sigma are drawn, sample by sample in row
-    order, into one buffer allocated per call; the drawn values are then
+    order, into one buffer allocated per half; the drawn values are then
     written into the matching columns of dest, a sampled matrix of that
     input.  One thread draws each input, so its stream and its clamp count
     advance in chunk order.
@@ -207,21 +207,27 @@ class _Moments:
     def flush(self) -> None:
         """Merge the staged samples into the running moments."""
         nb = self.fill
-        if not nb:
-            return
-        b = self.block[:nb]
-        self.lo = min(self.lo, float(b.min()))
-        self.hi = max(self.hi, float(b.max()))
-        mean_b = float(b.sum()) / nb
-        np.subtract(b, mean_b, out=b)
-        np.square(b, out=b)
-        m2_b = float(b.sum())
+        if nb:
+            b = self.block[:nb]
+            lo, hi = float(b.min()), float(b.max())
+            mean_b = float(b.sum()) / nb
+            np.subtract(b, mean_b, out=b)
+            np.square(b, out=b)
+            self._join(nb, mean_b, float(b.sum()), lo, hi)
+            self.fill = 0
+
+    def merge(self, other: _Moments) -> None:
+        """Merge another run's flushed moments into these."""
+        if other.n:  # an LFM half may have dropped every sample
+            self._join(other.n, other.mean, other.m2, other.lo, other.hi)
+
+    def _join(self, nb: int, mean_b: float, m2_b: float, lo: float, hi: float) -> None:
+        self.lo, self.hi = min(self.lo, lo), max(self.hi, hi)
         n = self.n + nb
         delta = mean_b - self.mean
         self.mean += delta * nb / n
         self.m2 += m2_b + delta * delta * self.n * nb / n
         self.n = n
-        self.fill = 0
 
     def sigma(self) -> float:
         """The sample standard deviation; exactly 0 for a constant stream."""
@@ -241,13 +247,12 @@ class _Samples:
     lfm_rate: float
 
 
-def _simulate(arr: TableArrays, config: McConfig, with_lfm: bool) -> _Samples:
-    """Draw every uncertain input once; SPFM per sample, and LFM if asked.
+def _shard(arr: TableArrays, samples: int, seed: np.random.SeedSequence, truncate: bool,
+           with_lfm: bool, stop: threading.Event):
+    """Sample one half, chunk after chunk: (SPFM, LFM or None, inputs).
 
-    The calling thread draws DC and evaluates each chunk.  Meanwhile one
-    helper thread draws the rates (and latent DCs) of the next chunk into
-    the spare one of two buffer sets: `ready` counts the sets it has filled,
-    `free` the sets it may fill.
+    seed spawns the half's DC, rate and latent DC streams; the inputs keep
+    their clamp counts.  A stop set before a chunk ends the half: None.
 
     The rates, their sigmas and lambda_tot are first scaled by 2**-e, where
     e is lambda_tot's binary exponent, so lambda_tot lies in [0.5, 1) and
@@ -257,94 +262,89 @@ def _simulate(arr: TableArrays, config: McConfig, with_lfm: bool) -> _Samples:
     and unscaled, is a normal float; then the samples are those of the
     unscaled rates bit for bit.
     """
-    chunk = min(config.samples, max(1, _BUFFER_ELEMENTS // (2 * arr.lam.size)))
+    chunk = min(samples, max(1, _BUFFER_ELEMENTS // (2 * arr.lam.size)))
     e = math.frexp(arr.lambda_tot)[1]
     lam_nominal, lambda_tot = np.ldexp(arr.lam, -e), math.ldexp(arr.lambda_tot, -e)
-    streams = [np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(3)]
-    dc_input = _Input(streams[0], chunk, arr.dc, arr.sigma_dc, 1.0)
-    ahead = [_Input(streams[1], chunk, lam_nominal, np.ldexp(arr.sigma_lam, -e), None)]
-    nominal = [lam_nominal]
-    if with_lfm:
-        ahead.append(_Input(streams[2], chunk, arr.dc_lat, arr.sigma_dc_lat, 1.0))
-        nominal.append(arr.dc_lat)
-    dc = np.tile(arr.dc, (chunk, 1))
-    sets = [[np.tile(x, (chunk, 1)) for x in nominal] for _ in range(2)]
-    work = np.empty_like(dc)
-    det = np.empty_like(dc) if with_lfm else None
-    spfm = _Moments()
-    lfm = _Moments() if with_lfm else None
+    kinds = [(arr.dc, arr.sigma_dc, 1.0), (lam_nominal, np.ldexp(arr.sigma_lam, -e), None),
+             (arr.dc_lat, arr.sigma_dc_lat, 1.0)][:3 if with_lfm else 2]
+    inputs = [_Input(np.random.default_rng(s), chunk, *kind)
+              for s, kind in zip(seed.spawn(3), kinds)]
+    drawn = [np.tile(nominal, (chunk, 1)) for nominal, _, _ in kinds]
+    dc, lam = drawn[:2]
+    work, det = np.empty_like(dc), (np.empty_like(dc) if with_lfm else None)
+    # Per-sample values are written in place: no chunk allocates, so the peak
+    # does not depend on how the two halves' chunks interleave.
+    vals, pools = np.empty(chunk), np.empty(chunk)
+    spfm, lfm = _Moments(), (_Moments() if with_lfm else None)
 
-    starts = range(0, config.samples, chunk)
-    ready, free = threading.Semaphore(0), threading.Semaphore(2)
-    failure: list[BaseException] = []
-    stopping = False
+    for start in range(0, samples, chunk):
+        if stop.is_set():
+            return None
+        m = min(chunk, samples - start)
+        for inp, dest in zip(inputs, drawn):
+            inp.draw(dest, m, truncate)
+        w, v, pool = work[:m], vals[:m], pools[:m]
+        np.subtract(1.0, dc[:m], out=w)
+        w *= lam[:m]
+        np.divide(w.sum(axis=1, out=v), lambda_tot, out=v)  # residual / lambda_tot
+        spfm.add(np.subtract(1.0, v, out=v))
+        if with_lfm:
+            d = det[:m]
+            np.multiply(dc[:m], lam[:m], out=d)
+            np.subtract(1.0, drawn[2][:m], out=w)
+            w *= d
+            # The detected pool: the gap lambda_tot - sum(lambda), plus sum(DC*lambda).
+            np.subtract(lambda_tot, lam[:m].sum(axis=1, out=pool), out=pool)
+            pool += d.sum(axis=1, out=v)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.divide(w.sum(axis=1, out=v), pool, out=v)  # latent / pool
+            np.subtract(1.0, v, out=v)
+            bad = pool <= 0.0
+            lfm.add(v[~bad] if bad.any() else v)
 
-    def draw_ahead() -> None:
+    for moments in filter(None, (spfm, lfm)):
+        moments.flush()
+    return spfm, lfm, inputs
+
+
+def _simulate(arr: TableArrays, config: McConfig, with_lfm: bool) -> _Samples:
+    """Draw every uncertain input once; SPFM per sample, and LFM if asked.
+
+    The calling thread runs the first half, and raises what either raised.
+    """
+    seeds = np.random.SeedSequence(config.seed).spawn(2)
+    sizes = (config.samples // 2, config.samples - config.samples // 2)
+    stop, halves = threading.Event(), [None, None]
+
+    def run(k: int) -> None:
         try:
-            for k, start in enumerate(starts):
-                free.acquire()
-                if stopping:
-                    return
-                m = min(chunk, config.samples - start)
-                for inp, dest in zip(ahead, sets[k % 2]):
-                    inp.draw(dest, m, config.truncate)
-                ready.release()
-        except BaseException as exc:  # re-raised on the calling thread
-            failure.append(exc)
-            ready.release()
+            halves[k] = _shard(arr, sizes[k], seeds[k], config.truncate, with_lfm, stop)
+        except BaseException as exc:  # raised below, once the other half stopped
+            stop.set()
+            halves[k] = exc
 
-    helper = threading.Thread(target=draw_ahead, name="fmeda-uq-mc-draws", daemon=True)
+    helper = threading.Thread(target=run, args=(1,), name="fmeda-uq-mc-half", daemon=True)
     helper.start()
-    try:
-        for k, start in enumerate(starts):
-            m = min(chunk, config.samples - start)
-            dc_input.draw(dc, m, config.truncate)
-            ready.acquire()
-            if failure:
-                raise failure[0]
-            lam = sets[k % 2][0]
-            w = work[:m]
-            np.subtract(1.0, dc[:m], out=w)
-            w *= lam[:m]
-            residual = w.sum(axis=1)
-            spfm.add(1.0 - residual / lambda_tot)
-            if with_lfm:
-                lat = sets[k % 2][1]
-                d = det[:m]
-                np.multiply(dc[:m], lam[:m], out=d)
-                np.subtract(1.0, lat[:m], out=w)
-                w *= d
-                latent = w.sum(axis=1)
-                detected = d.sum(axis=1) + (lambda_tot - lam[:m].sum(axis=1))
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    vals = 1.0 - latent / detected
-                bad = detected <= 0.0
-                lfm.add(vals[~bad] if bad.any() else vals)
-            free.release()
-    finally:
-        stopping = True
-        free.release()
-        helper.join()
-
-    def rate(drawn: list[_Input]) -> float:
-        draws = config.samples * sum(inp.cols.size for inp in drawn)
-        return sum(inp.clamped for inp in drawn) / draws if draws else 0.0
-
-    spfm.flush()
+    run(0)
+    helper.join()
+    for half in halves:
+        if isinstance(half, BaseException):
+            raise half
+    (spfm, lfm, inputs), (spfm_2, lfm_2, inputs_2) = halves
+    spfm.merge(spfm_2)
     if lfm is not None:
-        lfm.flush()
-    inputs = [dc_input, *ahead]
-    return _Samples(spfm, lfm, rate(inputs[:2]), rate(inputs))
+        lfm.merge(lfm_2)
+
+    def rate(kinds: int) -> float:
+        draws = config.samples * sum(inp.cols.size for inp in inputs[:kinds])
+        clamped = sum(inp.clamped for inp in inputs[:kinds] + inputs_2[:kinds])
+        return clamped / draws if draws else 0.0
+
+    return _Samples(spfm, lfm, rate(2), rate(3))
 
 
-def _verdict(
-    metric: str,
-    analytic: float,
-    moments: _Moments,
-    rate: float,
-    config: McConfig,
-    tolerance: float,
-) -> McVerdict:
+def _verdict(metric: str, analytic: float, moments: _Moments, rate: float, config: McConfig,
+             tolerance: float) -> McVerdict:
     empirical = moments.sigma()
     # Only LFM drops samples: those whose sampled detected pool is empty.
     dropped = config.samples - moments.n

@@ -37,6 +37,11 @@ import numpy as np
 FMD_SUM_TOL = 1e-9
 # A declared subpart rate must match the row sum within this relative slack.
 LAMBDA_MATCH_RTOL = 1e-9
+# The CSV reader's field limit, csv.field_size_limit()'s default: a longer
+# part or subpart name, row id or safety-mechanism cell would be written
+# but not read back.  The reader leaves that process-wide limit as it is.
+_CELL_MAX = 131_072
+_CELL_RULE = f"must be at most {_CELL_MAX} characters, the CSV reader's field limit"
 
 DIRECT_LAMBDA = "DirectLambda"
 DISTRIBUTION = "Distribution"
@@ -330,9 +335,10 @@ def _walk(table: FmedaTable) -> tuple[list[Violation], TableArrays | None]:
     no rule: one chain of comparisons accepts it, and only its values are
     kept.  Every other row goes through _row_rules, the only producer of
     row Violations.  A part, subpart or row of the wrong type is a
-    Violation, and so is a part or subpart name or a row id that a CSV
-    cell would not read back as itself (see _name), so every valid table
-    can be written in both file formats and read back.
+    Violation, and so is a part or subpart name, a row id or a
+    safety-mechanism cell that a CSV cell would not read back as itself
+    (see _name), so every valid table can be written in both file formats
+    and read back.
     """
     out: list[Violation] = []
     # Every id in table order, mapped to where it was first used: the
@@ -415,9 +421,10 @@ def _walk(table: FmedaTable) -> tuple[list[Violation], TableArrays | None]:
                         and type(lat) is float and 0.0 <= lat <= 1.0
                         and type(s_lat) is float and 0.0 <= s_lat < _INF
                         and type(rid) is str and rid and rid not in seen_ids
-                        and rid == rid.strip()
+                        and rid == rid.strip() and len(rid) <= _CELL_MAX
                         and type(row.name) is str
-                        and (not sms or all([type(s) is str for s in sms]))
+                        and (not sms or (all([type(s) is str for s in sms])
+                                         and len(";".join(sms)) <= _CELL_MAX))
                         and (src is EXPERT_JUDGMENT or (
                             type(src) is DcSource and src.kind == FAULT_SIMULATION
                             and type(src.margin_e) is float and 0.0 < src.margin_e < 1.0
@@ -429,7 +436,7 @@ def _walk(table: FmedaTable) -> tuple[list[Violation], TableArrays | None]:
                         fmd_sum += frac
                     row_sum += rate
                 else:
-                    loc = f"{sub_loc}/{rid if isinstance(rid, str) else _repr(rid)}"
+                    loc = f"{sub_loc}/{_step(rid)}"
                     rate, sigma_rate, sigma_dc = _row_rules(row, loc, dist, scale, seen_ids, bad)
                     if dist:
                         if row.fmd_fraction is None:
@@ -476,25 +483,38 @@ def _walk(table: FmedaTable) -> tuple[list[Violation], TableArrays | None]:
     return out, TableArrays(tuple(seen_ids), *columns, lambda_tot=total)
 
 
+def _step(x: object) -> str:
+    """x as a step of a location: a str as itself, cut to its first 16
+    characters and "[...]" past the cell limit; anything else by its repr."""
+    if not isinstance(x, str):
+        return _repr(x)
+    return x if len(x) <= _CELL_MAX else x[:16] + "[...]"
+
+
 def _name(name: object, what: str, prefix: str, seen: set, bad) -> str:
     """A part's or subpart's name as a step of a location.
 
     The CSV reader strips every cell and groups rows by part and subpart
     name, so a name must be a non-empty str with no whitespace at either
-    end (else name.str, and the location shows its repr) and new among
-    the names in seen (else name.duplicate), each a Violation at prefix.
-    Row ids follow the same cell rule in _row_rules.
+    end (else name.str, and the location shows its repr), fit in a CSV
+    field (else cell.length, and the location shows its start) and be new
+    among the names in seen (else name.duplicate), each a Violation at
+    prefix.  Row ids follow the same cell rules in _row_rules.
     """
     if not (isinstance(name, str) and name and name == name.strip()):
         step = _repr(name)
         bad(prefix + step, "name", "name.str", name,
             f"{what} name must be a non-empty str with no whitespace at either end")
-        return step
-    if name in seen:
-        bad(prefix + name, "name", "name.duplicate", name,
-            f"{what} name already used in this {'table' if what == 'part' else 'part'}")
-    seen.add(name)
-    return name
+    elif len(name) > _CELL_MAX:
+        step = _step(name)
+        bad(prefix + step, "name", "cell.length", len(name), f"{what} name {_CELL_RULE}")
+    else:
+        step = name
+        if name in seen:
+            bad(prefix + name, "name", "name.duplicate", name,
+                f"{what} name already used in this {'table' if what == 'part' else 'part'}")
+        seen.add(name)
+    return step
 
 
 def _row_rules(row: FailureModeRow, loc: str, dist: bool, scale, seen_ids: dict,
@@ -510,6 +530,8 @@ def _row_rules(row: FailureModeRow, loc: str, dist: bool, scale, seen_ids: dict,
         bad(loc, "id", "id.nonempty", row.id, "row id must not be empty")
     elif not isinstance(row.id, str) or row.id != row.id.strip():
         bad(loc, "id", "id.str", row.id, "row id must be a str with no whitespace at either end")
+    elif len(row.id) > _CELL_MAX:
+        bad(loc, "id", "cell.length", len(row.id), f"row id {_CELL_RULE}")
     elif row.id in seen_ids:
         first = seen_ids[row.id]
         where = first[0] if type(first) is tuple else f"{first}/{row.id}"
@@ -521,6 +543,9 @@ def _row_rules(row: FailureModeRow, loc: str, dist: bool, scale, seen_ids: dict,
     if not all([isinstance(s, str) for s in row.safety_mechanisms]):
         bad(loc, "safety_mechanisms", "safety_mechanisms.str", row.safety_mechanisms,
             "each safety mechanism must be a str")
+    elif len(cell := ";".join(row.safety_mechanisms)) > _CELL_MAX:
+        bad(loc, "safety_mechanisms", "cell.length", len(cell),
+            f"the safety mechanisms joined by ';' {_CELL_RULE}")
 
     if not dist:
         rate, sigma_rate = row.lambda_fm, row.sigma_lambda_fm

@@ -245,6 +245,35 @@ def _structure_cases():
             [_row("A"), _row("B", safety_mechanisms=sms)])
 
 
+# The CSV reader's default field limit, csv.field_size_limit(): a cell of
+# this many characters is read back, one more is not.
+CELL_LIMIT = 131_072
+
+
+def _cell_cases():
+    """Names and safety-mechanism cells at and just past the CSV field limit.
+
+    A row id at the limit validates, and the corpus would then hold it in
+    full; test_every_table_that_validates_is_written_and_read_back writes
+    and reads back one instead.
+    """
+    for size, tag in ((CELL_LIMIT, "at_limit"), (CELL_LIMIT + 1, "over_limit")):
+        long = "N" * size
+        yield f"cells/part_name_{tag}", lambda long=long: _parts((long, [("S", [_row("A")], None)]))
+        yield f"cells/subpart_name_{tag}", lambda long=long: _parts(
+            ("P", [("S", [_row("A")], None), (long, [_row("B")], 10.0)]))
+        half = size // 2
+        yield f"cells/safety_mechanisms_{tag}", lambda long=long, half=half: _one_part(
+            [_row("A"), _row("B", safety_mechanisms=(long[:half], long[half + 1:]))])
+    long = "N" * (CELL_LIMIT + 1)
+    yield "cells/row_id_over_limit", lambda: _one_part([_row("A"), _row(long)])
+    yield "cells/row_id_over_limit_and_bad_dc", lambda: _one_part([_row("A"), _row(long, dc=2.0)])
+    yield "cells/one_safety_mechanism_over_limit", lambda: _one_part(
+        [_row("A", safety_mechanisms=(long,))])
+    yield "cells/every_cell_over_limit", lambda: _parts((long, [(long, [
+        _row(long, safety_mechanisms=("SM", long)), _row("B", dc=2.0)], None)]))
+
+
 def _mixed_cases():
     """Seeded tables of several subparts whose rows mix clean and odd values."""
     rng = random.Random(16)
@@ -277,6 +306,7 @@ def table_cases():
     yield from _subpart_rate_cases()
     yield from _table_level_cases()
     yield from _structure_cases()
+    yield from _cell_cases()
     yield from _mixed_cases()
 
 
@@ -531,6 +561,10 @@ def document_cases():
         yield name, parse_json, text
     for name, text in _csv_cases():
         yield name, parse_csv, text
+    long = "N" * (CELL_LIMIT + 1)
+    yield ("json_structure/part/name/over_limit", parse_json,
+           _edited([(_LEVELS["part"], "name", long)]))
+    yield "csv/part_over_limit", parse_csv, f"{_CSV_HEADER}\n{_CSV_GOOD}\n{long}{_CSV_GOOD[1:]}\n"
 
 
 def _document_result(parse, text: str) -> dict:
@@ -588,6 +622,10 @@ def _valid_tables():
             yield name, parse(text)
         except (ParseError, FmedaValidationError):
             pass
+    # Every CSV cell that holds a name, an id or text at the field limit.
+    long = "N" * CELL_LIMIT
+    yield "every_cell_at_limit", _parts((long, [(long, [
+        _row(long, name=long, safety_mechanisms=(long[:9], long[10:])), _row("B")], None)]))
 
 
 def test_every_table_that_validates_is_written_and_read_back():

@@ -2,6 +2,7 @@
 
 import json
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -152,15 +153,20 @@ def test_memory_does_not_grow_with_samples():
 
 def test_streamed_moments_equal_the_two_pass_ones(monkeypatch, rng):
     # Two-row tables give chunks of many blocks; the 40-row one gives blocks
-    # that span chunks.
+    # that span chunks.  The merged moments are those of both halves' values.
     seen = {}
-    add = mc._Moments.add
+    add, merge = mc._Moments.add, mc._Moments.merge
 
     def collecting(self, values):
         seen.setdefault(self, []).append(values.copy())
         add(self, values)
 
+    def merging(self, other):
+        seen[self] = seen.get(self, []) + seen.get(other, [])
+        merge(self, other)
+
     monkeypatch.setattr(mc._Moments, "add", collecting)
+    monkeypatch.setattr(mc._Moments, "merge", merging)
     tables = [_pinned_table(name) for name in sorted(_PINNED)]
     tables += [random_table(rng, n_fm=n, sigma_dc_latent_max=0.02) for n in (1, 7, 40)]
     cfg = McConfig(samples=20_000, seed=5)
@@ -168,6 +174,7 @@ def test_streamed_moments_equal_the_two_pass_ones(monkeypatch, rng):
         arr = table_arrays(table)
         seen.clear()
         s = mc._simulate(arr, cfg, with_lfm=_propagate(arr).lfm is not None)
+        assert s.spfm.n == cfg.samples
         for moments in filter(None, (s.spfm, s.lfm)):
             values = np.concatenate(seen[moments])
             assert moments.n == values.size
@@ -264,38 +271,38 @@ def test_pass_iff_gap_within_tolerance():
 
 
 # Verdicts of McConfig(samples=20_000, seed=5), recorded with float.hex from
-# the single-threaded sampler: per metric (empirical_sigma, analytic_sigma,
-# relative_gap, truncation_rate, passed, warning).  A stream drawn by the
-# wrong thread, or its chunks in the wrong order, changes them.  The
-# streamed moments moved only near_bounds' SPFM sigma (1 ulp) and gap.
+# the two-half sampler: per metric (empirical_sigma, analytic_sigma,
+# relative_gap, truncation_rate, passed, warning).  A half drawn from the
+# wrong seed, its chunks in the wrong order, or a half cut short changes
+# them.
 _CLAMPED = "truncation clamped {} of draws; boundary effects may bias the empirical sigma"
 _PINNED = {
     "all_sigmas": (
-        ("0x1.47fa4f9bb6ba0p-7", "0x1.47d3d1fbaa427p-7", "0x1.e0eaecf581f6dp-12",
+        ("0x1.4abcebe96a125p-7", "0x1.47d3d1fbaa427p-7", "0x1.22ec9f17f4e62p-7",
          "0x0.0p+0", True, None),
-        ("0x1.1571249713fb0p-7", "0x1.170807f26926fp-7", "0x1.754daaf5307d4p-8",
+        ("0x1.1498dabc81140p-7", "0x1.170807f26926fp-7", "0x1.1ddea2853533ap-7",
          "0x0.0p+0", True, None),
     ),
     # More than 10% of the DC, rate and latent DC draws clamp.
     "near_bounds": (
-        ("0x1.13a3f2f240ccfp-6", "0x1.3e41ab19007c3p-6", "0x1.123cb4bcfea49p-3",
-         "0x1.11eb851eb851fp-3", False, _CLAMPED.format("13.375%")),
-        ("0x1.e3a63675f19eep-6", "0x1.14614c8312b38p-5", "0x1.000f0b26f8408p-3",
-         "0x1.210a8358564a0p-3", False, _CLAMPED.format("14.113%")),
+        ("0x1.15a4ccb2548c1p-6", "0x1.3e41ab19007c3p-6", "0x1.05587b3a54b9cp-3",
+         "0x1.0e147ae147ae1p-3", False, _CLAMPED.format("13.188%")),
+        ("0x1.e1cd17adebdb5p-6", "0x1.14614c8312b38p-5", "0x1.06e7f96b84294p-3",
+         "0x1.2222222222222p-3", False, _CLAMPED.format("14.167%")),
     ),
     "no_detected_pool": (
-        ("0x1.10d31fdea3cb6p-4", "0x1.126db8f7a2a9dp-4", "0x1.7f0679eb407bfp-8",
-         "0x1.fec56d5cfaacep-3", True, _CLAMPED.format("24.940%")),
+        ("0x1.0f4d77e4f0bf2p-4", "0x1.126db8f7a2a9dp-4", "0x1.7541ebff189a5p-7",
+         "0x1.018fc504816f0p-2", True, _CLAMPED.format("25.152%")),
         None,
     ),
     # DC clamps to 0 in about 31% of the draws, and the one row's detected
     # pool with it.
     "dropped_lfm": (
-        ("0x1.e9144e818428ep-7", "0x1.47ae147ae147bp-6", "0x1.03d04555a1802p-2",
-         "0x1.3ce075f6fd220p-2", False, _CLAMPED.format("30.945%")),
-        ("0x1.993e4e504ec2dp-4", "0x1.999999999999ap-4", "0x1.c8786e7632100p-11",
-         "0x1.3ce075f6fd220p-3", True, _CLAMPED.format("15.473%")
-         + "; 6189 sample(s) had no detected pool and were excluded"),
+        ("0x1.ec0b4b5b12c47p-7", "0x1.47ae147ae147bp-6", "0x1.fe5cb483655a3p-3",
+         "0x1.412d77318fc50p-2", False, _CLAMPED.format("31.365%")),
+        ("0x1.9ae70b7fa1d67p-4", "0x1.999999999999ap-4", "0x1.a0ce5f8a4c040p-9",
+         "0x1.412d77318fc50p-3", True, _CLAMPED.format("15.682%")
+         + "; 6273 sample(s) had no detected pool and were excluded"),
     ),
 }
 
@@ -329,7 +336,7 @@ def _hexed(v):
 @pytest.mark.parametrize("buffer_elements", [None, 5])
 @pytest.mark.parametrize("name", sorted(_PINNED))
 def test_verdicts_are_pinned_bit_for_bit(name, buffer_elements, monkeypatch):
-    # 5 elements give one-sample chunks: one handoff between threads per sample.
+    # 5 elements give one-sample chunks: 10^4 chunks per half.
     if buffer_elements is not None:
         monkeypatch.setattr(mc, "_BUFFER_ELEMENTS", buffer_elements)
     spfm, lfm, note = verify(_pinned_table(name), McConfig(samples=20_000, seed=5))
@@ -338,19 +345,68 @@ def test_verdicts_are_pinned_bit_for_bit(name, buffer_elements, monkeypatch):
 
 
 def _fail_draw(monkeypatch, fails):
-    """Make _Input.draw raise where fails(input) says so."""
-    draw = mc._Input.draw
+    """Make _Input.draw call fails(input, on the calling thread) first."""
+    draw, caller = mc._Input.draw, threading.get_ident()
 
     def failing(self, dest, m, truncate):
-        fails(self)
+        fails(self, threading.get_ident() == caller)
         draw(self, dest, m, truncate)
 
     monkeypatch.setattr(mc._Input, "draw", failing)
 
 
-def _fail_rate_draw(inp):
-    if inp.upper is None:  # only the rate input has no upper bound
+def _fail_helper_rate_draw(inp, on_caller):
+    if not on_caller and inp.upper is None:  # only the rate input has no upper bound
         raise MemoryError
+
+
+@pytest.mark.parametrize("delayed", ["caller", "helper"])
+@pytest.mark.parametrize("name", sorted(_PINNED))
+def test_verdicts_do_not_depend_on_which_half_finishes_first(name, delayed, monkeypatch):
+    # The delayed half starts after the other has finished on most runs.
+    slept = []
+
+    def sleep_first(inp, on_caller):
+        if not slept and on_caller == (delayed == "caller"):
+            slept.append(inp)
+            time.sleep(0.05)
+
+    _fail_draw(monkeypatch, sleep_first)
+    spfm, lfm, _ = verify(_pinned_table(name), McConfig(samples=20_000, seed=5))
+    assert (_hexed(spfm), _hexed(lfm)) == _PINNED[name]
+
+
+@pytest.mark.parametrize("failing", ["caller", "helper"])
+def test_a_failing_half_stops_the_other_within_one_chunk(failing, monkeypatch):
+    # One-sample chunks: 10^4 chunks of three draws per half.  The failing
+    # half raises at its 30th draw once the other half is at its second,
+    # where that one waits until the stop is set; then it finishes its
+    # chunk and stops.  A half that did not stop would draw 3 * 10^4.
+    monkeypatch.setattr(mc, "_BUFFER_ELEMENTS", 5)
+    stops, draws, other_waits = [], {True: 0, False: 0}, threading.Event()
+    shard = mc._shard
+
+    def keeping_stop(*args):
+        stops.append(args[-1])
+        return shard(*args)
+
+    def fail_thirtieth_draw(inp, on_caller):
+        mine = on_caller == (failing == "caller")
+        draws[mine] += 1
+        if mine and draws[mine] == 30:
+            assert other_waits.wait(10)
+            raise KeyError(failing)
+        if not mine and draws[mine] == 2:
+            other_waits.set()
+            assert stops[0].wait(10)
+
+    monkeypatch.setattr(mc, "_shard", keeping_stop)
+    _fail_draw(monkeypatch, fail_thirtieth_draw)
+    before = threading.active_count()
+    with pytest.raises(KeyError, match=failing):
+        verify(_all_sigmas_table(), McConfig(samples=20_000, seed=5))
+    assert draws == {True: 30, False: 3}
+    assert threading.active_count() == before
 
 
 def test_no_thread_outlives_verify(monkeypatch):
@@ -360,22 +416,23 @@ def test_no_thread_outlives_verify(monkeypatch):
     assert threading.active_count() == before
 
     # The helper thread raises: the caller gets its exception, type and all.
-    _fail_draw(monkeypatch, _fail_rate_draw)
+    _fail_draw(monkeypatch, _fail_helper_rate_draw)
     with pytest.raises(MemoryError):
         verify(table, cfg)
     assert threading.active_count() == before
 
-    # The calling thread raises on its third DC draw (of four chunks).
-    caller, calls = threading.get_ident(), []
+    # The calling thread raises on its third draw: the latent DC draw of
+    # its first of two chunks.
+    calls = []
 
-    def fail_third_dc_draw(inp):
-        if threading.get_ident() == caller:
+    def fail_third_caller_draw(inp, on_caller):
+        if on_caller:
             calls.append(inp)
             if len(calls) == 3:
                 raise KeyError("dc")
 
     monkeypatch.undo()
-    _fail_draw(monkeypatch, fail_third_dc_draw)
+    _fail_draw(monkeypatch, fail_third_caller_draw)
     with pytest.raises(KeyError, match="dc"):
         verify(table, cfg)
     assert len(calls) == 3
@@ -385,7 +442,7 @@ def test_no_thread_outlives_verify(monkeypatch):
 def test_helper_memory_error_is_an_input_error(tmp_path, capsys, monkeypatch):
     path = tmp_path / "table.json"
     path.write_text(emit_json(_all_sigmas_table()), encoding="utf-8")
-    _fail_draw(monkeypatch, _fail_rate_draw)
+    _fail_draw(monkeypatch, _fail_helper_rate_draw)
     before = threading.active_count()
     code = cli.main(["verify", "--input", str(path), "--samples", "20000"])
     out, err = capsys.readouterr()
