@@ -12,13 +12,16 @@ once; everything else is read off that one result.
 The report is one document, AnalysisResult.to_dict(): the JSON report
 is that document, and the markdown and CSV reports are views of it
 (ingest.emit_result reads nothing else), so to_dict() is the only place
-that names the result's fields.  Each report row, EII entry and EII total
-is built once, as the JSON object the document carries (keys "part",
-"failure_mode", "lambda_fm_fit", ...), and to_dict() shares it.  A row's
-lambda_fm_fit, sigma_lambda_fm_fit and sigma_dc are read off the arrays:
-a Distribution row's rate is derived from its FMD fraction, and a
-sampled fault-injection campaign's DC gets sigma_dc = e/t unless it
-states one.
+that names the result's fields.  Its three tables (the report rows, the
+EII entries and the EII totals) are built as columns, an ingest.Columns
+each, straight from the kernel's arrays and one pass over the rows; the
+emitters write them from those columns.  Each table's JSON objects (keys
+"part", "failure_mode", "lambda_fm_fit", ...) are built on first access
+of AnalysisResult.rows, .eii_entries or .eii_totals, once, and to_dict()
+shares them.  A row's lambda_fm_fit, sigma_lambda_fm_fit and sigma_dc are
+read off the arrays: a Distribution row's rate is derived from its FMD
+fraction, and a sampled fault-injection campaign's DC gets sigma_dc = e/t
+unless it states one.
 
 LFM can be legitimately undefined (a table where every fault is residual
 has no detected pool); the result then carries lfm=None with a note
@@ -27,11 +30,13 @@ instead of failing, so SPFM reporting still works.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 from .eii import NO_UNCERTAINTY_NOTE, _entries
-from .ingest import FORMAT_VERSION
+from .ingest import FORMAT_VERSION, Columns
 from .metrics import AsilVerdict, asil_verdict
 from .model import FmedaTable, FmedaValidationError, Violation, cutoff, iter_rows, table_arrays
 from .uncertainty import Interval, PropagationMode, _propagate, confidence_interval
@@ -41,9 +46,10 @@ from .uncertainty import Interval, PropagationMode, _propagate, confidence_inter
 class AnalysisResult:
     """Everything the emitters and the verdict need, in one bundle.
 
-    rows, eii_entries and eii_totals hold the report document's own
-    objects, which to_dict() shares rather than copies: read them, do not
-    change them.
+    The report's three tables are held as columns (row_columns,
+    eii_columns, eii_total_columns).  rows, eii_entries and eii_totals
+    are their JSON objects, built on first access; to_dict() shares them
+    rather than copies them: read them, do not change them.
     """
 
     lambda_tot: float
@@ -59,19 +65,31 @@ class AnalysisResult:
     k: float
     interval_spfm: Interval
     interval_lfm: Interval | None
-    eii_entries: tuple[dict, ...]
-    eii_totals: tuple[dict, ...]
+    eii_columns: Columns
+    eii_total_columns: Columns
     eii_note: str | None
     verdict: AsilVerdict | None
-    rows: tuple[dict, ...]
+    row_columns: Columns
     stamp: dict | None = None
+
+    # Not fields: each tuple of dicts is built on first access and kept.
+    rows = functools.cached_property(lambda self: self.row_columns.objects())
+    eii_entries = functools.cached_property(lambda self: self.eii_columns.objects())
+    eii_totals = functools.cached_property(lambda self: self.eii_total_columns.objects())
 
     @property
     def sigma_spfm(self) -> float:
         """The sigma selected by the propagation mode (drives the verdict)."""
         return getattr(self, f"sigma_spfm_{self.mode.value}")
 
-    def to_dict(self) -> dict:
+    def to_dict(self, *, columns: bool = False) -> dict:
+        """The report document.  Its rows, eii and eii_totals are lists of
+        this result's own objects or, with columns=True, the Columns they
+        are built from, which ingest writes without building them."""
+        if columns:
+            rows, eii, totals = self.row_columns, self.eii_columns, self.eii_total_columns
+        else:
+            rows, eii, totals = list(self.rows), list(self.eii_entries), list(self.eii_totals)
         doc = {
             "version": FORMAT_VERSION,
             "lambda_tot_fit": self.lambda_tot,
@@ -87,8 +105,8 @@ class AnalysisResult:
             "interval_spfm": _interval_doc(self.interval_spfm),
             "interval_lfm": (None if self.interval_lfm is None
                              else _interval_doc(self.interval_lfm)),
-            "eii": list(self.eii_entries),
-            "eii_totals": list(self.eii_totals),
+            "eii": eii,
+            "eii_totals": totals,
             "eii_note": self.eii_note,
             "asil": None if self.verdict is None else {
                 "target": self.verdict.target,
@@ -96,7 +114,7 @@ class AnalysisResult:
                 "lfm": self.verdict.lfm,
                 "overall": self.verdict.overall,
             },
-            "rows": list(self.rows),
+            "rows": rows,
         }
         if self.stamp is not None:
             doc["stamp"] = self.stamp
@@ -150,7 +168,7 @@ def analyze(
         interval_lfm = confidence_interval(prop.lfm, prop.sigma_lfm, confidence_level)
 
     entries, percents, attributed = _entries(arr.ids, prop)
-    eii_note = None if entries else NO_UNCERTAINTY_NOTE
+    eii_note = None if entries["failure_mode"] else NO_UNCERTAINTY_NOTE
 
     target = asil_target if asil_target is not None else table.asil_target
     verdict = None
@@ -158,28 +176,27 @@ def analyze(
         verdict = asil_verdict(target, spfm=prop.spfm, sigma_spfm=sigma_spfm[mode],
                                lfm=prop.lfm, sigma_lfm=prop.sigma_lfm, k=k)
 
-    rows, totals = [], []
-    for (part, sub, row), lam, sigma_lam, sigma_dc, (dc_pct, lam_pct), has_eii in zip(
-            iter_rows(table), arr.lam.tolist(), arr.sigma_lam.tolist(), arr.sigma_dc.tolist(),
-            percents.tolist(), attributed.tolist()):
-        total_pct = dc_pct + lam_pct
-        if has_eii:
-            totals.append({"failure_mode": row.id, "percent": total_pct})
-        rows.append({
-            "part": part.name,
-            "subpart": sub.name,
-            "failure_mode": row.id,
-            "name": row.name,
-            "lambda_fm_fit": lam,
-            "sigma_lambda_fm_fit": sigma_lam,
-            "dc": row.dc,
-            "sigma_dc": sigma_dc,
-            "dc_latent": row.dc_latent,
-            "sigma_dc_latent": row.sigma_dc_latent,
-            "eii_dc_percent": dc_pct,
-            "eii_lambda_percent": lam_pct,
-            "eii_total_percent": total_pct,
-        })
+    parts, subparts, names, dcs, lats, sigma_lats = zip(*[
+        (part.name, sub.name, row.name, row.dc, row.dc_latent, row.sigma_dc_latent)
+        for part, sub, row in iter_rows(table)])
+    total = percents[:, 0] + percents[:, 1]
+    rows = {
+        "part": parts,
+        "subpart": subparts,
+        "failure_mode": arr.ids,
+        "name": names,
+        "lambda_fm_fit": arr.lam.tolist(),
+        "sigma_lambda_fm_fit": arr.sigma_lam.tolist(),
+        "dc": dcs,
+        "sigma_dc": arr.sigma_dc.tolist(),
+        "dc_latent": lats,
+        "sigma_dc_latent": sigma_lats,
+        "eii_dc_percent": percents[:, 0].tolist(),
+        "eii_lambda_percent": percents[:, 1].tolist(),
+        "eii_total_percent": total.tolist(),
+    }
+    totals = {"failure_mode": list(itertools.compress(arr.ids, attributed.tolist())),
+              "percent": total[attributed].tolist()}
 
     return AnalysisResult(
         lambda_tot=arr.lambda_tot,
@@ -195,10 +212,10 @@ def analyze(
         k=k,
         interval_spfm=interval_spfm,
         interval_lfm=interval_lfm,
-        eii_entries=tuple(entries),
-        eii_totals=tuple(totals),
+        eii_columns=Columns(entries),
+        eii_total_columns=Columns(totals),
         eii_note=eii_note,
         verdict=verdict,
-        rows=tuple(rows),
+        row_columns=Columns(rows),
         stamp=stamp,
     )

@@ -26,18 +26,23 @@ Emission is deterministic: floats are serialized with 12 significant
 digits, JSON keys are sorted, and no timestamps are embedded, so equal
 inputs produce byte-identical documents.  Report percentages render at
 2 decimals.  The JSON writer writes an object key by key, in sorted
-key order.  A long array of objects that all have the same keys (the
-report's rows and EII entries, most subparts' failure modes) it writes
-a column at a time: one C-level %.12g (fmt12's format) per float
-column, whose tokens are checked at once for the few floats whose JSON
-token differs from it (integral values, exponents 12-15, subnormals,
-nan and the infinities); only those go through _float_token.
+key order.  An array of objects that all have the same keys it writes a
+column at a time (_object_texts): a Columns (the report's three tables)
+from its own columns, and a long array of such dicts (most subparts'
+failure modes) from the columns _column_texts takes out of them.  Each
+float column is one C-level %.12g (fmt12's format), whose tokens are
+checked at once for the few floats whose JSON token differs from it
+(integral values, exponents 12-15, subnormals, nan and the infinities);
+only those go through _float_token.
 
 An analysis result has one document, AnalysisResult.to_dict().  The
 JSON report is that document; the markdown and CSV reports are views of
 it, written from two tables here: _COLUMNS for the failure-mode table
 and _summary for the summary lines.  No emitter reads an AnalysisResult
-attribute, so only to_dict() names the result's fields.
+attribute, so only to_dict() names the result's fields.  emit_result
+asks for the document with its three tables as Columns, so writing a
+report builds none of their dicts; they are built on first access of
+AnalysisResult.rows, .eii_entries or .eii_totals.
 """
 
 from __future__ import annotations
@@ -126,12 +131,12 @@ def _json_text(obj, newline: str = "\n") -> str:
 
     An object is written key by key: its sorted keys, each with the text
     of its value.  An array of at least _COLUMNS_MIN plain dicts that all
-    have the first one's keys (the report's rows and EII entries, a
-    subpart's failure modes) is written by _column_texts; both give the
-    same text.  Each container joins its own pieces once, brackets
-    included, so the pieces of one report row are freed once the row's
-    text is built and a large member's text is not copied again by its
-    container.
+    have the first one's keys (most subparts' failure modes) is written by
+    _column_texts, and a Columns (the report's rows, EII entries and EII
+    totals) from its own columns; all give the same text as the key-by-key
+    writer.  Each container joins its own pieces once, brackets included,
+    so the pieces of one report row are freed once the row's text is built
+    and a large member's text is not copied again by its container.
     """
     if isinstance(obj, float):
         return _float_token(obj)
@@ -154,16 +159,19 @@ def _json_text(obj, newline: str = "\n") -> str:
             pieces += (head, _json_text(obj[key], inner))
         pieces.append(newline + "}")
         return "".join(pieces)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
+    if isinstance(obj, (list, tuple, Columns)):
+        if not len(obj):
             return "[]"
         inner = newline + "  "
-        keys = obj[0].keys() if type(obj[0]) is dict else None
-        if len(obj) >= _COLUMNS_MIN and keys \
-                and all([type(o) is dict and o.keys() == keys for o in obj]):
-            items = _column_texts(obj, inner)
+        if type(obj) is Columns:
+            items = _object_texts(obj.blocks(_BLOCK), inner)
         else:
-            items = [_json_text(item, inner) for item in obj]
+            keys = obj[0].keys() if type(obj[0]) is dict else None
+            if len(obj) >= _COLUMNS_MIN and keys \
+                    and all([type(o) is dict and o.keys() == keys for o in obj]):
+                items = _column_texts(obj, inner)
+            else:
+                items = [_json_text(item, inner) for item in obj]
         items[0] = "[" + inner + items[0]
         items[-1] += newline + "]"
         return ("," + inner).join(items)
@@ -195,9 +203,50 @@ _COLUMNS_MIN = 8
 _BLOCK = 256
 
 
+class Columns:
+    """An array of objects that all have the same keys, held as one column
+    per key: columns maps each key, in the objects' key order, to the
+    sequence of its values, one per object.
+
+    The JSON writer writes it as the array of those objects straight from
+    the columns, as _column_texts writes an array of such dicts; objects()
+    builds the dicts.  Read the columns, do not change them.
+    """
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns: dict):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values())))
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Columns and self.objects() == other.objects()
+
+    def objects(self) -> tuple[dict, ...]:
+        keys = tuple(self.columns)
+        return tuple([dict(zip(keys, values)) for values in zip(*self.columns.values())])
+
+    def blocks(self, size: int):
+        """The columns of each run of size objects, as a dict like columns."""
+        for start in range(0, len(self), size):
+            yield {key: values[start:start + size] for key, values in self.columns.items()}
+
+
 def _column_texts(objs, newline: str) -> list[str]:
-    """The texts of plain dicts that all have the first one's keys, a
-    column at a time, _BLOCK members per block.
+    """The texts of plain dicts that all have the first one's keys: their
+    columns, taken _BLOCK members at a time, through _object_texts."""
+    keys = tuple(objs[0])
+    blocks = (objs[start:start + _BLOCK] for start in range(0, len(objs), _BLOCK))
+    return _object_texts(({key: tuple(map(operator.itemgetter(key), block)) for key in keys}
+                          for block in blocks), newline)
+
+
+def _object_texts(blocks, newline: str) -> list[str]:
+    """The texts of objects, a column at a time: blocks yields, for each
+    run of objects, a dict that maps each key, in one key order, to the
+    sequence of its values.
 
     An all-float column is formatted by one %.12g over the whole column.
     A token is _float_token's when it has a "." (an integral value, an
@@ -214,14 +263,13 @@ def _column_texts(objs, newline: str) -> list[str]:
     leaves raised the peak RSS of a 10^4-row report.
     """
     inner = newline + "  "
-    keys, heads = _heads(tuple(objs[0]), inner)
     tail = newline + "}"
     texts = []
-    for start in range(0, len(objs), _BLOCK):
-        block = objs[start:start + _BLOCK]
+    for block in blocks:
+        keys, heads = _heads(tuple(block), inner)
         columns = []
         for head, key in zip(heads, keys):
-            column = tuple(map(operator.itemgetter(key), block))
+            column = tuple(block[key])
             types = set(map(type, column))
             if types == {float}:
                 text = ("%.12g," * len(column))[:-1] % column
@@ -665,10 +713,14 @@ def emit_json(table: FmedaTable) -> str:
 
 
 def emit_result(result, format: str = "json") -> str:
-    """Render an AnalysisResult's report document, to_dict(), as json, markdown or csv."""
+    """Render an AnalysisResult's report document as json, markdown or csv.
+
+    The document is to_dict(columns=True): its rows, EII entries and EII
+    totals are written from their Columns, so none of their dicts is built.
+    """
     if format not in ("json", "markdown", "csv"):
         raise ValueError(f"unknown result format {format!r}; expected json, markdown or csv")
-    doc = result.to_dict()
+    doc = result.to_dict(columns=True)
     if format == "json":
         return _json_text(doc) + "\n"
     return _result_markdown(doc) if format == "markdown" else _result_csv(doc)
@@ -690,8 +742,6 @@ _COLUMNS = (
     ("eii_total_percent", "total EII [%]", "eii_total_percent", "%.2f"),
 )
 # Each format writes a row through one template built here from the table.
-_NAMES = operator.itemgetter(*[key for key, *_, fmt in _COLUMNS if fmt is None])
-_NUMBERS = operator.itemgetter(*[key for key, *_, fmt in _COLUMNS if fmt])
 _MD_ROW = "| " + " | ".join([fmt or "%s" for *_, fmt in _COLUMNS]) + " |"
 _CSV_NUMBERS_ROW = ",".join([fmt for *_, fmt in _COLUMNS if fmt])
 
@@ -761,7 +811,9 @@ def _result_markdown(doc: dict) -> str:
     lines = ["# FMEDA uncertainty analysis", "", "## Failure modes", "",
              "| " + " | ".join([header for _, header, _, _ in _COLUMNS]) + " |",
              "|" + " --- |" * len(_COLUMNS)]
-    lines += [_MD_ROW % (*map(_md_cell, _NAMES(row)), *_NUMBERS(row)) for row in doc["rows"]]
+    columns = doc["rows"].columns
+    lines += map(_MD_ROW.__mod__, zip(*[columns[key] if fmt else map(_md_cell, columns[key])
+                                        for key, *_, fmt in _COLUMNS]))
     lines += ["", "## Summary", ""]
     lines += [f"- {label}: {text}" for label, text, _ in _summary(doc)]
     return "\n".join(lines) + "\n"
@@ -770,8 +822,11 @@ def _result_markdown(doc: dict) -> str:
 def _result_csv(doc: dict) -> str:
     def rows():
         yield [header for _, _, header, _ in _COLUMNS]
-        for row in doc["rows"]:
-            yield [*_NAMES(row), *(_CSV_NUMBERS_ROW % _NUMBERS(row)).split(",")]
+        columns = doc["rows"].columns
+        names = zip(*[columns[key] for key, *_, fmt in _COLUMNS if fmt is None])
+        numbers = zip(*[columns[key] for key, *_, fmt in _COLUMNS if fmt])
+        for cells, values in zip(names, numbers):
+            yield [*cells, *(_CSV_NUMBERS_ROW % values).split(",")]
         yield []
         yield ["metric", "value"]
         for *_, metric_rows in _summary(doc):

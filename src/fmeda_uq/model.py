@@ -341,9 +341,8 @@ def _walk(table: FmedaTable) -> tuple[list[Violation], TableArrays | None]:
     and read back.
     """
     out: list[Violation] = []
-    # Every id in table order, mapped to where it was first used: the
-    # subpart's location for a row the cheap check took (its location is
-    # that plus "/" and the id), a 1-tuple of the whole location otherwise.
+    # Every id in table order, mapped to the location of the subpart that
+    # first used it; the row's location is that plus "/" and the id.
     seen_ids: dict = {}
 
     def bad(loc: str, fld: str, rule: str, obs: object, msg: str) -> None:
@@ -436,8 +435,8 @@ def _walk(table: FmedaTable) -> tuple[list[Violation], TableArrays | None]:
                         fmd_sum += frac
                     row_sum += rate
                 else:
-                    loc = f"{sub_loc}/{_step(rid)}"
-                    rate, sigma_rate, sigma_dc = _row_rules(row, loc, dist, scale, seen_ids, bad)
+                    rate, sigma_rate, sigma_dc = _row_rules(row, sub_loc, dist, scale,
+                                                            seen_ids, bad)
                     if dist:
                         if row.fmd_fraction is None:
                             fmd_complete = False
@@ -517,15 +516,18 @@ def _name(name: object, what: str, prefix: str, seen: set, bad) -> str:
     return step
 
 
-def _row_rules(row: FailureModeRow, loc: str, dist: bool, scale, seen_ids: dict,
+def _row_rules(row: FailureModeRow, sub_loc: str, dist: bool, scale, seen_ids: dict,
                bad) -> tuple[object, object, object]:
-    """Check one row against every row rule: (rate, sigma_rate, sigma_dc).
+    """Check one row of the subpart at sub_loc against every row rule:
+    (rate, sigma_rate, sigma_dc).
 
     Reports each broken rule through bad(), in a fixed order, and records
-    a new str id in seen_ids.  scale is the subpart rate of a Distribution
-    row when it is a finite number, else None; the rate is None when it
-    cannot be derived (a violation names the cause).
+    a new id that passes the id rules in seen_ids; such an id is its own
+    step of the row's location.  scale is the subpart rate of a
+    Distribution row when it is a finite number, else None; the rate is
+    None when it cannot be derived (a violation names the cause).
     """
+    loc = f"{sub_loc}/{_step(row.id)}"
     if not row.id:
         bad(loc, "id", "id.nonempty", row.id, "row id must not be empty")
     elif not isinstance(row.id, str) or row.id != row.id.strip():
@@ -533,11 +535,10 @@ def _row_rules(row: FailureModeRow, loc: str, dist: bool, scale, seen_ids: dict,
     elif len(row.id) > _CELL_MAX:
         bad(loc, "id", "cell.length", len(row.id), f"row id {_CELL_RULE}")
     elif row.id in seen_ids:
-        first = seen_ids[row.id]
-        where = first[0] if type(first) is tuple else f"{first}/{row.id}"
-        bad(loc, "id", "table.duplicate_id", row.id, f"id already used at {where}")
+        bad(loc, "id", "table.duplicate_id", row.id,
+            f"id already used at {seen_ids[row.id]}/{row.id}")
     else:
-        seen_ids[row.id] = (loc,)
+        seen_ids[row.id] = sub_loc
     if not isinstance(row.name, str) and row.name is not row.id:  # a name "" is the id
         bad(loc, "name", "name.str", row.name, "row name must be a str")
     if not all([isinstance(s, str) for s in row.safety_mechanisms]):

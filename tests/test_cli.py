@@ -518,6 +518,21 @@ def test_verify_samples_over_the_cap_exit_one_at_once(table_csv, capsys, monkeyp
     assert "Traceback" not in err
 
 
+def test_verify_seed_beyond_64_bits_is_an_input_error(table_csv, capsys, monkeypatch):
+    import fmeda_uq.mc_oracle as mc
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the sampler was started")
+
+    monkeypatch.setattr(mc, "_simulate", must_not_run)
+    code, out, err = run(capsys, ["verify", "--input", table_csv,
+                                  "--seed", str(2**64)])
+    assert (code, out) == (1, "")
+    assert err.startswith("input error:") and err.count("\n") == 1
+    assert "unsigned 64-bit" in err
+    assert "Traceback" not in err
+
+
 def test_verify_input_error(capsys):
     code, _, err = run(capsys, ["verify", "--input", "missing.csv"])
     assert code == 1

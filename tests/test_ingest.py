@@ -91,6 +91,17 @@ def test_csv_missing_column_rejected():
         parse_csv(text)
 
 
+def test_csv_columns_out_of_order_rejected():
+    header = HEADER.split(",")
+    header[0], header[1] = header[1], header[0]
+    assert sorted(header) == sorted(ingest.CSV_COLUMNS)
+    text = ",".join(header) + MINIMAL_CSV[len(HEADER):]
+    with pytest.raises(ParseError, match="columns out of order") as info:
+        parse_csv(text)
+    assert info.value.line == 1
+    assert "unknown" not in str(info.value) and "missing" not in str(info.value)
+
+
 def test_csv_both_rate_cells_rejected():
     text = HEADER + "\nCPU,EXEC,FM1,100,0,0.5,0.9,0,0,0,expert,\n"
     with pytest.raises(ParseError, match="exactly one"):
@@ -423,7 +434,10 @@ def test_result_json_schema_stable():
 
 
 def test_to_dict_shares_the_report_objects():
-    result = analyze(two_fm_table(), asil_target="B")
+    _assert_to_dict_shares_the_report_objects(analyze(two_fm_table(), asil_target="B"))
+
+
+def _assert_to_dict_shares_the_report_objects(result):
     doc = result.to_dict()
     for key, items in (("rows", result.rows), ("eii", result.eii_entries),
                        ("eii_totals", result.eii_totals)):
@@ -436,6 +450,22 @@ def test_to_dict_shares_the_report_objects():
     assert set(result.eii_entries[0]) == {"failure_mode", "input", "raw_eii",
                                           "variance_share", "percent"}
     assert set(result.eii_totals[0]) == {"failure_mode", "percent"}
+
+
+@pytest.mark.parametrize("n_fm", [2, 2 * ingest._BLOCK + 88])
+def test_emit_result_builds_none_of_the_report_dicts(n_fm):
+    table = two_fm_table() if n_fm == 2 else \
+        random_table(np.random.default_rng(5), n_fm=n_fm, sigma_dc_latent_max=0.02)
+    result = analyze(table, asil_target="B")
+    texts = {fmt: emit_result(result, fmt) for fmt in ("json", "markdown", "csv")}
+    assert not {"rows", "eii_entries", "eii_totals"} & vars(result).keys()
+    rows = result.rows
+    assert result.rows is rows and result.eii_entries is result.eii_entries
+    assert len(rows) == len(result.row_columns) == n_fm
+    _assert_to_dict_shares_the_report_objects(result)
+    # The columns and the dicts built from them give the same documents.
+    assert texts["json"] == _reference(result.to_dict())
+    assert {fmt: emit_result(result, fmt) for fmt in texts} == texts
 
 
 def test_result_markdown_columns_and_totals():

@@ -234,6 +234,13 @@ def test_maximum_samples_enforced():
             McConfig(samples=samples, seed=1)
 
 
+def test_seed_beyond_64_bits_rejected():
+    assert McConfig(seed=2**64 - 1).seed == 2**64 - 1
+    for seed in (2**64, -1):
+        with pytest.raises(ValueError, match="unsigned 64-bit"):
+            McConfig(seed=seed)
+
+
 @pytest.mark.parametrize("field, value", [
     ("samples", 5000.0), ("samples", True), ("samples", "5000"),
     ("seed", 1.5), ("seed", 7.0), ("seed", False),
