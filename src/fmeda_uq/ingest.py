@@ -9,18 +9,22 @@ Two table formats share one data model:
   fraction rows the sigma_lambda_fit cell holds the fraction's sigma.
 * JSON, nested: parts -> subparts -> failure_modes, versioned documents.
 
-Both spell a failure-mode row with the same keys: _row builds every parsed
-row, so both formats reject the same row mistakes, and _row_doc writes
-every emitted row.
+Both spell a failure-mode row with the same keys: _row takes a parsed
+row's values by position and builds every parsed row, so both formats
+reject the same row mistakes, and _row_doc writes every emitted row.
 
 Parsing stops at the first malformed value, and its ParseError names it
 by line and column (CSV) or key path (JSON); unknown columns and keys,
 and a key written twice in one JSON object, are rejected, not ignored, so
 authoring mistakes surface at once.  Each JSON value is checked once, and
-each row read in one pass; a key path is built only for the error.  Empty
-cells are allowed only where a default is defined (sigmas and dc_latent
-default to 0, sm_list to the empty list); everything else must be
-explicit.
+each row read in one pass.  Each CSV record is read in one step: its
+numbers are converted in one pass and checked for finiteness by their
+sum, and only a record that fails that is scanned cell by cell for the
+first bad one.  In both formats each distinct dc_source text (and in CSV
+each sm_list cell) is parsed once per document, and the line number or
+key path is built only for the error.  Empty cells are allowed only
+where a default is defined (sigmas and dc_latent default to 0, sm_list
+to the empty list); everything else must be explicit.
 
 Emission is deterministic: floats are serialized with 12 significant
 digits, JSON keys are sorted, and no timestamps are embedded, so equal
@@ -72,10 +76,10 @@ CSV_COLUMNS = (
     "fmd_fraction", "dc", "sigma_dc", "dc_latent", "sigma_dc_latent",
     "dc_source", "sm_list",
 )
-# The numeric cells, (position, column); each column is named by the row key
+# The numeric cells, at positions 3 to 9; each column is named by the row key
 # it holds, except that a fraction row's sigma_lambda_fit cell holds its
 # sigma_fmd.
-_CSV_NUMBERS = tuple(enumerate(CSV_COLUMNS))[3:10]
+_CSV_NUMBERS = CSV_COLUMNS[3:10]
 FORMAT_VERSION = "fmeda-uq/1"
 
 
@@ -121,13 +125,15 @@ def _float_token(x: float) -> str:
     return s if "." in s else s + ".0"
 
 
-def _json_text(obj, newline: str = "\n") -> str:
+def _json_text(obj, newline: str = "\n", end: str = "") -> str:
     """JSON text of obj, laid out as json.dumps(sort_keys=True, indent=2).
 
     Each float x is written as float(fmt12(x)).  NaN and infinities raise
     ValueError, as allow_nan=False does, and a key that is not a str
     raises TypeError; newline carries the indent of the enclosing
-    container.
+    container.  end is joined after the closing bracket of an object or
+    array (not after a scalar): the emitters pass a document's final
+    newline, so the finished text is not copied once more to append it.
 
     An object is written key by key: its sorted keys, each with the text
     of its value.  An array of at least _COLUMNS_MIN plain dicts that all
@@ -152,16 +158,16 @@ def _json_text(obj, newline: str = "\n") -> str:
         return int.__repr__(obj)
     if isinstance(obj, dict):
         if not obj:
-            return "{}"
+            return "{}" + end
         inner = newline + "  "
         pieces = []
         for key, head in zip(*_heads(tuple(obj), inner)):
             pieces += (head, _json_text(obj[key], inner))
-        pieces.append(newline + "}")
+        pieces.append(newline + "}" + end)
         return "".join(pieces)
     if isinstance(obj, (list, tuple, Columns)):
         if not len(obj):
-            return "[]"
+            return "[]" + end
         inner = newline + "  "
         if type(obj) is Columns:
             items = _object_texts(obj.blocks(_BLOCK), inner)
@@ -173,7 +179,7 @@ def _json_text(obj, newline: str = "\n") -> str:
             else:
                 items = [_json_text(item, inner) for item in obj]
         items[0] = "[" + inner + items[0]
-        items[-1] += newline + "]"
+        items[-1] += newline + "]" + end
         return ("," + inner).join(items)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
@@ -341,30 +347,38 @@ _NUMBER_KEYS = {
 }
 
 
-def _row(fields: dict, where) -> FailureModeRow:
+def _row(fm_id, name, lambda_fit, sigma_lambda_fit, fmd_fraction, sigma_fmd, dc, sigma_dc,
+         dc_latent, sigma_dc_latent, dc_source, safety_mechanisms, where,
+         sources: dict) -> FailureModeRow:
     """Make the FailureModeRow of a parsed row: the row rules of both formats.
 
-    fields maps the row keys a file sets to their parsed values: a float
-    per numeric key, a str for id, name and dc_source, and a tuple or list
-    of str for safety_mechanisms.  where(key) gives the ParseError context
-    of a key (line and column, or key path); it is called only on an error.
+    The row's values come in FailureModeRow's field order, None for a key
+    the file does not set: a float per numeric key, a str for id, name and
+    dc_source, and a tuple or list of str for safety_mechanisms.  sources
+    maps each dc_source text the document has already used to its DcSource,
+    so each distinct text is parsed once per document.  where(key) gives the
+    ParseError context of a key (line and column, or key path); it is called
+    only on an error.
     """
-    has_lambda = "lambda_fit" in fields
-    if has_lambda == ("fmd_fraction" in fields):
+    if (lambda_fit is None) == (fmd_fraction is None):
         raise ParseError("exactly one of lambda_fit and fmd_fraction must be set",
                          **where("lambda_fit"))
-    for sigma, rate in (("sigma_lambda_fit", "lambda_fit"), ("sigma_fmd", "fmd_fraction")):
-        if sigma in fields and rate not in fields:
-            raise ParseError(f"{sigma} requires {rate}", **where(sigma))
-    for key in ("dc", "dc_source"):
-        if key not in fields:
-            raise ParseError(f"{key} must be set", **where(key))
-    get = fields.get
-    return FailureModeRow(  # the fields in their order, passed by position
-        fields["id"], get("name", ""), get("lambda_fit"), get("sigma_lambda_fit", 0.0),
-        get("fmd_fraction"), get("sigma_fmd", 0.0), fields["dc"], get("sigma_dc", 0.0),
-        get("dc_latent", 0.0), get("sigma_dc_latent", 0.0),
-        _parse_dc_source(fields["dc_source"], where), get("safety_mechanisms", ()),
+    if sigma_lambda_fit is not None and lambda_fit is None:
+        raise ParseError("sigma_lambda_fit requires lambda_fit", **where("sigma_lambda_fit"))
+    if sigma_fmd is not None and fmd_fraction is None:
+        raise ParseError("sigma_fmd requires fmd_fraction", **where("sigma_fmd"))
+    if dc is None:
+        raise ParseError("dc must be set", **where("dc"))
+    if dc_source is None:
+        raise ParseError("dc_source must be set", **where("dc_source"))
+    source = sources.get(dc_source)
+    if source is None:
+        source = sources[dc_source] = _parse_dc_source(dc_source, where)
+    return FailureModeRow(
+        fm_id, name or "", lambda_fit, 0.0 if sigma_lambda_fit is None else sigma_lambda_fit,
+        fmd_fraction, 0.0 if sigma_fmd is None else sigma_fmd, dc,
+        0.0 if sigma_dc is None else sigma_dc, 0.0 if dc_latent is None else dc_latent,
+        0.0 if sigma_dc_latent is None else sigma_dc_latent, source, safety_mechanisms or (),
     )
 
 
@@ -386,114 +400,106 @@ def _row_doc(row: FailureModeRow, dist: bool) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _records(reader):
-    """The reader's records; a cell beyond csv.field_size_limit() is a ParseError."""
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise ParseError(f"malformed CSV: {exc}", line=reader.line_num) from None
-
-
 def parse_csv(text: str) -> FmedaTable:
     """Parse the flat CSV layout into a validated table.
 
     Raises ParseError on the first malformed cell (with 1-based line and
     column), or FmedaValidationError aggregating every broken invariant.
+
+    Each failure-mode record is read in one step: its seven numbers are
+    converted at once and tested for finiteness by their sum, and only a
+    record that fails that (or a sum that overflows) is scanned cell by
+    cell for the first bad one.  Each distinct dc_source and sm_list text
+    is parsed once per document, and its rows share the result.  The line
+    number is read only for an error.
     """
     reader = csv.reader(io.StringIO(text))
-    records = _records(reader)
-    try:
-        header = [h.strip() for h in next(records)]
-    except StopIteration:
-        raise ParseError("no data rows") from None
-    if header != list(CSV_COLUMNS):
-        unknown = [h for h in header if h not in CSV_COLUMNS]
-        missing = [c for c in CSV_COLUMNS if c not in header]
-        problems = []
-        if unknown:
-            problems.append(f"unknown columns {unknown}")
-        if missing:
-            problems.append(f"missing columns {missing}")
-        if not problems:
-            problems.append("columns out of order")
-        raise ParseError(
-            "; ".join(problems) + f"; expected exactly {list(CSV_COLUMNS)}", line=1
-        )
 
-    parts: dict[str, dict[str, dict]] = {}
+    def where(key: str) -> dict:
+        return {"line": reader.line_num, "column": key}
+
+    sources: dict[str, DcSource] = {}
+    mechanisms: dict[str, tuple[str, ...]] = {"": ()}
+    subparts: dict[tuple[str, str], list] = {}  # (part, subpart): [rate, rows]
     n_rows = 0
-    for record in records:
-        cells = list(map(str.strip, record))
-        if not any(cells):
-            continue
-        line = reader.line_num
-        if len(cells) != len(CSV_COLUMNS):
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise ParseError("no data rows")
+        header = [h.strip() for h in header]
+        if header != list(CSV_COLUMNS):
+            unknown = [h for h in header if h not in CSV_COLUMNS]
+            missing = [c for c in CSV_COLUMNS if c not in header]
+            problems = []
+            if unknown:
+                problems.append(f"unknown columns {unknown}")
+            if missing:
+                problems.append(f"missing columns {missing}")
+            if not problems:
+                problems.append("columns out of order")
             raise ParseError(
-                f"expected {len(CSV_COLUMNS)} columns, got {len(cells)}", line=line
+                "; ".join(problems) + f"; expected exactly {list(CSV_COLUMNS)}", line=1
             )
-        part, subpart, fm_id, lambda_fit = cells[:4]
-        if not part or not subpart:
-            raise ParseError("cell must not be empty", line=line,
-                             column="subpart" if part else "part")
-        subs = parts.get(part)
-        if subs is None:
-            subs = parts[part] = {}
-        acc = subs.get(subpart)
-        if acc is None:
-            acc = subs[subpart] = {"lambda": None, "rows": []}
 
-        if not fm_id:
-            # Subpart-rate declaration row: lambda_fit only, everything else empty.
-            if not lambda_fit:
-                raise ParseError(
-                    "row without a failure_mode must declare the subpart rate",
-                    line=line, column="lambda_fit",
-                )
-            for column, cell in zip(CSV_COLUMNS[4:], cells[4:]):
-                if cell:
-                    raise ParseError(
-                        "subpart-rate row must leave this cell empty",
-                        line=line, column=column,
-                    )
-            if acc["lambda"] is not None:
-                raise ParseError(
-                    f"duplicate subpart rate for {part}/{subpart}",
-                    line=line, column="lambda_fit",
-                )
-            acc["lambda"] = _parse_float(lambda_fit, line, "lambda_fit")
-            continue
+        for record in reader:
+            cells = list(map(str.strip, record))
+            if not any(cells):
+                continue
+            if len(cells) != len(CSV_COLUMNS):
+                raise ParseError(f"expected {len(CSV_COLUMNS)} columns, got {len(cells)}",
+                                 line=reader.line_num)
+            part, subpart, fm_id, lambda_fit, *_, dc_source, sm_list = cells
+            if not part or not subpart:
+                raise ParseError("cell must not be empty", **where("subpart" if part else "part"))
+            acc = subparts.get((part, subpart))
+            if acc is None:
+                acc = subparts[part, subpart] = [None, []]
 
-        n_rows += 1
-        fields = {}
-        for i, key in _CSV_NUMBERS:
-            if cells[i]:
-                fields[key] = _parse_float(cells[i], line, key)
-        if "fmd_fraction" in fields and "sigma_lambda_fit" in fields:
-            fields["sigma_fmd"] = fields.pop("sigma_lambda_fit")
-        fields["id"] = fm_id
-        dc_source, sm_list = cells[10:]
-        if dc_source:
-            fields["dc_source"] = dc_source
-        if sm_list:
-            fields["safety_mechanisms"] = tuple(
-                [s for s in map(str.strip, sm_list.split(";")) if s])
-        acc["rows"].append(_row(fields, lambda key: {"line": line, "column": key}))
+            if not fm_id:
+                # Subpart-rate declaration row: lambda_fit only, everything else empty.
+                if not lambda_fit:
+                    raise ParseError("row without a failure_mode must declare the subpart rate",
+                                     **where("lambda_fit"))
+                for column, cell in zip(CSV_COLUMNS[4:], cells[4:]):
+                    if cell:
+                        raise ParseError("subpart-rate row must leave this cell empty",
+                                         **where(column))
+                if acc[0] is not None:
+                    raise ParseError(f"duplicate subpart rate for {part}/{subpart}",
+                                     **where("lambda_fit"))
+                acc[0] = _parse_float(lambda_fit, reader.line_num, "lambda_fit")
+                continue
+
+            n_rows += 1
+            try:
+                numbers = [float(cell) if cell else None for cell in cells[3:10]]
+                total = sum(filter(None, numbers))  # empty cells (None) and zeros left out
+            except ValueError:
+                total = math.nan
+            if total - total != 0.0:  # a bad cell, or finite cells whose sum overflows
+                numbers = [_parse_float(cell, reader.line_num, key) if cell else None
+                           for key, cell in zip(_CSV_NUMBERS, cells[3:10])]
+            lam, sigma, fraction, dc, sigma_dc, dc_latent, sigma_dc_latent = numbers
+            sigma_fmd = None
+            if fraction is not None:  # a fraction row's sigma_lambda_fit cell holds its sigma_fmd
+                sigma, sigma_fmd = None, sigma
+            sms = mechanisms.get(sm_list)
+            if sms is None:
+                sms = mechanisms[sm_list] = tuple(
+                    [s for s in map(str.strip, sm_list.split(";")) if s])
+            acc[1].append(_row(fm_id, None, lam, sigma, fraction, sigma_fmd, dc, sigma_dc,
+                               dc_latent, sigma_dc_latent, dc_source or None, sms, where,
+                               sources))
+    except csv.Error as exc:  # a cell beyond csv.field_size_limit()
+        raise ParseError(f"malformed CSV: {exc}", line=reader.line_num) from None
 
     if n_rows == 0:
         raise ParseError("no data rows")
 
-    table = FmedaTable(
-        tuple(
-            Part(
-                pname,
-                tuple(
-                    Subpart(sname, acc["lambda"], None, tuple(acc["rows"]))
-                    for sname, acc in subs.items()
-                ),
-            )
-            for pname, subs in parts.items()
-        )
-    )
+    parts: dict[str, list[Subpart]] = {}
+    for (pname, sname), (rate, rows) in subparts.items():
+        parts.setdefault(pname, []).append(Subpart(sname, rate, None, tuple(rows)))
+    table = FmedaTable(tuple([Part(pname, tuple(subs)) for pname, subs in parts.items()]))
     table_arrays(table)  # validates, and caches the arrays for analyze
     return table
 
@@ -533,7 +539,7 @@ def emit_csv(table: FmedaTable) -> str:
                     if dist:
                         doc["sigma_lambda_fit"] = doc.pop("sigma_fmd")
                     yield ([part.name, sub.name, doc["id"]]
-                           + [fmt12(doc[key]) if key in doc else "" for _, key in _CSV_NUMBERS]
+                           + [fmt12(doc[key]) if key in doc else "" for key in _CSV_NUMBERS]
                            + [doc["dc_source"], ";".join(doc.get("safety_mechanisms", ()))])
 
     return _csv_text(rows)
@@ -630,6 +636,7 @@ def parse_json(text: str) -> FmedaTable:
         else None
 
     parts = []
+    sources: dict[str, DcSource] = {}
     for i, pd in enumerate(_expect_list(doc["parts"], doc_where, "parts")):
         part_where = functools.partial(_at, (i,))
         _expect_keys(pd, part_where, _PART_KEYS, _PART_KEYS)
@@ -640,8 +647,9 @@ def parse_json(text: str) -> FmedaTable:
             lam_sub = _expect_number(sd["lambda_fit"], where, "lambda_fit") \
                 if "lambda_fit" in sd else None
             mode = _expect_str(sd["fmd_mode"], where, "fmd_mode") if "fmd_mode" in sd else None
-            rows = tuple([_parse_json_row(fd, functools.partial(_at, (i, j, k))) for k, fd in
-                          enumerate(_expect_list(sd["failure_modes"], where, "failure_modes"))])
+            rows = tuple([_parse_json_row(fd, functools.partial(_at, (i, j, k)), sources)
+                          for k, fd in enumerate(
+                              _expect_list(sd["failure_modes"], where, "failure_modes"))])
             subs.append(Subpart(_expect_str(sd["name"], where, "name"), lam_sub, mode, rows))
         parts.append(Part(_expect_str(pd["name"], part_where, "name"), tuple(subs)))
 
@@ -656,7 +664,7 @@ _SUBPART_REQUIRED = {"name", "failure_modes"}
 _ROW_KEYS = {"id", "name", "dc_source", "safety_mechanisms", *_NUMBER_KEYS}
 
 
-def _parse_json_row(fd, where) -> FailureModeRow:
+def _parse_json_row(fd, where, sources: dict) -> FailureModeRow:
     """The row at where(None), read in one pass.
 
     A value that is what its key needs (a finite float, a str, a list of
@@ -684,7 +692,11 @@ def _parse_json_row(fd, where) -> FailureModeRow:
         else:  # raises on the first member that is not a str
             for n, s in enumerate(_expect_list(value, where, key)):
                 _expect_str(s, where, f"{key}[{n}]")
-    return _row(fields, where)
+    get = fields.get
+    return _row(get("id"), get("name"), get("lambda_fit"), get("sigma_lambda_fit"),
+                get("fmd_fraction"), get("sigma_fmd"), get("dc"), get("sigma_dc"),
+                get("dc_latent"), get("sigma_dc_latent"), get("dc_source"),
+                get("safety_mechanisms"), where, sources)
 
 
 def emit_json(table: FmedaTable) -> str:
@@ -704,7 +716,7 @@ def emit_json(table: FmedaTable) -> str:
             sd["failure_modes"] = [_row_doc(row, dist) for row in sub.failure_modes]
             subs.append(sd)
         doc["parts"].append({"name": part.name, "subparts": subs})
-    return _json_text(doc) + "\n"
+    return _json_text(doc, end="\n")
 
 
 # ---------------------------------------------------------------------------
@@ -722,7 +734,7 @@ def emit_result(result, format: str = "json") -> str:
         raise ValueError(f"unknown result format {format!r}; expected json, markdown or csv")
     doc = result.to_dict(columns=True)
     if format == "json":
-        return _json_text(doc) + "\n"
+        return _json_text(doc, end="\n")
     return _result_markdown(doc) if format == "markdown" else _result_csv(doc)
 
 

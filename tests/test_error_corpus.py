@@ -549,6 +549,17 @@ def _csv_cases():
         "fraction_sum": "P,T,,100,,,,,,,,\nP,T,A,,,0.25,0.9,,,,expert,\n"
                         "P,T,B,,,0.7,0.8,,,,expert,",
         "subpart_rate_mismatch": "P,S,,11,,,,,,,,",
+        # A cell repeated over rows: one faultsim cell and then a bad
+        # variant of it, one margin spelled two ways, and one sm_list cell,
+        # once with spaces around its ";".
+        "dc_source_repeated_then_bad": "\n".join(
+            [f"P,S,FM{i},20,2,,0.8,,0.5,,faultsim:e=0.01:cl=0.95,ECC" for i in range(1, 5)]
+            + ["P,S,FM5,20,2,,0.8,,0.5,,faultsim:e=x:cl=0.95,ECC"]),
+        "dc_source_two_spellings": "P,S,FM1,20,2,,0.8,,0.5,,faultsim:e=0.01:cl=0.95,\n"
+                                   "P,S,FM2,20,2,,0.8,,0.5,,faultsim:e=0.010:cl=0.95,",
+        "sm_list_repeated": "\n".join(
+            [f"P,S,FM{i},20,2,,0.8,0.01,0.5,,expert,SM1;SM2" for i in range(1, 5)]
+            + ["P,S,FM5,20,2,,0.8,0.01,0.5,,expert,SM1 ; SM2"]),
     }
     for name, row in rows.items():
         yield f"csv/{name}", f"{_CSV_HEADER}\n{_CSV_GOOD}\n{row}\n"

@@ -347,6 +347,51 @@ def test_json_first_mistake_in_document_order_is_the_error(repeated, bad_row, co
         assert str(err.value) == f"column {column!r}: repeated key {key!r}"
 
 
+# A rule error and a non-number, each in a record of _RECORDS' line 3 (FM2)
+# and line 5 (FM3, after a subpart-rate row).
+_BOTH_RATES_3 = "CPU,EXEC,FM2,50,5,0.5,0.99,0.001,0.5,0.01,expert,SM1;SM2"
+_WORD_DC_3 = "CPU,EXEC,FM2,50,5,,high,0.001,0.5,0.01,expert,SM1;SM2"
+_BOTH_RATES_5 = "MEM,ARR,FM3,50,0.01,0.6,0.9,,0,0,faultsim:e=0.01:cl=0.95,SM3"
+_WORD_DC_5 = "MEM,ARR,FM3,,0.01,0.6,high,,0,0,faultsim:e=0.01:cl=0.95,SM3"
+_ONE_RATE = "exactly one of lambda_fit and fmd_fraction must be set"
+
+
+# Edits of _RECORDS as (index, record, replace), applied in order, and the
+# ParseError's (message, line, column); None: the text parses, and its
+# FM2 row holds 1e308 for both lambda_fit and sigma_lambda_fit.
+@pytest.mark.parametrize("edits, expected", [
+    ([(1, _BOTH_RATES_3, True), (3, _WORD_DC_5, True)],
+     (f"line 3, column 'lambda_fit': {_ONE_RATE}", 3, "lambda_fit")),
+    ([(1, _WORD_DC_3, True), (3, _BOTH_RATES_5, True)],
+     ("line 3, column 'dc': not a number: 'high'", 3, "dc")),
+    ([(1, "CPU,EXEC,FM2,inf,5,,high,0.001,0.5,0.01,expert,", True)],
+     ("line 3, column 'lambda_fit': not a finite number: 'inf'", 3, "lambda_fit")),
+    ([(1, "CPU,EXEC,FM2,50,nan,,0.99,0.001,0.5,0.01x,expert,", True)],
+     ("line 3, column 'sigma_lambda_fit': not a finite number: 'nan'", 3, "sigma_lambda_fit")),
+    ([(1, "", False), (2, _WORD_DC_3, True)],
+     ("line 4, column 'dc': not a number: 'high'", 4, "dc")),
+    ([(1, "  ,\t, ", False), (2, _BOTH_RATES_3, True)],
+     (f"line 4, column 'lambda_fit': {_ONE_RATE}", 4, "lambda_fit")),
+    ([(3, _WORD_DC_5, True)], ("line 5, column 'dc': not a number: 'high'", 5, "dc")),
+    ([(3, _BOTH_RATES_5, True)], (f"line 5, column 'lambda_fit': {_ONE_RATE}", 5, "lambda_fit")),
+    ([(1, "CPU,EXEC,FM2,1e308,1e308,,0.99,0.001,0.5,0.01,expert,", True)], None),
+], ids=["rule_then_number", "number_then_rule", "non_finite_then_number",
+        "nan_then_number", "after_blank_line", "after_whitespace_record",
+        "number_after_rate_row", "rule_after_rate_row", "finite_cells_overflow_their_sum"])
+def test_csv_first_mistake_in_document_order_is_the_error(edits, expected):
+    records = list(_RECORDS)
+    for at, record, replace in edits:
+        records[at:at + replace] = [record]
+    text = HEADER + "\n" + "\n".join(records) + "\n"
+    if expected is None:
+        row = parse_csv(text).parts[0].subparts[0].failure_modes[1]
+        assert (row.id, row.lambda_fm, row.sigma_lambda_fm) == ("FM2", 1e308, 1e308)
+        return
+    with pytest.raises(ParseError) as err:
+        parse_csv(text)
+    assert (str(err.value), err.value.line, err.value.column) == expected
+
+
 @pytest.mark.parametrize("old, new", [
     ('"lambda_fit": 100', '"lambda_fit": {"a": 1, "a": 1}'),
     ('"dc_source": "expert"', '"dc_source": {"a": 1, "a": 1}'),
@@ -618,7 +663,7 @@ def test_writer_layout_matches_json_dumps():
     doc = {"b": [], "a": {}, "c": [{"z": None, "y": True, "x": False}, 3, -0.0],
            "\u00e9\n\"": "caf\u00e9\t\\", "d": (1.5, "x"),
            "e": collections.OrderedDict(b=[1.0], a={"y": 2.0})}
-    assert ingest._json_text(doc) + "\n" == _reference(doc)
+    assert ingest._json_text(doc, end="\n") == _reference(doc)
 
 
 _PINNED = [1e-05, -0.0, 2.0, 5e-324, 1e-310, 1e12, 1.5e13, 9.99999999999e15, 1e16,
@@ -698,7 +743,7 @@ def _long_object_arrays(draw):
 @example(objs=[{"a": f"s{i}"} for i in range(ingest._COLUMNS_MIN)] + [{"a": 7}])
 def test_object_arrays_equal_json_dumps(objs):
     for doc in (objs, {"rows": objs, "eii": tuple(objs)}):
-        assert ingest._json_text(doc) + "\n" == _reference(doc)
+        assert ingest._json_text(doc, end="\n") == _reference(doc)
 
 
 def _long_array(value, row: int = ingest._BLOCK + 10) -> list:
@@ -732,10 +777,10 @@ def _capture_documents(monkeypatch) -> list:
     captured = []
     real = ingest._json_text
 
-    def capture(obj, newline="\n"):
-        if newline == "\n":  # the document, not one of its members
+    def capture(obj, newline="\n", end=""):
+        if end == "\n":  # the document, with its final newline
             captured.append(obj)
-        return real(obj, newline)
+        return real(obj, newline, end)
 
     monkeypatch.setattr(ingest, "_json_text", capture)
     return captured
