@@ -30,14 +30,13 @@ Emission is deterministic: floats are serialized with 12 significant
 digits, JSON keys are sorted, and no timestamps are embedded, so equal
 inputs produce byte-identical documents.  Report percentages render at
 2 decimals.  The JSON writer writes an object key by key, in sorted
-key order.  An array of objects that all have the same keys it writes a
-column at a time (_object_texts): a Columns (the report's three tables)
-from its own columns, and a long array of such dicts (most subparts'
-failure modes) from the columns _column_texts takes out of them.  Each
-float column is one C-level %.12g (fmt12's format), whose tokens are
-checked at once for the few floats whose JSON token differs from it
-(integral values, exponents 12-15, subnormals, nan and the infinities);
-only those go through _float_token.
+key order, and an array member by member, except a Columns: the caller
+that builds an array of same-key objects (analysis.analyze, for the
+report's three tables) hands it over as one, and _object_texts writes
+it a column at a time.  Each float column is one C-level %.12g (fmt12's
+format), whose tokens are checked at once for the few floats whose JSON
+token differs from it (integral values, exponents 12-15, subnormals,
+nan and the infinities); only those go through _float_token.
 
 An analysis result has one document, AnalysisResult.to_dict().  The
 JSON report is that document; the markdown and CSV reports are views of
@@ -57,7 +56,6 @@ import io
 import itertools
 import json
 import math
-import operator
 import re
 
 from .model import (
@@ -136,11 +134,10 @@ def _json_text(obj, newline: str = "\n", end: str = "") -> str:
     newline, so the finished text is not copied once more to append it.
 
     An object is written key by key: its sorted keys, each with the text
-    of its value.  An array of at least _COLUMNS_MIN plain dicts that all
-    have the first one's keys (most subparts' failure modes) is written by
-    _column_texts, and a Columns (the report's rows, EII entries and EII
-    totals) from its own columns; all give the same text as the key-by-key
-    writer.  Each container joins its own pieces once, brackets included,
+    of its value.  A list or tuple is written member by member, and a
+    Columns (the report's rows, EII entries and EII totals) a column at a
+    time by _object_texts, which gives the text of the list of its
+    objects.  Each container joins its own pieces once, brackets included,
     so the pieces of one report row are freed once the row's text is built
     and a large member's text is not copied again by its container.
     """
@@ -170,14 +167,9 @@ def _json_text(obj, newline: str = "\n", end: str = "") -> str:
             return "[]" + end
         inner = newline + "  "
         if type(obj) is Columns:
-            items = _object_texts(obj.blocks(_BLOCK), inner)
+            items = _object_texts(obj, inner)
         else:
-            keys = obj[0].keys() if type(obj[0]) is dict else None
-            if len(obj) >= _COLUMNS_MIN and keys \
-                    and all([type(o) is dict and o.keys() == keys for o in obj]):
-                items = _column_texts(obj, inner)
-            else:
-                items = [_json_text(item, inner) for item in obj]
+            items = [_json_text(item, inner) for item in obj]
         items[0] = "[" + inner + items[0]
         items[-1] += newline + "]" + end
         return ("," + inner).join(items)
@@ -199,13 +191,7 @@ def _heads(keys: tuple, inner: str) -> tuple[tuple, tuple[str, ...]]:
     return tuple(keys), tuple(heads)
 
 
-# Measured on the report's rows and EII entries and a table's failure
-# modes, the column path is faster than the key-by-key writer from 3
-# members on (1.1-1.3 times at 3 to 6, 1.7-2.5 times at 8), and blocks of
-# 128 to 20000 members run at one speed.  A gate of 3 or 4 gained nothing
-# on portfolio(7)'s tables and reports, which hold few such arrays of 3
-# to 7 members, so it stays at 8.
-_COLUMNS_MIN = 8
+# _object_texts formats this many objects at a time.
 _BLOCK = 256
 
 
@@ -215,8 +201,8 @@ class Columns:
     sequence of its values, one per object.
 
     The JSON writer writes it as the array of those objects straight from
-    the columns, as _column_texts writes an array of such dicts; objects()
-    builds the dicts.  Read the columns, do not change them.
+    the columns (_object_texts); objects() builds the dicts.  Read the
+    columns, do not change them.
     """
 
     __slots__ = ("columns",)
@@ -234,25 +220,10 @@ class Columns:
         keys = tuple(self.columns)
         return tuple([dict(zip(keys, values)) for values in zip(*self.columns.values())])
 
-    def blocks(self, size: int):
-        """The columns of each run of size objects, as a dict like columns."""
-        for start in range(0, len(self), size):
-            yield {key: values[start:start + size] for key, values in self.columns.items()}
 
-
-def _column_texts(objs, newline: str) -> list[str]:
-    """The texts of plain dicts that all have the first one's keys: their
-    columns, taken _BLOCK members at a time, through _object_texts."""
-    keys = tuple(objs[0])
-    blocks = (objs[start:start + _BLOCK] for start in range(0, len(objs), _BLOCK))
-    return _object_texts(({key: tuple(map(operator.itemgetter(key), block)) for key in keys}
-                          for block in blocks), newline)
-
-
-def _object_texts(blocks, newline: str) -> list[str]:
-    """The texts of objects, a column at a time: blocks yields, for each
-    run of objects, a dict that maps each key, in one key order, to the
-    sequence of its values.
+def _object_texts(objs: Columns, newline: str) -> list[str]:
+    """The text of each object of objs, a column at a time, _BLOCK
+    objects at a time.
 
     An all-float column is formatted by one %.12g over the whole column.
     A token is _float_token's when it has a "." (an integral value, an
@@ -263,19 +234,19 @@ def _object_texts(blocks, newline: str) -> list[str]:
     each token checked, and each failing one replaced by _float_token,
     which raises ValueError on nan and the infinities.  An all-str column
     is mapped through the JSON string encoder, and any other column
-    through _json_text.  Each member's text is one join of the heads, its
+    through _json_text.  Each object's text is one join of the heads, its
     tokens and the tail: joined rather than %-formatted, since %
     over-allocates each text and then shrinks it, and the holes that
     leaves raised the peak RSS of a 10^4-row report.
     """
     inner = newline + "  "
     tail = newline + "}"
+    keys, heads = _heads(tuple(objs.columns), inner)
     texts = []
-    for block in blocks:
-        keys, heads = _heads(tuple(block), inner)
+    for start in range(0, len(objs), _BLOCK):
         columns = []
         for head, key in zip(heads, keys):
-            column = tuple(block[key])
+            column = tuple(objs.columns[key][start:start + _BLOCK])
             types = set(map(type, column))
             if types == {float}:
                 text = ("%.12g," * len(column))[:-1] % column

@@ -42,6 +42,7 @@ LAMBDA_MATCH_RTOL = 1e-9
 # but not read back.  The reader leaves that process-wide limit as it is.
 _CELL_MAX = 131_072
 _CELL_RULE = f"must be at most {_CELL_MAX} characters, the CSV reader's field limit"
+_UTF8_RULE = "must be text that UTF-8 can encode, with no lone surrogate"
 
 DIRECT_LAMBDA = "DirectLambda"
 DISTRIBUTION = "Distribution"
@@ -330,15 +331,17 @@ def _walk(table: FmedaTable) -> tuple[list[Violation], TableArrays | None]:
     unless there are no violations.
 
     A row whose numbers are all floats within their ranges, whose id is a
-    new non-empty str, whose name and safety mechanisms are strs and whose
-    source is EXPERT_JUDGMENT or a valid fault-simulation campaign breaks
-    no rule: one chain of comparisons accepts it, and only its values are
-    kept.  Every other row goes through _row_rules, the only producer of
-    row Violations.  A part, subpart or row of the wrong type is a
-    Violation, and so is a part or subpart name, a row id or a
+    new non-empty str, whose name and safety mechanisms are strs, whose
+    texts UTF-8 can encode (str.isascii() passes nearly all of them at
+    once) and whose source is EXPERT_JUDGMENT or a valid fault-simulation
+    campaign breaks no rule: one chain of comparisons accepts it, and only
+    its values are kept.  Every other row goes through _row_rules, the only
+    producer of row Violations.  A part, subpart or row of the wrong type
+    is a Violation, and so is a part or subpart name, a row id or a
     safety-mechanism cell that a CSV cell would not read back as itself
-    (see _name), so every valid table can be written in both file formats
-    and read back.
+    (see _name), and a name, id or safety mechanism that UTF-8 cannot
+    encode (text.utf8), so every valid table can be written in both file
+    formats, and its reports to a UTF-8 stream, and read back.
     """
     out: list[Violation] = []
     # Every id in table order, mapped to the location of the subpart that
@@ -421,9 +424,11 @@ def _walk(table: FmedaTable) -> tuple[list[Violation], TableArrays | None]:
                         and type(s_lat) is float and 0.0 <= s_lat < _INF
                         and type(rid) is str and rid and rid not in seen_ids
                         and rid == rid.strip() and len(rid) <= _CELL_MAX
-                        and type(row.name) is str
+                        and (rid.isascii() or _utf8(rid))
+                        and type(row.name) is str and (row.name.isascii() or _utf8(row.name))
                         and (not sms or (all([type(s) is str for s in sms])
-                                         and len(";".join(sms)) <= _CELL_MAX))
+                                         and len(cell := ";".join(sms)) <= _CELL_MAX
+                                         and (cell.isascii() or _utf8(cell))))
                         and (src is EXPERT_JUDGMENT or (
                             type(src) is DcSource and src.kind == FAULT_SIMULATION
                             and type(src.margin_e) is float and 0.0 < src.margin_e < 1.0
@@ -449,8 +454,7 @@ def _walk(table: FmedaTable) -> tuple[list[Violation], TableArrays | None]:
                         row_sum += rate
                 values.extend((rate, sigma_rate, dc, sigma_dc, lat, s_lat))
 
-            if dist and fmd_complete and sub.failure_modes \
-                    and abs(fmd_sum - 1.0) > FMD_SUM_TOL:
+            if dist and fmd_complete and abs(fmd_sum - 1.0) > FMD_SUM_TOL:
                 bad(sub_loc, "fmd_fraction", "fmd.sum", fmd_sum,
                     f"FMD fractions must sum to 1 within {FMD_SUM_TOL}")
 
@@ -482,12 +486,26 @@ def _walk(table: FmedaTable) -> tuple[list[Violation], TableArrays | None]:
     return out, TableArrays(tuple(seen_ids), *columns, lambda_tot=total)
 
 
+def _utf8(text: str) -> bool:
+    """True iff UTF-8 can encode text: it holds no lone surrogate, such as
+    a JSON string's "\\ud800" escape gives."""
+    if text.isascii():
+        return True
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _step(x: object) -> str:
     """x as a step of a location: a str as itself, cut to its first 16
-    characters and "[...]" past the cell limit; anything else by its repr."""
+    characters and "[...]" past the cell limit; anything else, and a str
+    that UTF-8 cannot encode, by its repr."""
     if not isinstance(x, str):
         return _repr(x)
-    return x if len(x) <= _CELL_MAX else x[:16] + "[...]"
+    step = x if len(x) <= _CELL_MAX else x[:16] + "[...]"
+    return step if _utf8(step) else _repr(step)
 
 
 def _name(name: object, what: str, prefix: str, seen: set, bad) -> str:
@@ -496,9 +514,10 @@ def _name(name: object, what: str, prefix: str, seen: set, bad) -> str:
     The CSV reader strips every cell and groups rows by part and subpart
     name, so a name must be a non-empty str with no whitespace at either
     end (else name.str, and the location shows its repr), fit in a CSV
-    field (else cell.length, and the location shows its start) and be new
-    among the names in seen (else name.duplicate), each a Violation at
-    prefix.  Row ids follow the same cell rules in _row_rules.
+    field (else cell.length, and the location shows its start), be text
+    that UTF-8 can encode (else text.utf8, and the location shows its
+    repr) and be new among the names in seen (else name.duplicate), each
+    a Violation at prefix.  Row ids follow the same rules in _row_rules.
     """
     if not (isinstance(name, str) and name and name == name.strip()):
         step = _repr(name)
@@ -507,6 +526,9 @@ def _name(name: object, what: str, prefix: str, seen: set, bad) -> str:
     elif len(name) > _CELL_MAX:
         step = _step(name)
         bad(prefix + step, "name", "cell.length", len(name), f"{what} name {_CELL_RULE}")
+    elif not _utf8(name):
+        step = _step(name)
+        bad(prefix + step, "name", "text.utf8", name, f"{what} name {_UTF8_RULE}")
     else:
         step = name
         if name in seen:
@@ -534,6 +556,8 @@ def _row_rules(row: FailureModeRow, sub_loc: str, dist: bool, scale, seen_ids: d
         bad(loc, "id", "id.str", row.id, "row id must be a str with no whitespace at either end")
     elif len(row.id) > _CELL_MAX:
         bad(loc, "id", "cell.length", len(row.id), f"row id {_CELL_RULE}")
+    elif not _utf8(row.id):
+        bad(loc, "id", "text.utf8", row.id, f"row id {_UTF8_RULE}")
     elif row.id in seen_ids:
         bad(loc, "id", "table.duplicate_id", row.id,
             f"id already used at {seen_ids[row.id]}/{row.id}")
@@ -541,12 +565,17 @@ def _row_rules(row: FailureModeRow, sub_loc: str, dist: bool, scale, seen_ids: d
         seen_ids[row.id] = sub_loc
     if not isinstance(row.name, str) and row.name is not row.id:  # a name "" is the id
         bad(loc, "name", "name.str", row.name, "row name must be a str")
+    elif isinstance(row.name, str) and row.name != row.id and not _utf8(row.name):
+        bad(loc, "name", "text.utf8", row.name, f"row name {_UTF8_RULE}")
     if not all([isinstance(s, str) for s in row.safety_mechanisms]):
         bad(loc, "safety_mechanisms", "safety_mechanisms.str", row.safety_mechanisms,
             "each safety mechanism must be a str")
     elif len(cell := ";".join(row.safety_mechanisms)) > _CELL_MAX:
         bad(loc, "safety_mechanisms", "cell.length", len(cell),
             f"the safety mechanisms joined by ';' {_CELL_RULE}")
+    elif not _utf8(cell):
+        bad(loc, "safety_mechanisms", "text.utf8", row.safety_mechanisms,
+            f"each safety mechanism {_UTF8_RULE}")
 
     if not dist:
         rate, sigma_rate = row.lambda_fm, row.sigma_lambda_fm

@@ -3,9 +3,13 @@
 import contextlib
 import dataclasses
 import io
+import json
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -297,6 +301,48 @@ def test_non_utf8_file_is_an_input_error(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert "not UTF-8" in err
+
+
+def test_empty_distribution_subpart_is_an_input_error(tmp_path, capsys):
+    # Its FMD fractions sum to 0, not 1; accepted, its 50 FIT would be left
+    # out of lambda_tot, and its CSV would not read back.
+    doc = json.loads(emit_json(two_fm_table()))
+    doc["parts"][0]["subparts"].append(
+        {"name": "DIST", "fmd_mode": "Distribution", "lambda_fit": 50.0, "failure_modes": []})
+    path = _write(tmp_path, "table.json", json.dumps(doc))
+    code, out, err = run(capsys, ["analyze", "--input", path, "--asil", "B"])
+    assert (code, out) == (1, "")
+    assert "[fmd.sum] CPU/DIST.fmd_fraction" in err
+
+
+def _one_part_json(part: str) -> str:
+    """A JSON table of one row in a part of this name, written as
+    json.dumps escapes it (a lone surrogate as "\\ud800")."""
+    return json.dumps({"version": "fmeda-uq/1", "parts": [{"name": part, "subparts": [
+        {"name": "EXEC", "failure_modes": [
+            {"id": "FM1", "lambda_fit": 10.0, "dc": 0.9, "dc_source": "expert"}]}]}]})
+
+
+@pytest.mark.parametrize("fmt", ["json", "markdown", "csv"])
+def test_reports_reach_a_strict_utf8_stdout(fmt, tmp_path):
+    # capsys and StringIO take any str, surrogates included, so the command
+    # runs in a child whose stdout is a pipe that encodes strictly as UTF-8,
+    # as a file or a terminal does.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONIOENCODING="utf-8:strict")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    for part, expected in (("CPU\ud800", 1), ("CPU \u00e9\U0001f600", 0)):
+        path = _write(tmp_path, "table.json", _one_part_json(part))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fmeda_uq.cli", "analyze", "--input", path, "--format", fmt],
+            env=env, capture_output=True, timeout=120)
+        assert proc.returncode == expected, proc.stderr.decode("utf-8", "replace")
+        assert b"Traceback" not in proc.stderr
+        if expected:
+            assert proc.stdout == b""
+            assert b"[text.utf8] 'CPU\\ud800'.name" in proc.stderr
+        else:
+            assert part in proc.stdout.decode("utf-8") or fmt == "json"
 
 
 def test_sample_size_worked_example(capsys):

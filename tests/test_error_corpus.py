@@ -180,6 +180,9 @@ def _distribution_cases():
     yield "dist/mode_unknown", dist([_row("A")], lam=None, mode="Bogus")
     yield "dist/mode_unknown_with_fraction", dist([dict(id="A", fmd_fraction=1.0, dc=0.9)],
                                                   mode="Bogus")
+    # A Distribution subpart without rows: its fractions sum to 0, not 1.
+    for lam in (50.0, 0.0, None):
+        yield f"dist/no_rows/{lam}", dist([], lam=lam, mode="Distribution")
 
 
 def _subpart_rate_cases():
@@ -243,6 +246,19 @@ def _structure_cases():
                       ("bytes", (b"SM1",)), ("empty_str", ("",))):
         yield f"safety_mechanisms/{name}", lambda sms=sms: _one_part(
             [_row("A"), _row("B", safety_mechanisms=sms)])
+    # Text that UTF-8 cannot encode (a lone surrogate, as a JSON "\ud800"
+    # escape gives), and text that it can, outside the BMP too.
+    for tag, text in (("lone_surrogate", "X\ud800"), ("lone_low_surrogate", "\udc80X"),
+                      ("astral", "X\U0001f600\u00e9")):
+        yield f"utf8/part_{tag}", lambda text=text: _parts((text, [("S", [_row("A")], None)]))
+        yield f"utf8/subpart_{tag}", lambda text=text: _parts(("P", [(text, [_row("A")], None)]))
+        yield f"utf8/row_id_{tag}", lambda text=text: _one_part([_row("A"), _row(text)])
+        yield f"utf8/row_name_{tag}", lambda text=text: _one_part(
+            [_row("A"), _row("B", name=text)])
+        yield f"utf8/safety_mechanisms_{tag}", lambda text=text: _one_part(
+            [_row("A"), _row("B", safety_mechanisms=("SM1", text))])
+    yield "utf8/every_text", lambda: _parts(("P\ud800", [("S\ud800", [
+        _row("A\ud800", name="N\ud800", safety_mechanisms=("SM\ud800",), dc=2.0)], None)]))
 
 
 # The CSV reader's default field limit, csv.field_size_limit(): a cell of
@@ -359,6 +375,10 @@ def _json_cases():
         "negative_sigma": dict(_GOOD_ROW, sigma_dc=-0.01),
         "duplicate_id": dict(_GOOD_ROW, id="FM0"),
         "empty_id": dict(_GOOD_ROW, id=""),
+        "id_lone_surrogate": dict(_GOOD_ROW, id="FM\ud800"),
+        "name_lone_surrogate": dict(_GOOD_ROW, name="first\udfff"),
+        "sm_lone_surrogate": dict(_GOOD_ROW, safety_mechanisms=["SM1", "\ud800"]),
+        "id_surrogate_pair": dict(_GOOD_ROW, id="FM\U0001f600"),
     }
     for name, row in rows.items():
         yield f"json/{name}", _json_doc(json.dumps(row))
@@ -549,6 +569,9 @@ def _csv_cases():
         "fraction_sum": "P,T,,100,,,,,,,,\nP,T,A,,,0.25,0.9,,,,expert,\n"
                         "P,T,B,,,0.7,0.8,,,,expert,",
         "subpart_rate_mismatch": "P,S,,11,,,,,,,,",
+        # Text that no UTF-8 file holds, as a caller may still pass it.
+        "id_lone_surrogate": "P,S,FM\ud800,20,2,,0.8,0.01,0.5,,expert,",
+        "part_lone_surrogate": "P\ud800,S,FM1,20,2,,0.8,0.01,0.5,,expert,",
         # A cell repeated over rows: one faultsim cell and then a bad
         # variant of it, one margin spelled two ways, and one sm_list cell,
         # once with spaces around its ";".
@@ -640,25 +663,28 @@ def _valid_tables():
 
 
 def test_every_table_that_validates_is_written_and_read_back():
-    # validate() never raises, and what it accepts every emitter writes
-    # and both readers read back with the same part and subpart names and
-    # row ids; JSON also with the same row names and safety mechanisms,
-    # which CSV does not hold as they are (it has no row name column, and
-    # splits the safety mechanisms' cell at ";" and strips each).  analyze
-    # itself may still reject a propagated sigma that overflows.
+    # validate() never raises, and what it accepts every emitter writes,
+    # as text that UTF-8 encodes, and both readers read back with the same
+    # part and subpart names and row ids; JSON also with the same row names
+    # and safety mechanisms, which CSV does not hold as they are (it has no
+    # row name column, and splits the safety mechanisms' cell at ";" and
+    # strips each).  analyze itself may still reject a propagated sigma
+    # that overflows.
     valid = 0
     for name, table in _valid_tables():
         valid += 1
         row = attrgetter("id", "name", "safety_mechanisms")
-        assert _outline(parse_json(emit_json(table)), row) == _outline(table, row), name
-        assert _outline(parse_csv(emit_csv(table))) == _outline(table), name
+        json_text, csv_text = emit_json(table), emit_csv(table)
+        assert _outline(parse_json(json_text), row) == _outline(table, row), name
+        assert _outline(parse_csv(csv_text)) == _outline(table), name
+        csv_text.encode("utf-8")
         try:
             result = analyze(table)
         except FmedaValidationError as err:
             assert {v.rule for v in err.violations} == {"table.sigma_finite"}, name
             continue
         for fmt in ("json", "markdown", "csv"):
-            assert emit_result(result, fmt), name
+            assert emit_result(result, fmt).encode("utf-8"), name
     assert valid > 100
 
 

@@ -693,6 +693,24 @@ def _object_arrays(draw, mixed: bool):
     return [draw(same)] + draw(st.lists(st.one_of(same, other), max_size=6))
 
 
+def _columns(objs: list) -> ingest.Columns | None:
+    """objs as a Columns, if they are dicts that all have the first one's keys."""
+    if objs and all([type(o) is dict and o.keys() == objs[0].keys() for o in objs]):
+        return ingest.Columns({key: [o[key] for o in objs] for key in objs[0]})
+    return None
+
+
+def _arrays(objs: list) -> list:
+    """The forms of one array that the writer takes: the list, and its
+    Columns when it has one."""
+    columns = _columns(objs)
+    return [objs] if columns is None else [objs, columns]
+
+
+# Array sizes around the column writer's block boundaries: one block, just
+# under and over one boundary, and over two.
+_SIZES = [1, 7, ingest._BLOCK - 1, ingest._BLOCK, ingest._BLOCK + 1, 2 * ingest._BLOCK + 7]
+
 # Floats whose %.12g token is not their JSON token: integral values
 # (123.0000000000001 rounds to "123", 1e11 is "100000000000"), the exponents
 # 12-15, exponents written without a "." (1e-05, 1e+16) and subnormals; and
@@ -706,15 +724,15 @@ _COLUMN_MIXINS = [7, None, np.float64(0.25), np.float64(1e13), "s", True, [1.5],
 
 @st.composite
 def _long_object_arrays(draw):
-    """Arrays past the column gate and past one block, triggers at random rows.
+    """Arrays of one member to past two blocks of the column writer,
+    triggers at random rows.
 
     Each key holds floats, strs, or floats mixed with other values, with
     one planted value, often alone, and a few more at drawn rows; now and
     then a member with other keys or no object at all breaks the array's
-    key set, which sends each member to the key-by-key writer.
+    key set, so that the array has no Columns form.
     """
-    n = draw(st.sampled_from([ingest._COLUMNS_MIN, ingest._BLOCK - 1, ingest._BLOCK + 1,
-                              2 * ingest._BLOCK + ingest._COLUMNS_MIN - 1]))
+    n = draw(st.sampled_from(_SIZES))
     keys = draw(_KEYS)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     objs = [{} for _ in range(n)]
@@ -731,23 +749,27 @@ def _long_object_arrays(draw):
             column[row] = value
         for obj, value in zip(objs, column):
             obj[key] = value
-    for row, other in draw(st.lists(st.tuples(st.integers(1, n - 1), st.sampled_from(
-            [{"other": 1.0}, 2.5, None, "x"])), max_size=2)):
-        objs[row] = other
+    if n > 1:
+        for row, other in draw(st.lists(st.tuples(st.integers(1, n - 1), st.sampled_from(
+                [{"other": 1.0}, 2.5, None, "x"])), max_size=2)):
+            objs[row] = other
     return objs
 
 
 @settings(settings.get_profile("fuzz"), max_examples=200)
 @given(objs=st.one_of(_object_arrays(mixed=False), _object_arrays(mixed=True),
                       _long_object_arrays()))
-@example(objs=[{"a": f"s{i}"} for i in range(ingest._COLUMNS_MIN)] + [{"a": 7}])
+@example(objs=[{"a": f"s{i}"} for i in range(8)] + [{"a": 7}])
 def test_object_arrays_equal_json_dumps(objs):
-    for doc in (objs, {"rows": objs, "eii": tuple(objs)}):
-        assert ingest._json_text(doc, end="\n") == _reference(doc)
+    expected = _reference(objs)
+    for array in _arrays(objs):
+        assert ingest._json_text(array, end="\n") == expected
+        doc = {"rows": array, "eii": tuple(objs)}
+        assert ingest._json_text(doc, end="\n") == _reference({"rows": objs, "eii": objs})
 
 
 def _long_array(value, row: int = ingest._BLOCK + 10) -> list:
-    """An array on the column path, value at row under key "b"."""
+    """An array of same-key objects past one block, value at row under key "b"."""
     objs = [{"a": float(i) + 0.5, "b": {"c": 0.5}} for i in range(ingest._BLOCK + 20)]
     objs[row]["b"] = value
     return objs
@@ -759,8 +781,10 @@ def test_non_finite_floats_in_an_object_array_are_rejected(x):
     long[ingest._BLOCK + 10]["a"] = x
     for objs in ([{"a": x, "b": "s"}], [{"a": 1.0, "b": "s"}, {"a": x, "b": "s"}],
                  [{"a": 1.0}, {"a": [x]}], long, _long_array([x])):
-        with pytest.raises(ValueError):
-            ingest._json_text(objs)
+        assert _columns(objs) is not None
+        for array in _arrays(objs):
+            with pytest.raises(ValueError):
+                ingest._json_text(array)
 
 
 def test_non_str_keys_in_an_object_array_are_rejected():
@@ -768,8 +792,9 @@ def test_non_str_keys_in_an_object_array_are_rejected():
     long[ingest._BLOCK + 10] = {1: 2.0}
     for objs in ([{1: 2.0}, {1: 3.0}], [{"a": 1.0}, {1: 2.0}], [{"a": 1.0}, {"a": {1: 2.0}}],
                  [{1: 2.0}] * len(long), long, _long_array({1: 2.0}), _long_array({2: 1.0}, 3)):
-        with pytest.raises(TypeError):
-            ingest._json_text(objs)
+        for array in _arrays(objs):
+            with pytest.raises(TypeError):
+                ingest._json_text(array)
 
 
 def _capture_documents(monkeypatch) -> list:
@@ -788,8 +813,8 @@ def _capture_documents(monkeypatch) -> list:
 
 def test_documents_equal_json_dumps_on_the_acceptance_corpus(monkeypatch):
     captured = _capture_documents(monkeypatch)
-    # One table of more rows than two blocks of the column path, so that
-    # its report rows, EII entries and failure modes cross block boundaries.
+    # One table of more rows than two blocks of the column writer, so that
+    # its report rows and EII entries cross block boundaries.
     multi_block = random_table(np.random.default_rng(17), n_fm=2 * ingest._BLOCK + 88,
                                sigma_dc_latent_max=0.02)
     for name, table, _ in fixture_corpus() + [("multi_block", multi_block, True)]:
@@ -805,14 +830,14 @@ def test_documents_equal_json_dumps_on_the_acceptance_corpus(monkeypatch):
 def _alternating_keys_table() -> FmedaTable:
     """Subparts of 8 to 13 rows whose optional keys alternate, as in the
     benchmark's SoC table: a name on every other row, safety mechanisms on
-    every third.  Each such array of failure modes has members of several
-    key sets, so each member is written key by key."""
+    every third, so each array of failure modes has members of four key
+    sets."""
     rng = np.random.default_rng(23)
     parts = []
     for p in range(3):
         subs = []
         for s in range(4):
-            n = ingest._COLUMNS_MIN + s + p
+            n = 8 + s + p
             dist = s == 3
             rows = []
             for i in range(n):
@@ -842,7 +867,7 @@ def test_objects_with_alternating_keys_equal_json_dumps(monkeypatch):
     for part in captured[0]["parts"]:
         for sub in part["subparts"]:
             rows = sub["failure_modes"]
-            assert len(rows) >= ingest._COLUMNS_MIN
+            assert len(rows) >= 8
             assert len({frozenset(row) for row in rows}) == 4
     result = analyze(table)
     assert emit_result(result, "json") == _reference(result.to_dict())

@@ -1,5 +1,6 @@
 """Propagated sigmas: closed forms, decomposition, gradients, intervals."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -7,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fmeda_uq import PropagationMode, analyze, confidence_interval
+from fmeda_uq import (EXPERT_JUDGMENT, DcSource, FailureModeRow, FmedaTable, Part,
+                      PropagationMode, Subpart, analyze, confidence_interval, margin_to_sigma)
+from fmeda_uq.metrics import FAIL, PASS_FRAGILE, PASS_ROBUST
 from fmeda_uq.model import table_arrays
 from fmeda_uq.uncertainty import _propagate
 from conftest import make_table, random_table, two_fm_table
@@ -82,6 +85,115 @@ def test_scale_invariance(rng):
                 analyze(table, mode=mode).sigma_spfm, rel=1e-12)
         assert analyze(scaled).sigma_lfm == pytest.approx(analyze(table).sigma_lfm,
                                                           rel=1e-12)
+
+
+_RATE = st.floats(1e-6, 1e6)
+_FRACTION = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(1e-3, 1.0), st.floats(0.95, 1.0))
+_SIGMA = st.one_of(st.just(0.0), st.floats(1e-6, 0.05))
+_SOURCES = [EXPERT_JUDGMENT, DcSource.fault_simulation(0.02, 0.95),
+            DcSource.fault_simulation(0.05, 0.99)]
+
+
+@st.composite
+def _tables(draw):
+    """Tables of one to three subparts of one to four rows, DirectLambda or
+    Distribution, with expert and fault-simulation rows.  Each rate and
+    rate sigma is 0 or within [1e-6, 1e6], so it stays a normal float when
+    scaled by 2**k for |k| <= 200, and so do their sums; each coverage is
+    0 or at least 1e-3, so the kernel's products of coverages and weights
+    stay normal too."""
+    subs = []
+    for s in range(draw(st.integers(1, 3))):
+        dist = draw(st.booleans())
+        weights = draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=4))
+        rows = []
+        for weight in weights:
+            fields = dict(id=f"S{s}R{len(rows)}", dc=draw(_FRACTION), sigma_dc=draw(_SIGMA),
+                          dc_latent=draw(_FRACTION), sigma_dc_latent=draw(_SIGMA),
+                          dc_source=draw(st.sampled_from(_SOURCES)))
+            if dist:
+                fields.update(fmd_fraction=weight / sum(weights), sigma_fmd=draw(_SIGMA))
+            else:
+                lam = draw(_RATE)
+                fields.update(lambda_fm=lam, sigma_lambda_fm=lam * draw(
+                    st.one_of(st.just(0.0), st.floats(1e-6, 0.5))))
+            rows.append(FailureModeRow(**fields))
+        subs.append(Subpart(f"S{s}", draw(_RATE) if dist else None, None, tuple(rows)))
+    return FmedaTable((Part("P", tuple(subs)),))
+
+
+def _scaled(table: FmedaTable, factor: float) -> FmedaTable:
+    """table with every rate and rate sigma times factor: each row's
+    lambda_fm and sigma_lambda_fm and each subpart rate."""
+    def row(r):
+        if r.lambda_fm is None:
+            return r
+        return replace(r, lambda_fm=r.lambda_fm * factor,
+                       sigma_lambda_fm=r.sigma_lambda_fm * factor)
+    return FmedaTable(tuple(Part(p.name, tuple(
+        Subpart(s.name, None if s.lambda_subpart is None else s.lambda_subpart * factor,
+                s.fmd_mode, tuple(map(row, s.failure_modes)))
+        for s in p.subparts)) for p in table.parts))
+
+
+_TARGETS = (None, "A", "B", "C", "D")
+
+
+@settings(settings.get_profile("fuzz"), max_examples=100)
+@given(table=_tables(), k=st.integers(-200, 200))
+def test_power_of_two_scaling_changes_no_bit(table, k):
+    # The kernel works on lambda_i/lambda_tot, and a power-of-two factor
+    # changes no rounding while every rate, sigma and sum stays normal: each
+    # metric, sigma, interval, EII share and verdict is the same float, and
+    # the report's rates are the old ones times the factor, exactly.
+    factor = 2.0 ** k
+    scaled = _scaled(table, factor)
+    for target in _TARGETS:
+        for mode in PropagationMode:
+            docs = []
+            for t, f in ((table, 1.0), (scaled, factor)):
+                doc = analyze(t, asil_target=target, mode=mode).to_dict()
+                doc["lambda_tot_fit"] /= f
+                for r in doc["rows"]:
+                    r["lambda_fm_fit"] /= f
+                    r["sigma_lambda_fm_fit"] /= f
+                docs.append(json.dumps(doc, sort_keys=True))
+            assert docs[0] == docs[1], (target, mode)
+
+
+_RANK = {PASS_ROBUST: 0, PASS_FRAGILE: 1, FAIL: 2}
+
+
+@settings(settings.get_profile("fuzz"), max_examples=100)
+@given(table=_tables(), data=st.data())
+def test_raising_one_input_sigma_never_improves_a_verdict(table, data):
+    # A fault-simulation row with sigma_dc 0 has the sigma e/t; a stated
+    # sigma_dc replaces it, so raising it starts from e/t.
+    located = [(i, j) for i, sub in enumerate(table.parts[0].subparts)
+               for j in range(len(sub.failure_modes))]
+    i, j = data.draw(st.sampled_from(located))
+    subs = list(table.parts[0].subparts)
+    row = subs[i].failure_modes[j]
+    rate_sigma = "sigma_lambda_fm" if row.lambda_fm is not None else "sigma_fmd"
+    field = data.draw(st.sampled_from([rate_sigma, "sigma_dc", "sigma_dc_latent"]))
+    old = getattr(row, field)
+    if field == "sigma_dc" and old == 0.0 and row.dc_source.is_fault_simulation:
+        old = margin_to_sigma(row.dc_source.margin_e, row.dc_source.confidence_level)
+    step = data.draw(st.floats(1e-9, 0.1))
+    raised = old + (step * row.lambda_fm if field == "sigma_lambda_fm" else step)
+    rows = list(subs[i].failure_modes)
+    rows[j] = replace(row, **{field: raised})
+    subs[i] = replace(subs[i], failure_modes=tuple(rows))
+    bumped = FmedaTable((Part("P", tuple(subs)),))
+    for target in _TARGETS[1:]:
+        for mode in PropagationMode:
+            before = analyze(table, asil_target=target, mode=mode).verdict
+            after = analyze(bumped, asil_target=target, mode=mode).verdict
+            for name in ("spfm", "lfm", "overall"):
+                a, b = getattr(before, name), getattr(after, name)
+                assert (a is None) == (b is None), (target, mode, name)
+                if a is not None:
+                    assert _RANK[b] >= _RANK[a], (target, mode, name, a, b)
 
 
 def test_sigma_spfm_monotone_in_each_sigma(rng):
