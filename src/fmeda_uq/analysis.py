@@ -18,10 +18,14 @@ each, straight from the kernel's arrays and one pass over the rows; the
 emitters write them from those columns.  Each table's JSON objects (keys
 "part", "failure_mode", "lambda_fm_fit", ...) are built on first access
 of AnalysisResult.rows, .eii_entries or .eii_totals, once, and to_dict()
-shares them.  A row's lambda_fm_fit, sigma_lambda_fm_fit and sigma_dc are
-read off the arrays: a Distribution row's rate is derived from its FMD
-fraction, and a sampled fault-injection campaign's DC gets sigma_dc = e/t
-unless it states one.
+shares them.  A row's numbers are read off the arrays, a column at a
+time: lambda_fm_fit, sigma_lambda_fm_fit and sigma_dc because the walk
+derives them (a Distribution row's rate is derived from its FMD fraction,
+and a sampled fault-injection campaign's DC gets sigma_dc = e/t unless it
+states one), and dc, dc_latent and sigma_dc_latent because the arrays
+hold the rows' own values, as floats, so no row is visited for them.  Only the part,
+subpart and row names are read off the table, once per subpart for the
+first two.
 
 LFM can be legitimately undefined (a table where every fault is residual
 has no detected pool); the result then carries lfm=None with a note
@@ -38,7 +42,7 @@ from dataclasses import dataclass
 from .eii import NO_UNCERTAINTY_NOTE, _entries
 from .ingest import FORMAT_VERSION, Columns
 from .metrics import AsilVerdict, asil_verdict
-from .model import FmedaTable, FmedaValidationError, Violation, cutoff, iter_rows, table_arrays
+from .model import FmedaTable, FmedaValidationError, Violation, cutoff, table_arrays
 from .uncertainty import Interval, PropagationMode, _propagate, confidence_interval
 
 
@@ -176,9 +180,13 @@ def analyze(
         verdict = asil_verdict(target, spfm=prop.spfm, sigma_spfm=sigma_spfm[mode],
                                lfm=prop.lfm, sigma_lfm=prop.sigma_lfm, k=k)
 
-    parts, subparts, names, dcs, lats, sigma_lats = zip(*[
-        (part.name, sub.name, row.name, row.dc, row.dc_latent, row.sigma_dc_latent)
-        for part, sub, row in iter_rows(table)])
+    parts, subparts, names = [], [], []
+    for part in table.parts:
+        for sub in part.subparts:
+            fms = sub.failure_modes
+            parts += [part.name] * len(fms)
+            subparts += [sub.name] * len(fms)
+            names += [row.name for row in fms]
     total = percents[:, 0] + percents[:, 1]
     rows = {
         "part": parts,
@@ -187,10 +195,10 @@ def analyze(
         "name": names,
         "lambda_fm_fit": arr.lam.tolist(),
         "sigma_lambda_fm_fit": arr.sigma_lam.tolist(),
-        "dc": dcs,
+        "dc": arr.dc.tolist(),
         "sigma_dc": arr.sigma_dc.tolist(),
-        "dc_latent": lats,
-        "sigma_dc_latent": sigma_lats,
+        "dc_latent": arr.dc_lat.tolist(),
+        "sigma_dc_latent": arr.sigma_dc_lat.tolist(),
         "eii_dc_percent": percents[:, 0].tolist(),
         "eii_lambda_percent": percents[:, 1].tolist(),
         "eii_total_percent": total.tolist(),

@@ -56,12 +56,13 @@ def _entries(ids: tuple[str, ...], prop: _Propagation
     positive = np.flatnonzero(flat_terms > 0.0)
     order = positive[np.argsort(-flat_share[positive], kind="stable")]
     shares = flat_share[order]
-    inputs = (INPUT_DC, INPUT_LAMBDA)
-    flat = order.tolist()
+    # Each entry's id and input kind, gathered by numpy's indexing of object
+    # arrays rather than looked up one entry at a time.
     entries = dict(zip(_ENTRY_KEYS, (
-        [ids[k // 2] for k in flat], [inputs[k % 2] for k in flat],
+        np.array(ids, dtype=object)[order // 2].tolist(), _INPUTS[order % 2].tolist(),
         (flat_terms[order] / s_full).tolist(), shares.tolist(), (shares * 100.0).tolist())))
     return entries, (flat_share * 100.0).reshape(-1, 2), (terms > 0.0).any(axis=0)
 
 
 _ENTRY_KEYS = ("failure_mode", "input", "raw_eii", "variance_share", "percent")
+_INPUTS = np.array((INPUT_DC, INPUT_LAMBDA), dtype=object)  # a flat index's kind: k % 2

@@ -419,7 +419,9 @@ def parse_csv(text: str) -> FmedaTable:
             if len(cells) != len(CSV_COLUMNS):
                 raise ParseError(f"expected {len(CSV_COLUMNS)} columns, got {len(cells)}",
                                  line=reader.line_num)
-            part, subpart, fm_id, lambda_fit, *_, dc_source, sm_list = cells
+            # The seven numeric cells' names hold their texts until `numbers` below.
+            (part, subpart, fm_id, lam, sigma, fraction, dc, sigma_dc, dc_latent,
+             sigma_dc_latent, dc_source, sm_list) = cells
             if not part or not subpart:
                 raise ParseError("cell must not be empty", **where("subpart" if part else "part"))
             acc = subparts.get((part, subpart))
@@ -428,7 +430,7 @@ def parse_csv(text: str) -> FmedaTable:
 
             if not fm_id:
                 # Subpart-rate declaration row: lambda_fit only, everything else empty.
-                if not lambda_fit:
+                if not lam:
                     raise ParseError("row without a failure_mode must declare the subpart rate",
                                      **where("lambda_fit"))
                 for column, cell in zip(CSV_COLUMNS[4:], cells[4:]):
@@ -438,12 +440,17 @@ def parse_csv(text: str) -> FmedaTable:
                 if acc[0] is not None:
                     raise ParseError(f"duplicate subpart rate for {part}/{subpart}",
                                      **where("lambda_fit"))
-                acc[0] = _parse_float(lambda_fit, reader.line_num, "lambda_fit")
+                acc[0] = _parse_float(lam, reader.line_num, "lambda_fit")
                 continue
 
             n_rows += 1
+            # Inline, not a comprehension, which costs a call per record.
             try:
-                numbers = [float(cell) if cell else None for cell in cells[3:10]]
+                numbers = (float(lam) if lam else None, float(sigma) if sigma else None,
+                           float(fraction) if fraction else None, float(dc) if dc else None,
+                           float(sigma_dc) if sigma_dc else None,
+                           float(dc_latent) if dc_latent else None,
+                           float(sigma_dc_latent) if sigma_dc_latent else None)
                 total = sum(filter(None, numbers))  # empty cells (None) and zeros left out
             except ValueError:
                 total = math.nan

@@ -142,6 +142,9 @@ class DcSource:
 
 EXPERT_JUDGMENT = DcSource()
 
+# How a frozen dataclass sets its own fields.
+_SET = object.__setattr__
+
 
 @dataclass(frozen=True)
 class FailureModeRow:
@@ -151,6 +154,14 @@ class FailureModeRow:
     a Distribution subpart states fmd_fraction / sigma_fmd instead and
     leaves lambda_fm None and sigma_lambda_fm 0; its FIT values are in
     table_arrays(table).lam / .sigma_lam and in analyze's report rows.
+
+    The class writes its own __init__, with the fields' parameters, order
+    and defaults: a table has a row per failure mode, and the generated
+    __init__ plus a __post_init__ made building the rows the largest part
+    of a CSV parse.  It sets each field once, and an empty name becomes
+    the id and the safety mechanisms a tuple as it goes.  The dataclass
+    still gives eq, hash, repr, fields(), replace() and pickling, and
+    tests/test_model.py pins the __init__ to the fields.
     """
 
     id: str
@@ -166,10 +177,25 @@ class FailureModeRow:
     dc_source: DcSource = EXPERT_JUDGMENT
     safety_mechanisms: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "safety_mechanisms", tuple(self.safety_mechanisms))
-        if not self.name:
-            object.__setattr__(self, "name", self.id)
+    def __init__(self, id: str, name: str = "", lambda_fm: float | None = None,
+                 sigma_lambda_fm: float = 0.0, fmd_fraction: float | None = None,
+                 sigma_fmd: float = 0.0, dc: float = 0.0, sigma_dc: float = 0.0,
+                 dc_latent: float = 0.0, sigma_dc_latent: float = 0.0,
+                 dc_source: DcSource = EXPERT_JUDGMENT,
+                 safety_mechanisms: tuple[str, ...] = ()):
+        set_ = _SET
+        set_(self, "id", id)
+        set_(self, "name", name or id)
+        set_(self, "lambda_fm", lambda_fm)
+        set_(self, "sigma_lambda_fm", sigma_lambda_fm)
+        set_(self, "fmd_fraction", fmd_fraction)
+        set_(self, "sigma_fmd", sigma_fmd)
+        set_(self, "dc", dc)
+        set_(self, "sigma_dc", sigma_dc)
+        set_(self, "dc_latent", dc_latent)
+        set_(self, "sigma_dc_latent", sigma_dc_latent)
+        set_(self, "dc_source", dc_source)
+        set_(self, "safety_mechanisms", tuple(safety_mechanisms))
 
 
 @dataclass(frozen=True)

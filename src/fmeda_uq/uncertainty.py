@@ -144,7 +144,10 @@ def _propagate(arr: TableArrays) -> _Propagation:
             -((1.0 - arr.dc_lat) * arr.dc + (latent / detected) * undetected),
         )) / detected
         lfm_note = None
-        s_lfm = math.sqrt(float(sum(np.dot(t, t) for t in lfm_partials * sigmas)))
+        # A partial times a zero sigma is 0, even a partial that overflowed
+        # (a subnormal pool, divided twice), where inf * 0 would be nan.
+        products = np.where(sigmas > 0.0, lfm_partials * sigmas, 0.0)
+        s_lfm = math.sqrt(float(sum(np.dot(t, t) for t in products)))
 
     return _Propagation(
         spfm=spfm_value,

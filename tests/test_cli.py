@@ -244,6 +244,20 @@ def test_analyze_subnormal_rate(tmp_path, capsys):
     assert doc["sigma_spfm"] == {"full": 0.02, "dc_only": 0.02, "lambda_only": 0.0}
 
 
+def test_analyze_subnormal_detected_pool(tmp_path, capsys):
+    # The LFM partials are divided by the 5e-324 pool twice and overflow;
+    # each sigma is 0, so their products are 0, not inf * 0 = nan.
+    path = _write(tmp_path, "tiny_pool.csv", TWO_FM_CSV.splitlines()[0] + "\n"
+                  "P,S,FM1,1,0,,5e-324,0,0,0,expert,\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["analyze", "--input", path])
+    assert (code, err) == (0, "")
+    doc = strict_json(out)
+    assert (doc["lfm"], doc["sigma_lfm"]) == (0.0, 0.0)
+    assert doc["interval_lfm"] == {"lo": 0.0, "hi": 0.0, "clamped": False}
+
+
 def test_overflowing_sigma_is_an_input_error(tmp_path, capsys):
     # sigma_lambda/lambda_tot is finite, its square is not: no format may
     # carry the resulting inf/NaN sigmas and EII shares.

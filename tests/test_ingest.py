@@ -392,6 +392,32 @@ def test_csv_first_mistake_in_document_order_is_the_error(edits, expected):
     assert (str(err.value), err.value.line, err.value.column) == expected
 
 
+_NUMERIC = ingest.CSV_COLUMNS[3:10]
+
+
+# Each numeric cell of the FM2 record above (line 3), in turn, holds a bad
+# number: alone, or with the two cells after it (cyclically) holding 1e308,
+# finite cells whose sum overflows, so the cell-by-cell scan must pass them.
+@pytest.mark.parametrize("overflow", [False, True], ids=["alone", "with_1e308_twice"])
+@pytest.mark.parametrize("bad, message", [
+    ("x", "not a number: 'x'"),
+    ("inf", "not a finite number: 'inf'"),
+    ("nan", "not a finite number: 'nan'"),
+], ids=["word", "inf", "nan"])
+@pytest.mark.parametrize("column", _NUMERIC)
+def test_csv_each_numeric_cell_names_its_own_mistake(column, bad, message, overflow):
+    cells = _RECORDS[1].split(",")
+    at = ingest.CSV_COLUMNS.index(column)
+    cells[at] = bad
+    if overflow:
+        for k in (1, 2):
+            cells[3 + (at - 3 + k) % len(_NUMERIC)] = "1e308"
+    with pytest.raises(ParseError) as err:
+        parse_csv(_csv_edit(1, ",".join(cells), True))
+    assert (str(err.value), err.value.line, err.value.column) == (
+        f"line 3, column {column!r}: {message}", 3, column)
+
+
 @pytest.mark.parametrize("old, new", [
     ('"lambda_fit": 100', '"lambda_fit": {"a": 1, "a": 1}'),
     ('"dc_source": "expert"', '"dc_source": {"a": 1, "a": 1}'),

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import functools
+import inspect
 import math
 import operator
 import pickle
@@ -289,6 +290,37 @@ def test_types_are_immutable():
     table = make_table([dict(lambda_fm=1.0, dc=0.5)])
     with pytest.raises(dataclasses.FrozenInstanceError):
         table.asil_target = "B"
+
+
+def test_failure_mode_row_init_is_the_dataclass_init():
+    # FailureModeRow writes its own __init__; it must take the fields, in
+    # order, with their defaults, and normalize as the dataclass promised.
+    params = list(inspect.signature(FailureModeRow).parameters.values())
+    fields = dataclasses.fields(FailureModeRow)
+    assert [p.name for p in params] == [f.name for f in fields]
+    assert [p.default for p in params] == [
+        inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default
+        for f in fields]
+    assert all(p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD for p in params)
+
+    source = DcSource.fault_simulation(0.02, 0.95)
+    values = ("FM1", "", 10.0, 1.0, None, 0.0, 0.9, 0.01, 0.5, 0.02, source, ["SM1", "SM2"])
+    row = FailureModeRow(*values)
+    by_keywords = FailureModeRow(**{f.name: v for f, v in zip(fields, values)})
+    assert row.safety_mechanisms == ("SM1", "SM2")
+    assert row.name == "FM1"
+    assert FailureModeRow("FM2", "pump").name == "pump"
+    assert row == by_keywords and hash(row) == hash(by_keywords)
+    assert tuple([getattr(row, f.name) for f in fields]) == (
+        "FM1", "FM1", *values[2:-1], ("SM1", "SM2"))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        row.name = "other"
+    changed = dataclasses.replace(row, dc=0.95, safety_mechanisms=["SM3"])
+    assert (changed.dc, changed.safety_mechanisms, changed.id) == (0.95, ("SM3",), "FM1")
+    assert changed != row
+    copied = pickle.loads(pickle.dumps(row))
+    assert copied == row and hash(copied) == hash(row) and vars(copied) == vars(row)
+    assert repr(copied) == repr(row)
 
 
 @given(st.permutations(range(6)))
