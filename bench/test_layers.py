@@ -143,7 +143,7 @@ def test_mc_shard(benchmark, layers):
     # One chunk of samples: as many as one half's buffer holds at this size.
     chunk = max(1, mc_oracle._BUFFER_ELEMENTS // (2 * layers.rows))
     spfm, lfm, _ = _time(benchmark, layers, mc_oracle._shard, layers.arrays, chunk,
-                         np.random.SeedSequence(1), True, True, threading.Event())
+                         np.random.SeedSequence(1), True, threading.Event())
     assert spfm is not None and lfm is not None
 
 

@@ -19,22 +19,23 @@ draws to [0, inf); the clamp rate is reported, and above 0.1% the verdict
 carries a warning because boundary effects then bias the comparison.
 Disable truncation for mathematical-fidelity checks.
 
-One pass serves both metrics.  The samples are split into two fixed
-halves, floor(samples/2) and the rest, each seeded by its own
+One pass samples both metrics, SPFM and LFM, on every table; one with
+no detected pool gets no LFM verdict.  The samples are split into two
+fixed halves, floor(samples/2) and the rest, each seeded by its own
 np.random.SeedSequence child of the config's seed and drawing each kind
 of uncertain input (DC, rate, latent DC) from its own PCG64 child
-stream.  Only the columns with a nonzero sigma are drawn, sample by
-sample in row order.  So the drawn values do not depend on the chunk
-size, and the SPFM samples do not depend on whether the table has an LFM
-to simulate: a given (table, config) gives the same verdicts bit for bit
-across runs and platforms.  Chunks hold a fixed number of elements, not
-of samples, so memory does not grow with the row count (until one
-sample's row alone exceeds a buffer).
+stream.  Only the columns with a nonzero sigma take draws, sample by
+sample in row order.  So the draws do not depend on the chunk
+size, and the SPFM samples do not depend on the latent DC stream: a
+given (table, config) gives the same verdicts bit for bit across runs
+and platforms.  Chunks hold a fixed number of elements, not of samples,
+so memory does not grow with the row count (until one sample's row alone
+exceeds a buffer).
 
 Two threads run the halves, the calling thread the first and one helper
 thread the second, with the same sequential sampler (_shard) and buffers
 of their own; numpy releases the GIL while it fills and transforms them.
-Every stream is drawn by one thread, so the verdicts depend neither on
+One thread draws each stream, so the verdicts depend neither on
 the scheduling nor on the chunk size, and the threads do equal work
 whatever each kind of draw costs.  A half that raises sets a stop event,
 which the other checks once per chunk.  On one CPU the threads take turns.
@@ -72,8 +73,8 @@ MIN_VERDICT_SAMPLES = 1000
 MAX_VERDICT_SAMPLES = 10 ** 9
 TRUNCATION_WARN_RATE = 1e-3
 # Elements per chunk matrix, shared by the two halves: each half's chunk
-# holds half of it, samples x rows.  It bounds memory; the drawn streams
-# do not depend on it.
+# holds half of it, samples x rows.  It bounds memory; the draws do not
+# depend on it.
 _BUFFER_ELEMENTS = 1 << 15
 # Samples per staging block of a moment accumulator: the unit of the
 # pairwise merge, so the sigma does not depend on the chunk size.
@@ -141,40 +142,42 @@ class McVerdict:
 
 
 class _Input:
-    """One kind of uncertain input: its child stream and the columns it draws.
+    """One kind of uncertain input: its child stream and the matrix it fills.
 
-    Only columns with a nonzero sigma are drawn, sample by sample in row
-    order, into one buffer allocated per half; the drawn values are then
-    written into the matching columns of dest, a sampled matrix of that
-    input.  One thread draws each input, so its stream and its clamp count
-    advance in chunk order.
+    values, one chunk of samples x rows, starts as the nominal values.
+    Only columns with a nonzero sigma take draws, sample by sample in row
+    order, into a buffer and then into their columns of values, clamped
+    to [0, upper] if truncate.  One thread draws each input, so its
+    stream and its clamp count advance in chunk order.
     """
 
-    def __init__(self, rng: np.random.Generator, rows: int, nominal: np.ndarray,
-                 sigma: np.ndarray, upper: float | None):
+    def __init__(self, rng: np.random.Generator, chunk: int, truncate: bool,
+                 nominal: np.ndarray, sigma: np.ndarray, upper: float | None):
         self.rng = rng
         self.cols = np.flatnonzero(sigma > 0)
         self.mean = nominal[self.cols]
         self.sigma = sigma[self.cols]
         self.upper = upper
-        self.buf = np.empty((rows, self.cols.size))
+        self.truncate = truncate
+        self.values = np.tile(nominal, (chunk, 1))
+        self.buf = np.empty((chunk, self.cols.size))
         self.clamped = 0
 
-    def draw(self, dest: np.ndarray, m: int, truncate: bool) -> None:
+    def draw(self, m: int) -> None:
         z = self.buf[:m]
         self.rng.standard_normal(out=z)
         z *= self.sigma
         z += self.mean
         # Most chunks clamp nothing: two reductions rule that out before any
         # boolean temporary is built.
-        if truncate and z.size and (
+        if self.truncate and z.size and (
                 z.min() < 0.0 or (self.upper is not None and z.max() > self.upper)):
             hits = int(np.count_nonzero(z < 0.0))
             if self.upper is not None:
                 hits += int(np.count_nonzero(z > self.upper))
             self.clamped += hits
             np.clip(z, 0.0, self.upper, out=z)
-        dest[:m, self.cols] = z
+        self.values[:m, self.cols] = z
 
 
 class _Moments:
@@ -237,26 +240,17 @@ class _Moments:
         return 0.0
 
 
-@dataclass(frozen=True)
-class _Samples:
-    """The metric moments of one pass, with its truncation counts."""
-
-    spfm: _Moments
-    lfm: _Moments | None  # None unless LFM was simulated
-    spfm_rate: float
-    lfm_rate: float
-
-
 def _shard(arr: TableArrays, samples: int, seed: np.random.SeedSequence, truncate: bool,
-           with_lfm: bool, stop: threading.Event):
-    """Sample one half, chunk after chunk: (SPFM, LFM or None, inputs).
+           stop: threading.Event):
+    """Sample one half, chunk after chunk: (SPFM, LFM, clamp counts).
 
-    seed spawns the half's DC, rate and latent DC streams; the inputs keep
-    their clamp counts.  A stop set before a chunk ends the half: None.
+    seed spawns the half's DC, rate and latent DC streams; the clamp counts
+    are each one's (clamped draws, columns).  A stop set before a chunk
+    ends the half: None.
 
     The rates, their sigmas and lambda_tot are first scaled by 2**-e, where
     e is lambda_tot's binary exponent, so lambda_tot lies in [0.5, 1) and
-    the sums of drawn rates stay finite where the rates sit near the top
+    the sums of sampled rates stay finite where the rates sit near the top
     of the float range.  The metrics are ratios of rates, and a
     power-of-two scaling changes no rounding while every value, scaled
     and unscaled, is a normal float; then the samples are those of the
@@ -265,51 +259,49 @@ def _shard(arr: TableArrays, samples: int, seed: np.random.SeedSequence, truncat
     chunk = min(samples, max(1, _BUFFER_ELEMENTS // (2 * arr.lam.size)))
     e = math.frexp(arr.lambda_tot)[1]
     lam_nominal, lambda_tot = np.ldexp(arr.lam, -e), math.ldexp(arr.lambda_tot, -e)
-    kinds = [(arr.dc, arr.sigma_dc, 1.0), (lam_nominal, np.ldexp(arr.sigma_lam, -e), None),
-             (arr.dc_lat, arr.sigma_dc_lat, 1.0)][:3 if with_lfm else 2]
-    inputs = [_Input(np.random.default_rng(s), chunk, *kind)
+    kinds = ((arr.dc, arr.sigma_dc, 1.0), (lam_nominal, np.ldexp(arr.sigma_lam, -e), None),
+             (arr.dc_lat, arr.sigma_dc_lat, 1.0))
+    inputs = [_Input(np.random.default_rng(s), chunk, truncate, *kind)
               for s, kind in zip(seed.spawn(3), kinds)]
-    drawn = [np.tile(nominal, (chunk, 1)) for nominal, _, _ in kinds]
-    dc, lam = drawn[:2]
-    work, det = np.empty_like(dc), (np.empty_like(dc) if with_lfm else None)
+    dc, lam, lat = (inp.values for inp in inputs)
+    work, det = np.empty_like(dc), np.empty_like(dc)
     # Per-sample values are written in place: no chunk allocates, so the peak
     # does not depend on how the two halves' chunks interleave.
     vals, pools = np.empty(chunk), np.empty(chunk)
-    spfm, lfm = _Moments(), (_Moments() if with_lfm else None)
+    spfm, lfm = _Moments(), _Moments()
 
     for start in range(0, samples, chunk):
         if stop.is_set():
             return None
         m = min(chunk, samples - start)
-        for inp, dest in zip(inputs, drawn):
-            inp.draw(dest, m, truncate)
-        w, v, pool = work[:m], vals[:m], pools[:m]
+        for inp in inputs:
+            inp.draw(m)
+        w, d, v, pool = work[:m], det[:m], vals[:m], pools[:m]
         np.subtract(1.0, dc[:m], out=w)
         w *= lam[:m]
         np.divide(w.sum(axis=1, out=v), lambda_tot, out=v)  # residual / lambda_tot
         spfm.add(np.subtract(1.0, v, out=v))
-        if with_lfm:
-            d = det[:m]
-            np.multiply(dc[:m], lam[:m], out=d)
-            np.subtract(1.0, drawn[2][:m], out=w)
-            w *= d
-            # The detected pool: the gap lambda_tot - sum(lambda), plus sum(DC*lambda).
-            np.subtract(lambda_tot, lam[:m].sum(axis=1, out=pool), out=pool)
-            pool += d.sum(axis=1, out=v)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                np.divide(w.sum(axis=1, out=v), pool, out=v)  # latent / pool
-            np.subtract(1.0, v, out=v)
-            bad = pool <= 0.0
-            lfm.add(v[~bad] if bad.any() else v)
+        np.multiply(dc[:m], lam[:m], out=d)
+        np.subtract(1.0, lat[:m], out=w)
+        w *= d
+        # The detected pool: the gap lambda_tot - sum(lambda), plus sum(DC*lambda).
+        np.subtract(lambda_tot, lam[:m].sum(axis=1, out=pool), out=pool)
+        pool += d.sum(axis=1, out=v)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(w.sum(axis=1, out=v), pool, out=v)  # latent / pool
+        np.subtract(1.0, v, out=v)
+        bad = pool <= 0.0
+        lfm.add(v[~bad] if bad.any() else v)
 
-    for moments in filter(None, (spfm, lfm)):
-        moments.flush()
-    return spfm, lfm, inputs
+    spfm.flush()
+    lfm.flush()
+    return spfm, lfm, [(inp.clamped, inp.cols.size) for inp in inputs]
 
 
-def _simulate(arr: TableArrays, config: McConfig, with_lfm: bool) -> _Samples:
-    """Draw every uncertain input once; SPFM per sample, and LFM if asked.
+def _simulate(arr: TableArrays, config: McConfig) -> list[tuple[_Moments, float]]:
+    """Draw every uncertain input once: each metric's (moments, truncation rate).
 
+    SPFM's rate counts the DC and rate draws, LFM's the latent DC ones too.
     The calling thread runs the first half, and raises what either raised.
     """
     seeds = np.random.SeedSequence(config.seed).spawn(2)
@@ -318,7 +310,7 @@ def _simulate(arr: TableArrays, config: McConfig, with_lfm: bool) -> _Samples:
 
     def run(k: int) -> None:
         try:
-            halves[k] = _shard(arr, sizes[k], seeds[k], config.truncate, with_lfm, stop)
+            halves[k] = _shard(arr, sizes[k], seeds[k], config.truncate, stop)
         except BaseException as exc:  # raised below, once the other half stopped
             stop.set()
             halves[k] = exc
@@ -330,17 +322,14 @@ def _simulate(arr: TableArrays, config: McConfig, with_lfm: bool) -> _Samples:
     for half in halves:
         if isinstance(half, BaseException):
             raise half
-    (spfm, lfm, inputs), (spfm_2, lfm_2, inputs_2) = halves
-    spfm.merge(spfm_2)
-    if lfm is not None:
-        lfm.merge(lfm_2)
-
-    def rate(kinds: int) -> float:
-        draws = config.samples * sum(inp.cols.size for inp in inputs[:kinds])
-        clamped = sum(inp.clamped for inp in inputs[:kinds] + inputs_2[:kinds])
-        return clamped / draws if draws else 0.0
-
-    return _Samples(spfm, lfm, rate(2), rate(3))
+    (spfm, lfm, clamps), (spfm_2, lfm_2, clamps_2) = halves
+    metrics = []
+    for moments, moments_2, kinds in ((spfm, spfm_2, 2), (lfm, lfm_2, 3)):
+        moments.merge(moments_2)
+        draws = config.samples * sum(cols for _, cols in clamps[:kinds])
+        clamped = sum(hits for hits, _ in clamps[:kinds] + clamps_2[:kinds])
+        metrics.append((moments, clamped / draws if draws else 0.0))
+    return metrics
 
 
 def _verdict(metric: str, analytic: float, moments: _Moments, rate: float, config: McConfig,
@@ -396,8 +385,8 @@ def verify(table: FmedaTable, config: McConfig) -> tuple[McVerdict, McVerdict | 
     result = analyze(table)
     sigma_spfm, sigma_lfm, lfm_note = result.sigma_spfm_full, result.sigma_lfm, result.lfm_note
     del result  # its rows and EII entries are not kept while sampling
-    s = _simulate(table_arrays(table), config, with_lfm=sigma_lfm is not None)
-    spfm = _verdict("SPFM", sigma_spfm, s.spfm, s.spfm_rate, config, SPFM_TOLERANCE)
+    spfm, lfm = _simulate(table_arrays(table), config)
+    verdict = _verdict("SPFM", sigma_spfm, *spfm, config, SPFM_TOLERANCE)
     if sigma_lfm is None:
-        return spfm, None, lfm_note
-    return spfm, _verdict("LFM", sigma_lfm, s.lfm, s.lfm_rate, config, LFM_TOLERANCE), None
+        return verdict, None, lfm_note
+    return verdict, _verdict("LFM", sigma_lfm, *lfm, config, LFM_TOLERANCE), None

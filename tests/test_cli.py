@@ -552,7 +552,7 @@ def test_verify_oversized_samples_is_an_input_error(table_csv, capsys, monkeypat
     # MemoryError is simulated.
     import fmeda_uq.mc_oracle as mc
 
-    def out_of_memory(arr, config, with_lfm):
+    def out_of_memory(arr, config):
         raise MemoryError
 
     monkeypatch.setattr(mc, "_simulate", out_of_memory)

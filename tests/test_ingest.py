@@ -913,3 +913,18 @@ def test_report_writer_peak_memory_is_about_twice_its_text():
     finally:
         tracemalloc.stop()
     assert peak < 2.25 * len(text)
+
+
+def test_analyses_compare_by_the_objects_of_their_columns():
+    # AnalysisResult's == compares its Columns fields, which compare by
+    # their objects: a re-read table gives an equal analysis, and one
+    # changed DC an unequal one.
+    text = emit_json(two_fm_table())
+    result, reread = analyze(two_fm_table()), analyze(parse_json(text))
+    assert result == reread and result.row_columns == reread.row_columns
+    changed = analyze(parse_json(text.replace('"dc": 0.99,', '"dc": 0.98,', 1)))
+    assert result != changed and result.row_columns != changed.row_columns
+    # A Columns is not the list, nor the tuple, of its own objects.
+    rows = result.row_columns.objects()
+    assert result.row_columns != list(rows) and list(rows) != result.row_columns
+    assert result.row_columns != rows

@@ -1,5 +1,6 @@
 """Monte Carlo oracle: agreement with the closed forms, determinism, truncation."""
 
+import dataclasses
 import json
 import threading
 import time
@@ -105,8 +106,7 @@ def _state(moments):
 
 
 def test_verify_verdicts_equal_the_public_ones(tmp_path, capsys):
-    # The CLI reports exactly the verdicts of the library's verify, and
-    # the SPFM draws do not depend on whether LFM is simulated.
+    # The CLI reports exactly the verdicts of the library's verify.
     cfg = McConfig(samples=20_000, seed=9)
     no_detected_pool = make_table([dict(lambda_fm=10.0, sigma_dc=0.01),
                                    dict(lambda_fm=5.0, sigma_lambda_fm=1.0)])
@@ -124,9 +124,36 @@ def test_verify_verdicts_equal_the_public_ones(tmp_path, capsys):
             assert (lfm, note) == (None, _propagate(table_arrays(table)).lfm_note)
         else:
             assert doc["lfm"] == lfm.to_dict()
-    arr = table_arrays(_all_sigmas_table())
-    assert (_state(mc._simulate(arr, cfg, with_lfm=True).spfm)
-            == _state(mc._simulate(arr, cfg, with_lfm=False).spfm))
+
+
+def test_spfm_samples_do_not_depend_on_the_latent_side():
+    # Other latent DCs and latent sigmas, zero ones included, leave the
+    # SPFM moments and truncation rate bit-identical; the LFM ones move.
+    cfg = McConfig(samples=20_000, seed=9)
+    table = _all_sigmas_table()
+    (spfm, rate), (lfm, _) = mc._simulate(table_arrays(table), cfg)
+    sub = table.parts[0].subparts[0]
+    for dc_latent, sigma_dc_latent in ((0.0, 0.0), (0.3, 0.2), (0.999, 0.05)):
+        rows = tuple(dataclasses.replace(row, dc_latent=dc_latent, sigma_dc_latent=sigma_dc_latent)
+                     for row in sub.failure_modes)
+        other = dataclasses.replace(table, parts=(
+            dataclasses.replace(table.parts[0], subparts=(
+                dataclasses.replace(sub, failure_modes=rows),)),))
+        (other_spfm, other_rate), (other_lfm, _) = mc._simulate(table_arrays(other), cfg)
+        assert (_state(other_spfm), other_rate) == (_state(spfm), rate)
+        assert _state(other_lfm) != _state(lfm)
+
+
+@pytest.mark.parametrize("truncate", [True, False])
+def test_a_table_with_no_detected_pool_gets_no_lfm_verdict(truncate):
+    # Every pass samples LFM too; with no detected pool its samples divide
+    # by 0 or drop, quietly, and verify reports the note instead.
+    table = make_table([dict(lambda_fm=10.0, sigma_lambda_fm=10.0, sigma_dc_latent=0.2),
+                        dict(lambda_fm=5.0, sigma_dc=0.01, dc_latent=0.5)])
+    before = threading.active_count()
+    spfm, lfm, note = verify(table, McConfig(samples=2000, seed=3, truncate=truncate))
+    assert (spfm.metric, lfm, note) == ("SPFM", None, _propagate(table_arrays(table)).lfm_note)
+    assert threading.active_count() == before
 
 
 def _verify_peak(table, samples):
@@ -173,11 +200,13 @@ def test_streamed_moments_equal_the_two_pass_ones(monkeypatch, rng):
     for table in tables:
         arr = table_arrays(table)
         seen.clear()
-        s = mc._simulate(arr, cfg, with_lfm=_propagate(arr).lfm is not None)
-        assert s.spfm.n == cfg.samples
-        for moments in filter(None, (s.spfm, s.lfm)):
+        (spfm, _), (lfm, _) = mc._simulate(arr, cfg)
+        assert spfm.n == cfg.samples
+        for moments in (spfm, lfm):
             values = np.concatenate(seen[moments])
             assert moments.n == values.size
+            if not values.size:  # a table with no detected pool drops every LFM sample
+                continue
             assert (moments.lo, moments.hi) == (values.min(), values.max())
             assert moments.sigma() == pytest.approx(np.std(values, ddof=1),
                                                     rel=1e-12, abs=0)
@@ -269,11 +298,11 @@ def test_verdict_writes_a_non_finite_spread_as_null():
 def test_pass_iff_gap_within_tolerance():
     arr = table_arrays(two_fm_table())
     cfg = McConfig(samples=5000, seed=2)
-    s = mc._simulate(arr, cfg, with_lfm=False)
+    spfm, _ = mc._simulate(arr, cfg)
     analytic = _propagate(arr).sigma_spfm_by_mode[PropagationMode.FULL]
-    v = mc._verdict("SPFM", analytic, s.spfm, s.spfm_rate, cfg, 1e-9)
+    v = mc._verdict("SPFM", analytic, *spfm, cfg, 1e-9)
     assert not v.passed and v.relative_gap > v.tolerance
-    w = mc._verdict("SPFM", analytic, s.spfm, s.spfm_rate, cfg, 0.5)
+    w = mc._verdict("SPFM", analytic, *spfm, cfg, 0.5)
     assert w.passed and w.relative_gap <= w.tolerance
 
 
@@ -355,9 +384,9 @@ def _fail_draw(monkeypatch, fails):
     """Make _Input.draw call fails(input, on the calling thread) first."""
     draw, caller = mc._Input.draw, threading.get_ident()
 
-    def failing(self, dest, m, truncate):
+    def failing(self, m):
         fails(self, threading.get_ident() == caller)
-        draw(self, dest, m, truncate)
+        draw(self, m)
 
     monkeypatch.setattr(mc._Input, "draw", failing)
 
