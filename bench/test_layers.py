@@ -130,7 +130,8 @@ def test_analyze(benchmark, layers):
 
 
 def test_eii_entries(benchmark, layers):
-    entries, _, _ = _time(benchmark, layers, eii._entries, layers.arrays.ids, layers.propagation)
+    entries, _, _ = _time(benchmark, layers, eii._entries, layers.arrays.ids,
+                          layers.propagation.spfm_terms)
     assert len(entries["failure_mode"]) == len(layers.result.eii_columns)
 
 

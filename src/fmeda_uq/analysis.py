@@ -171,7 +171,7 @@ def analyze(
     if prop.lfm is not None:
         interval_lfm = confidence_interval(prop.lfm, prop.sigma_lfm, confidence_level)
 
-    entries, percents, attributed = _entries(arr.ids, prop)
+    entries, percents, attributed = _entries(arr.ids, prop.spfm_terms)
     eii_note = None if entries["failure_mode"] else NO_UNCERTAINTY_NOTE
 
     target = asil_target if asil_target is not None else table.asil_target
@@ -187,7 +187,7 @@ def analyze(
             parts += [part.name] * len(fms)
             subparts += [sub.name] * len(fms)
             names += [row.name for row in fms]
-    total = percents[:, 0] + percents[:, 1]
+    total = percents.sum(axis=1)  # the latent column is 0
     rows = {
         "part": parts,
         "subpart": subparts,
@@ -200,7 +200,7 @@ def analyze(
         "dc_latent": arr.dc_lat.tolist(),
         "sigma_dc_latent": arr.sigma_dc_lat.tolist(),
         "eii_dc_percent": percents[:, 0].tolist(),
-        "eii_lambda_percent": percents[:, 1].tolist(),
+        "eii_lambda_percent": percents[:, 2].tolist(),
         "eii_total_percent": total.tolist(),
     }
     totals = {"failure_mode": list(itertools.compress(arr.ids, attributed.tolist())),

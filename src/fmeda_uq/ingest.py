@@ -34,9 +34,8 @@ key order, and an array member by member, except a Columns: the caller
 that builds an array of same-key objects (analysis.analyze, for the
 report's three tables) hands it over as one, and _object_texts writes
 it a column at a time.  Each float column is one C-level %.12g (fmt12's
-format), whose tokens are checked at once for the few floats whose JSON
-token differs from it (integral values, exponents 12-15, subnormals,
-nan and the infinities); only those go through _float_token.
+format); only a column whose text fails _float_token's test, which finds
+the few tokens that are not yet JSON, is mapped through _float_token.
 
 An analysis result has one document, AnalysisResult.to_dict().  The
 JSON report is that document; the markdown and CSV reports are views of
@@ -104,23 +103,25 @@ def fmt12(x: float) -> str:
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-def _float_token(x: float) -> str:
-    """The JSON token of float(fmt12(x)), as json.dumps writes it.
+def _float_token(x: float, token: str | None = None) -> str:
+    """The JSON token of float(fmt12(x)), as json.dumps writes it; token
+    is x's %.12g text, made here when not given.
 
-    For a normal float the 12 digits of fmt12 are already the shortest
-    round-trip digits of float(fmt12(x)), so only the layout differs:
-    repr adds ".0" to an integral value and stays positional up to 1e16,
-    where %g switches to an exponent at 1e12.  Subnormals (decimal
-    exponent <= -308) have fewer digits than that, so they, like the
-    exponents 12-15, take the round trip through float.
+    That text is the token when it has a "." and holds neither "e+1"
+    nor "e-3"; every other float is repr(float(token)), and nan and the
+    infinities raise ValueError.  A text without a "." may be an integral
+    value, to which repr adds ".0"; "e+1" covers the exponents 12-15,
+    where repr stays positional, and "e-3" the subnormals, whose 12
+    digits can be more than the shortest.  The other exponents these
+    catch read back from repr unchanged.
     """
-    s = f"{x:.12g}"  # fmt12(x); x is already a float
-    if "e" in s:
-        exp = int(s[s.index("e") + 1:])
-        return repr(float(s)) if 12 <= exp <= 15 or exp <= -308 else s
-    if "n" in s:  # nan, inf, -inf
+    if token is None:
+        token = f"{x:.12g}"  # fmt12(x); x is already a float
+    if "." in token and "e+1" not in token and "e-3" not in token:
+        return token
+    if "n" in token:  # nan, inf, -inf
         raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
-    return s if "." in s else s + ".0"
+    return repr(float(token))
 
 
 def _json_text(obj, newline: str = "\n", end: str = "") -> str:
@@ -225,19 +226,14 @@ def _object_texts(objs: Columns, newline: str) -> list[str]:
     """The text of each object of objs, a column at a time, _BLOCK
     objects at a time.
 
-    An all-float column is formatted by one %.12g over the whole column.
-    A token is _float_token's when it has a "." (an integral value, an
-    exponent without one, nan and the infinities have none) and holds
-    neither "e+1" (the exponents 12-15 take repr) nor "e-3" (subnormals);
-    the other exponents these catch are written again unchanged.
-    That is checked once over the column's text; only when it fails is
-    each token checked, and each failing one replaced by _float_token,
-    which raises ValueError on nan and the infinities.  An all-str column
-    is mapped through the JSON string encoder, and any other column
-    through _json_text.  Each object's text is one join of the heads, its
-    tokens and the tail: joined rather than %-formatted, since %
-    over-allocates each text and then shrinks it, and the holes that
-    leaves raised the peak RSS of a 10^4-row report.
+    An all-float column is formatted by one %.12g over the whole column,
+    and only a column whose text fails _float_token's test is mapped
+    through it, token by token.  An all-str column is mapped through the
+    JSON string encoder, and any other column through _json_text.  Each
+    object's text is one join of the heads, its tokens and the tail:
+    joined rather than %-formatted, since % over-allocates each text and
+    then shrinks it, and the holes that leaves raised the peak RSS of a
+    10^4-row report.
     """
     inner = newline + "  "
     tail = newline + "}"
@@ -252,9 +248,7 @@ def _object_texts(objs: Columns, newline: str) -> list[str]:
                 text = ("%.12g," * len(column))[:-1] % column
                 tokens = text.split(",")
                 if text.count(".") != len(column) or "e+1" in text or "e-3" in text:
-                    for i, token in enumerate(tokens):
-                        if "." not in token or "e+1" in token or "e-3" in token:
-                            tokens[i] = _float_token(column[i])
+                    tokens = map(_float_token, column, tokens)
             elif types == {str}:
                 tokens = map(_encode_str, column)
             else:

@@ -356,12 +356,12 @@ def _walk(table: FmedaTable) -> tuple[list[Violation], TableArrays | None]:
     here, once, from inputs that passed their checks.  arrays is None
     unless there are no violations.
 
-    A row whose numbers are all floats within their ranges, whose id is a
-    new non-empty str, whose name and safety mechanisms are strs, whose
-    texts UTF-8 can encode (str.isascii() passes nearly all of them at
-    once) and whose source is EXPERT_JUDGMENT or a valid fault-simulation
-    campaign breaks no rule: one chain of comparisons accepts it, and only
-    its values are kept.  Every other row goes through _row_rules, the only
+    A row whose numbers are all floats within their ranges (a DirectLambda
+    row's sigma_fmd 0.0), whose id is a new non-empty str, whose name and
+    safety mechanisms are strs, whose texts UTF-8 can encode
+    (str.isascii() passes nearly all of them at once) and whose source is
+    EXPERT_JUDGMENT or a valid fault-simulation campaign breaks no rule:
+    one chain of comparisons accepts it, and only its values are kept.  Every other row goes through _row_rules, the only
     producer of row Violations.  A part, subpart or row of the wrong type
     is a Violation, and so is a part or subpart name, a row id or a
     safety-mechanism cell that a CSV cell would not read back as itself
@@ -440,8 +440,8 @@ def _walk(table: FmedaTable) -> tuple[list[Violation], TableArrays | None]:
                     if clean:
                         rate, sigma_rate = scale * frac, scale * s_fmd
                 else:
-                    clean = (frac is None and type(rate) is float
-                             and type(sigma_rate) is float and type(s_fmd) is float)
+                    clean = (frac is None and type(rate) is float and type(sigma_rate) is float
+                             and type(s_fmd) is float and s_fmd == 0.0)
                 if (clean and 0.0 <= rate < _INF and 0.0 <= sigma_rate < _INF
                         and 0.0 <= s_fmd < _INF
                         and type(dc) is float and 0.0 <= dc <= 1.0
@@ -649,6 +649,9 @@ def _row_rules(row: FailureModeRow, sub_loc: str, dist: bool, scale, seen_ids: d
                 f"confidence level must be one of {FAULTSIM_CONFIDENCE_LEVELS}")
         if margin_ok and level_ok and sigma_dc == 0.0:
             sigma_dc = margin_to_sigma(src.margin_e, src.confidence_level)
+    elif src.margin_e is not None or src.confidence_level is not None:
+        bad(loc, "dc_source", "dc_source.expert_campaign", src,
+            "an expert source carries no fault-simulation margin or confidence level")
 
     if dist:
         if row.fmd_fraction is None:
@@ -661,7 +664,7 @@ def _row_rules(row: FailureModeRow, sub_loc: str, dist: bool, scale, seen_ids: d
             if row.lambda_fm is not None:
                 bad(loc, "lambda_fm", "fmd.mode_consistency", row.lambda_fm,
                     "Distribution subpart rows take their rate from the FMD fraction")
-            if row.sigma_lambda_fm != 0.0:
+            if not (_finite(row.sigma_lambda_fm) and row.sigma_lambda_fm == 0.0):
                 bad(loc, "sigma_lambda_fm", "fmd.mode_consistency", row.sigma_lambda_fm,
                     "Distribution subpart rows take their sigma from sigma_fmd")
     else:
@@ -669,6 +672,9 @@ def _row_rules(row: FailureModeRow, sub_loc: str, dist: bool, scale, seen_ids: d
             bad(loc, "fmd_fraction", "fmd.mode_consistency",
                 row.fmd_fraction,
                 "DirectLambda subpart rows must not carry an FMD fraction")
+        if not (_finite(row.sigma_fmd) and row.sigma_fmd == 0.0):
+            bad(loc, "sigma_fmd", "fmd.mode_consistency", row.sigma_fmd,
+                "DirectLambda subpart rows take their sigma from sigma_lambda_fm")
         if row.lambda_fm is None:
             bad(loc, "lambda_fm", "lambda.missing", None,
                 "DirectLambda rows must state lambda_fm")

@@ -1,9 +1,11 @@
 """Error-importance ranking: shares, partition of unity, rank stability."""
 
+import math
+
 import pytest
 
 from fmeda_uq import PropagationMode, analyze
-from fmeda_uq.eii import INPUT_DC, INPUT_LAMBDA
+from fmeda_uq.eii import INPUT_DC, INPUT_LAMBDA, _entries
 from fmeda_uq.model import table_arrays
 from fmeda_uq.uncertainty import _propagate
 from conftest import make_table, random_table
@@ -234,3 +236,42 @@ def test_matches_loop_reference(rng):
         rows = [(r["eii_dc_percent"], r["eii_lambda_percent"], r["eii_total_percent"])
                 for r in res.rows]
         assert (entries, totals, rows) == _loop_reference(table)
+
+
+def _ranking_reference(ids, terms):
+    """_entries of a (k, n) term array, one term at a time in Python."""
+    variance = float(sum(row.sum() for row in terms))
+    sigma = math.sqrt(variance)
+    entries, percents, attributed = [], [], []
+    for i, fm_id in enumerate(ids):
+        column = terms[:, i].tolist()
+        percents.append([term / variance * 100.0 for term in column])
+        attributed.append(any(term > 0.0 for term in column))
+        for kind, term in zip((INPUT_DC, "dc_latent", INPUT_LAMBDA), column, strict=True):
+            if term > 0.0:
+                entries.append((fm_id, kind, term / sigma, term / variance,
+                                term / variance * 100.0))
+    entries.sort(key=lambda e: -e[3])
+    return entries, percents, attributed
+
+
+def test_ranks_the_lfm_terms_whose_latent_row_is_positive(rng):
+    # The kernel's LFM terms use all three kinds of input, where the SPFM
+    # terms' latent row is 0.
+    latent = 0
+    for _ in range(40):
+        table = random_table(rng, n_range=(1, 30), sigma_dc_latent_max=0.05)
+        arr = table_arrays(table)
+        prop = _propagate(arr)
+        if prop.lfm_partials is None:
+            continue
+        terms = (prop.lfm_partials * prop.input_sigmas) ** 2
+        entries, percents, attributed = _entries(arr.ids, terms)
+        got = list(zip(*entries.values()))
+        assert (got, percents.tolist(), attributed.tolist()) == \
+            _ranking_reference(arr.ids, terms)
+        assert sum(entries["variance_share"]) == pytest.approx(1.0, abs=1e-12)
+        assert entries["raw_eii"][0] / entries["variance_share"][0] == \
+            pytest.approx(prop.sigma_lfm, rel=1e-12)
+        latent += entries["input"].count("dc_latent")
+    assert latent > 0

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fmeda_uq import (
+    EXPERT_JUDGMENT,
     DcSource,
     FmedaValidationError,
     ParseError,
@@ -23,8 +24,9 @@ from fmeda_uq import (
     emit_result,
     parse_csv,
     parse_json,
+    validate,
 )
-from fmeda_uq import FailureModeRow, FmedaTable, Part, Subpart, ingest
+from fmeda_uq import FailureModeRow, FmedaTable, Part, Subpart, ingest, model
 from fmeda_uq.ingest import fmt12
 from fmeda_uq.model import table_arrays
 from conftest import fixture_corpus, make_table, random_table, two_fm_table
@@ -480,6 +482,71 @@ def test_json_asil_target_round_trips():
     table = make_table([dict(lambda_fm=10.0, dc=0.9)], asil_target="B")
     again = parse_json(emit_json(table))
     assert again.asil_target == "B"
+
+
+def _f12(lo: float, hi: float):
+    """Floats in [lo, hi] rounded to 12 digits: the values JSON keeps exactly."""
+    return st.floats(lo, hi).map(lambda x: float(fmt12(x)))
+
+
+# Names, ids and safety mechanisms: spaces, non-ASCII text and ";".
+_TEXT = st.text(alphabet=" aZ\u00e9\u2192\u00fc_;", max_size=5)
+_LEVELS = st.sampled_from(model.FAULTSIM_CONFIDENCE_LEVELS)
+_SOURCES = st.one_of(st.sampled_from((EXPERT_JUDGMENT, DcSource())),
+                     st.builds(DcSource.fault_simulation, _f12(1e-6, 0.5), _LEVELS))
+
+
+@st.composite
+def _api_tables(draw):
+    """Tables built through the API, every float a 12-digit one: DirectLambda
+    and Distribution subparts and every kind of source.  Half of them have
+    a first row that no writer can keep: an expert source with a campaign,
+    or a nonzero sigma of its subpart's other mode."""
+    planted = draw(st.sampled_from((None, None, "source", "sigma")))
+    parts, n_rows = [], 0
+    for p in range(draw(st.integers(1, 2))):
+        subs = []
+        for s in range(draw(st.integers(1, 2))):
+            dist = draw(st.booleans())
+            n = draw(st.integers(1, 3))
+            weights = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+            rows = []
+            for k in range(n):
+                n_rows += 1
+                fields = dict(
+                    id=f"R{n_rows} {draw(_TEXT)}".strip(), name=draw(st.text(max_size=4)),
+                    dc=draw(_f12(0.0, 1.0)), sigma_dc=draw(_f12(0.0, 0.1)),
+                    dc_latent=draw(_f12(0.0, 1.0)), sigma_dc_latent=draw(_f12(0.0, 0.1)),
+                    dc_source=draw(_SOURCES),
+                    safety_mechanisms=draw(st.lists(_TEXT, max_size=2)))
+                if dist:
+                    fields.update(fmd_fraction=float(fmt12(weights[k] / sum(weights))),
+                                  sigma_fmd=draw(_f12(0.0, 0.1)))
+                else:
+                    fields.update(lambda_fm=draw(_f12(0.0, 1e3)),
+                                  sigma_lambda_fm=draw(_f12(0.0, 10.0)))
+                if n_rows == 1 and planted == "source":
+                    fields["dc_source"] = DcSource("expert", draw(_f12(1e-6, 0.5)), draw(_LEVELS))
+                elif n_rows == 1 and planted == "sigma":
+                    fields["sigma_lambda_fm" if dist else "sigma_fmd"] = draw(_f12(1e-3, 1.0))
+                rows.append(FailureModeRow(**fields))
+            if dist:
+                rate = draw(_f12(1.0, 1e3))
+            else:
+                rate = draw(st.sampled_from((None, float(fmt12(sum(r.lambda_fm for r in rows))))))
+            mode = draw(st.sampled_from((None, "Distribution" if dist else "DirectLambda")))
+            subs.append(Subpart(f"S{s} {draw(_TEXT)}".strip(), rate, mode, tuple(rows)))
+        parts.append(Part(f"P{p} {draw(_TEXT)}".strip(), tuple(subs)))
+    return FmedaTable(tuple(parts), draw(st.sampled_from((None, "A", "B", "C", "D"))))
+
+
+@settings(settings.get_profile("fuzz"), max_examples=200)
+@given(_api_tables())
+def test_json_gives_back_every_field_of_a_table_that_validates(table):
+    # README's JSON contract: parse_json(emit_json(table)) == table for
+    # every valid table whose floats have at most 12 significant digits.
+    if validate(table) == []:
+        assert parse_json(emit_json(table)) == table
 
 
 def test_csv_and_json_give_identical_analysis_json():

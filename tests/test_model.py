@@ -212,6 +212,39 @@ def test_distribution_row_with_its_own_fit_rate_flagged(own):
         (*own, "fmd.mode_consistency")]
 
 
+@pytest.mark.parametrize("sigma_fmd", [0.3, 1, 5e-324])
+def test_direct_row_with_a_fraction_sigma_flagged(sigma_fmd):
+    # table_arrays would drop the sigma and no writer keeps it, so the
+    # row's rate would count as certain.
+    table = make_table([dict(lambda_fm=10.0, sigma_fmd=sigma_fmd, dc=0.9)])
+    assert [(v.field, v.rule, v.observed) for v in validate(table)] == [
+        ("sigma_fmd", "fmd.mode_consistency", sigma_fmd)]
+    with pytest.raises(FmedaValidationError):
+        table_arrays(table)
+
+
+@pytest.mark.parametrize("fields, lambda_subpart, sigma", [
+    (dict(lambda_fm=10.0), None, "sigma_fmd"),
+    (dict(fmd_fraction=1.0), 10.0, "sigma_lambda_fm"),
+], ids=["direct", "distribution"])
+def test_an_array_as_the_other_modes_sigma_is_a_violation(fields, lambda_subpart, sigma):
+    # validate never raises, not even where == gives an array.
+    row = dict(fields, dc=0.9, **{sigma: np.array([0.1, 0.2])})
+    [*_, last] = validate(make_table([row], lambda_subpart=lambda_subpart))
+    assert (last.field, last.rule) == (sigma, "fmd.mode_consistency")
+
+
+@pytest.mark.parametrize("source", [
+    DcSource("expert", 0.3, 0.5), DcSource("expert", 0.01), DcSource("expert", None, 0.95)])
+def test_an_expert_source_with_a_campaign_is_a_violation(source):
+    # The writers spell every expert source "expert", so its margin and
+    # level would not read back.
+    table = make_table([dict(lambda_fm=10.0, dc=0.9, sigma_dc=0.01, dc_source=source)])
+    assert [(v.field, v.rule, v.observed) for v in validate(table)] == [
+        ("dc_source", "dc_source.expert_campaign", source)]
+    assert validate(make_table([dict(lambda_fm=10.0, dc=0.9, dc_source=DcSource())])) == []
+
+
 @pytest.mark.parametrize("field", ["dc", "sigma_dc", "dc_latent", "sigma_lambda_fm",
                                    "sigma_dc_latent"])
 def test_none_in_a_numeric_field_is_a_violation(field):
@@ -463,7 +496,7 @@ _SOURCES = st.sampled_from((
     DcSource.fault_simulation(math.nextafter(1.0, 0.0), 0.90),
     DcSource.fault_simulation(0.0, 0.95), DcSource.fault_simulation(1.0, 0.95),
     DcSource.fault_simulation(0.01, 0.5), DcSource.fault_simulation(math.nan, 0.95),
-    DcSource.fault_simulation(1, 0.95), DcSource("bogus"),
+    DcSource.fault_simulation(1, 0.95), DcSource("bogus"), DcSource("expert", 0.3, 0.5),
 ))
 # The number fields of a row, the range a valid value is drawn from, and
 # the edge values that may replace it.
@@ -489,6 +522,7 @@ def _rows(draw, dist: bool, n: int):
             fields["sigma_lambda_fm"] = 0.0
         else:
             fields["fmd_fraction"] = None
+            fields["sigma_fmd"] = 0.0
         rows.append(fields)
     if dist:
         total = sum(fields["fmd_fraction"] for fields in rows) or 1.0
