@@ -13,7 +13,6 @@ from fmeda_uq import (
     analyze,
     validate,
 )
-from fmeda_uq.model import iter_rows
 
 muldiv = Subpart("MUL_DIV", failure_modes=(
     FailureModeRow(id="MD1", name="wrong multiply result",
@@ -44,6 +43,7 @@ print(f"LFM  = {result.lfm:.4f}")
 
 # SPFM is the lambda-weighted mean coverage, so improving the coverage of
 # the largest contributor moves the metric the most.
-for _, sub, row in iter_rows(table):
-    residual = (1 - row.dc) * row.lambda_fm
-    print(f"  {row.id:4s} residual {residual:5.2f} FIT  ({sub.name})")
+# The report has one row per failure mode, in table order.
+for row in result.rows:
+    residual = (1 - row["dc"]) * row["lambda_fm_fit"]
+    print(f"  {row['failure_mode']:4s} residual {residual:5.2f} FIT  ({row['subpart']})")

@@ -23,9 +23,9 @@ time: lambda_fm_fit, sigma_lambda_fm_fit and sigma_dc because the walk
 derives them (a Distribution row's rate is derived from its FMD fraction,
 and a sampled fault-injection campaign's DC gets sigma_dc = e/t unless it
 states one), and dc, dc_latent and sigma_dc_latent because the arrays
-hold the rows' own values, as floats, so no row is visited for them.  Only the part,
-subpart and row names are read off the table, once per subpart for the
-first two.
+hold the rows' own values, as floats.  The part, subpart and row names
+are the arrays' too, where the walk records each row's place, so no row
+is visited here and only the ASIL target is read off the table itself.
 
 LFM can be legitimately undefined (a table where every fault is residual
 has no detected pool); the result then carries lfm=None with a note
@@ -180,19 +180,12 @@ def analyze(
         verdict = asil_verdict(target, spfm=prop.spfm, sigma_spfm=sigma_spfm[mode],
                                lfm=prop.lfm, sigma_lfm=prop.sigma_lfm, k=k)
 
-    parts, subparts, names = [], [], []
-    for part in table.parts:
-        for sub in part.subparts:
-            fms = sub.failure_modes
-            parts += [part.name] * len(fms)
-            subparts += [sub.name] * len(fms)
-            names += [row.name for row in fms]
     total = percents.sum(axis=1)  # the latent column is 0
     rows = {
-        "part": parts,
-        "subpart": subparts,
+        "part": arr.parts,
+        "subpart": arr.subparts,
         "failure_mode": arr.ids,
-        "name": names,
+        "name": arr.names,
         "lambda_fm_fit": arr.lam.tolist(),
         "sigma_lambda_fm_fit": arr.sigma_lam.tolist(),
         "dc": arr.dc.tolist(),

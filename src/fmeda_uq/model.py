@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -257,14 +257,6 @@ class FmedaTable:
         return table_arrays(self).lambda_tot
 
 
-def iter_rows(table: FmedaTable) -> Iterator[tuple[Part, Subpart, FailureModeRow]]:
-    """Yield (part, subpart, row) triples in table order."""
-    for part in table.parts:
-        for sub in part.subparts:
-            for row in sub.failure_modes:
-                yield part, sub, row
-
-
 # ---------------------------------------------------------------------------
 # Validation and array extraction: one walk over the rows
 # ---------------------------------------------------------------------------
@@ -272,7 +264,8 @@ def iter_rows(table: FmedaTable) -> Iterator[tuple[Part, Subpart, FailureModeRow
 
 @dataclass(frozen=True)
 class TableArrays:
-    """Row-aligned numeric view of a table (float64), plus row identity.
+    """Row-aligned view of a table: each row's identity and place (its id,
+    part, subpart and name) and its numbers (float64).
 
     lam and sigma_lam hold each row's FIT rate and sigma: the row's own for
     DirectLambda, lambda_subpart times fmd_fraction and sigma_fmd for
@@ -282,6 +275,9 @@ class TableArrays:
     """
 
     ids: tuple[str, ...]
+    parts: tuple[str, ...]
+    subparts: tuple[str, ...]
+    names: tuple[str, ...]
     lam: np.ndarray
     sigma_lam: np.ndarray
     dc: np.ndarray
@@ -349,25 +345,26 @@ _INF = math.inf
 
 
 def _walk(table: FmedaTable) -> tuple[list[Violation], TableArrays | None]:
-    """Check every row once and collect its numbers: (violations, arrays).
+    """Check every row once and collect its place and numbers: (violations, arrays).
 
     A Distribution row's rate and sigma (lambda_subpart times fmd_fraction
     and sigma_fmd) and a fault-simulation row's sigma_dc = e/t are derived
-    here, once, from inputs that passed their checks.  arrays is None
-    unless there are no violations.
+    here, once, from inputs that passed their checks, and each row's place
+    is recorded with them.  arrays is None unless there are no violations.
 
     A row whose numbers are all floats within their ranges (a DirectLambda
     row's sigma_fmd 0.0), whose id is a new non-empty str, whose name and
-    safety mechanisms are strs, whose texts UTF-8 can encode
-    (str.isascii() passes nearly all of them at once) and whose source is
-    EXPERT_JUDGMENT or a valid fault-simulation campaign breaks no rule:
-    one chain of comparisons accepts it, and only its values are kept.  Every other row goes through _row_rules, the only
-    producer of row Violations.  A part, subpart or row of the wrong type
-    is a Violation, and so is a part or subpart name, a row id or a
-    safety-mechanism cell that a CSV cell would not read back as itself
-    (see _name), and a name, id or safety mechanism that UTF-8 cannot
-    encode (text.utf8), so every valid table can be written in both file
-    formats, and its reports to a UTF-8 stream, and read back.
+    safety mechanisms are strs, whose texts UTF-8 can encode (str.isascii()
+    passes nearly all of them at once) and whose source is EXPERT_JUDGMENT or
+    a valid fault-simulation campaign breaks no rule: one chain of comparisons
+    accepts it, and only its values are kept.  Every other row goes through
+    _row_rules, the only producer of row Violations.  Anything but an
+    FmedaTable is one Violation (table.type); so is a part, subpart, row or DC
+    source not exactly of its class (a reader builds no subclass), a part or
+    subpart name, a row id or a safety-mechanism cell that a CSV cell would
+    not read back as itself (see _name), and a name, id or safety mechanism
+    that UTF-8 cannot encode (text.utf8), so every valid table can be written
+    in both file formats, and its reports to a UTF-8 stream, and read back.
     """
     out: list[Violation] = []
     # Every id in table order, mapped to the location of the subpart that
@@ -377,23 +374,27 @@ def _walk(table: FmedaTable) -> tuple[list[Violation], TableArrays | None]:
     def bad(loc: str, fld: str, rule: str, obs: object, msg: str) -> None:
         out.append(Violation(loc, fld, rule, obs, msg))
 
+    if type(table) is not FmedaTable:
+        bad("table", "type", "table.type", table, "the table must be an FmedaTable")
+        return out, None
     if table.asil_target is not None and table.asil_target not in ASIL_LEVELS:
         bad("table", "asil_target", "asil.unknown", table.asil_target,
             f"ASIL target must be one of {ASIL_LEVELS}")
 
     lambda_known = True
     values = []  # the six columns of TableArrays, row after row
+    parts, subparts, names = [], [], []  # each row's place, row after row
 
     part_names: set = set()
     for i, part in enumerate(table.parts):
-        if not isinstance(part, Part):
+        if type(part) is not Part:
             bad("table", f"parts[{i}]", "table.part_type", part, "each part must be a Part")
             lambda_known = False
             continue
         part_loc = _name(part.name, "part", "", part_names, bad)
         sub_names: set = set()
         for j, sub in enumerate(part.subparts):
-            if not isinstance(sub, Subpart):
+            if type(sub) is not Subpart:
                 bad(part_loc, f"subparts[{j}]", "part.subpart_type", sub,
                     "each subpart must be a Subpart")
                 lambda_known = False
@@ -423,7 +424,7 @@ def _walk(table: FmedaTable) -> tuple[list[Violation], TableArrays | None]:
             row_sum_known = True
 
             for k, row in enumerate(sub.failure_modes):
-                if not isinstance(row, FailureModeRow):
+                if type(row) is not FailureModeRow:
                     bad(sub_loc, f"failure_modes[{k}]", "subpart.row_type", row,
                         "each failure mode must be a FailureModeRow")
                     fmd_complete = row_sum_known = lambda_known = False
@@ -479,6 +480,10 @@ def _walk(table: FmedaTable) -> tuple[list[Violation], TableArrays | None]:
                     else:
                         row_sum += rate
                 values.extend((rate, sigma_rate, dc, sigma_dc, lat, s_lat))
+                names.append(row.name)
+            n = len(names) - len(parts)  # this subpart's recorded rows
+            parts += [part.name] * n
+            subparts += [sub.name] * n
 
             if dist and fmd_complete and abs(fmd_sum - 1.0) > FMD_SUM_TOL:
                 bad(sub_loc, "fmd_fraction", "fmd.sum", fmd_sum,
@@ -509,7 +514,8 @@ def _walk(table: FmedaTable) -> tuple[list[Violation], TableArrays | None]:
     if out:
         return out, None
     columns.flags.writeable = False
-    return out, TableArrays(tuple(seen_ids), *columns, lambda_tot=total)
+    return out, TableArrays(tuple(seen_ids), tuple(parts), tuple(subparts), tuple(names),
+                            *columns, lambda_tot=total)
 
 
 def _utf8(text: str) -> bool:
@@ -630,7 +636,7 @@ def _row_rules(row: FailureModeRow, sub_loc: str, dist: bool, scale, seen_ids: d
 
     src = row.dc_source
     sigma_dc = row.sigma_dc
-    if not isinstance(src, DcSource):
+    if type(src) is not DcSource:
         bad(loc, "dc_source", "dc_source.kind", src,
             "dc_source must be a DcSource of kind expert or faultsim")
     elif src.kind not in (EXPERT, FAULT_SIMULATION):

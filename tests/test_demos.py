@@ -1,5 +1,6 @@
 """Every narrative demo, and every Python block of the README, runs
-to completion against the current package."""
+to completion against the current package, with warnings as errors as
+in the in-process tests."""
 
 import os
 import re
@@ -20,7 +21,7 @@ def _run(args):
     src = str(ROOT / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+    proc = subprocess.run([sys.executable, "-W", "error", *args], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
 

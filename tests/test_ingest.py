@@ -494,15 +494,24 @@ _TEXT = st.text(alphabet=" aZ\u00e9\u2192\u00fc_;", max_size=5)
 _LEVELS = st.sampled_from(model.FAULTSIM_CONFIDENCE_LEVELS)
 _SOURCES = st.one_of(st.sampled_from((EXPERT_JUDGMENT, DcSource())),
                      st.builds(DcSource.fault_simulation, _f12(1e-6, 0.5), _LEVELS))
+# A subclass of each class a table is built of; the readers build none.
+_SUBCLASSES = {cls: type(f"My{cls.__name__}", (cls,), {})
+               for cls in (FmedaTable, Part, Subpart, FailureModeRow, DcSource)}
 
 
 @st.composite
 def _api_tables(draw):
     """Tables built through the API, every float a 12-digit one: DirectLambda
     and Distribution subparts and every kind of source.  Half of them have
-    a first row that no writer can keep: an expert source with a campaign,
-    or a nonzero sigma of its subpart's other mode."""
-    planted = draw(st.sampled_from((None, None, "source", "sigma")))
+    something no writer can keep: a first row with an expert source with a
+    campaign or a nonzero sigma of its subpart's other mode, or a subclass
+    instance as the table or as its first part, subpart, row or source."""
+    planted = draw(st.sampled_from((None, None, None, "source", "sigma", "subclass")))
+    mine = draw(st.sampled_from(list(_SUBCLASSES))) if planted == "subclass" else None
+
+    def cls(base, first):
+        return _SUBCLASSES[base] if first and base is mine else base
+
     parts, n_rows = [], 0
     for p in range(draw(st.integers(1, 2))):
         subs = []
@@ -529,15 +538,20 @@ def _api_tables(draw):
                     fields["dc_source"] = DcSource("expert", draw(_f12(1e-6, 0.5)), draw(_LEVELS))
                 elif n_rows == 1 and planted == "sigma":
                     fields["sigma_lambda_fm" if dist else "sigma_fmd"] = draw(_f12(1e-3, 1.0))
-                rows.append(FailureModeRow(**fields))
+                elif n_rows == 1 and mine is DcSource:
+                    src = fields["dc_source"]
+                    fields["dc_source"] = _SUBCLASSES[DcSource](
+                        src.kind, src.margin_e, src.confidence_level)
+                rows.append(cls(FailureModeRow, n_rows == 1)(**fields))
             if dist:
                 rate = draw(_f12(1.0, 1e3))
             else:
                 rate = draw(st.sampled_from((None, float(fmt12(sum(r.lambda_fm for r in rows))))))
             mode = draw(st.sampled_from((None, "Distribution" if dist else "DirectLambda")))
-            subs.append(Subpart(f"S{s} {draw(_TEXT)}".strip(), rate, mode, tuple(rows)))
-        parts.append(Part(f"P{p} {draw(_TEXT)}".strip(), tuple(subs)))
-    return FmedaTable(tuple(parts), draw(st.sampled_from((None, "A", "B", "C", "D"))))
+            subs.append(cls(Subpart, p == s == 0)(
+                f"S{s} {draw(_TEXT)}".strip(), rate, mode, tuple(rows)))
+        parts.append(cls(Part, p == 0)(f"P{p} {draw(_TEXT)}".strip(), tuple(subs)))
+    return cls(FmedaTable, True)(tuple(parts), draw(st.sampled_from((None, "A", "B", "C", "D"))))
 
 
 @settings(settings.get_profile("fuzz"), max_examples=200)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fmeda_uq import FmedaValidationError, McConfig, PropagationMode, analyze, asil_verdict, verify
-from fmeda_uq.model import TableArrays, iter_rows, table_arrays
+from fmeda_uq.model import TableArrays, table_arrays
 from fmeda_uq.uncertainty import UndefinedMetricError, _propagate
 from conftest import make_table, random_table, two_fm_table
 
@@ -46,7 +46,8 @@ def test_point_metrics_survive_an_overflowing_sigma():
 
 def test_spfm_undefined_for_zero_total_rate():
     zero = np.array([0.0])
-    arr = TableArrays(ids=("FM1",), lam=zero, sigma_lam=zero, dc=np.array([0.5]),
+    arr = TableArrays(ids=("FM1",), parts=("P",), subparts=("S",), names=("FM1",),
+                      lam=zero, sigma_lam=zero, dc=np.array([0.5]),
                       sigma_dc=zero, dc_lat=zero, sigma_dc_lat=zero, lambda_tot=0.0)
     with pytest.raises(UndefinedMetricError):
         _propagate(arr)
@@ -92,7 +93,7 @@ def test_spfm_invariant_under_splitting_a_mode(rng):
         table = random_table(rng, n_range=(2, 8))
         rows = [
             dict(id=r.id, lambda_fm=r.lambda_fm, dc=r.dc)
-            for _, _, r in iter_rows(table)
+            for part in table.parts for sub in part.subparts for r in sub.failure_modes
         ]
         base = analyze(make_table(rows)).spfm
         # Split the first mode in two at the same coverage.

@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fmeda_uq import (
     DcSource,
@@ -147,6 +147,44 @@ def test_a_source_that_is_not_a_dc_source_is_one_violation():
     with pytest.raises(FmedaValidationError):
         table_arrays(table)
     with pytest.raises(FmedaValidationError):
+        analyze(table)
+
+
+def _one_row_table(subclassed=None):
+    """A valid one-row table whose object of class subclassed (the table, a
+    part, subpart, row or DC source) is an instance of a subclass."""
+    def make(cls, *args, **kwargs):
+        return (type(f"My{cls.__name__}", (cls,), {}) if cls is subclassed else cls)(
+            *args, **kwargs)
+    row = make(FailureModeRow, "A", lambda_fm=1.0, dc=0.5, dc_source=make(DcSource))
+    return make(FmedaTable, (make(Part, "P", (make(Subpart, "S", failure_modes=(row,)),)),))
+
+
+@pytest.mark.parametrize("cls, rule", [
+    (FmedaTable, "table.type"), (Part, "table.part_type"), (Subpart, "part.subpart_type"),
+    (FailureModeRow, "subpart.row_type"), (DcSource, "dc_source.kind")],
+    ids=lambda x: x if isinstance(x, str) else x.__name__)
+def test_a_subclass_instance_is_one_violation(cls, rule):
+    # The readers build the package's own classes, and a dataclass is
+    # never equal to an instance of another class, so a subclass instance
+    # that validated would not read back as itself.
+    assert validate(_one_row_table()) == []
+    table = _one_row_table(cls)
+    [violation] = validate(table)
+    assert violation.rule == rule
+    with pytest.raises(FmedaValidationError, match=rule):
+        table_arrays(table)
+
+
+@pytest.mark.parametrize("table", [None, "table", (), object()],
+                         ids=["None", "str", "tuple", "object"])
+def test_anything_but_a_table_is_one_violation(table):
+    [violation] = validate(table)
+    assert (violation.location, violation.field, violation.rule, violation.observed) == \
+        ("table", "type", "table.type", table)
+    with pytest.raises(FmedaValidationError, match="table.type"):
+        table_arrays(table)
+    with pytest.raises(FmedaValidationError, match="table.type"):
         analyze(table)
 
 
@@ -459,6 +497,49 @@ def test_copies_do_not_carry_the_cache():
         assert other == table
         assert not hasattr(other, "_arrays")
         assert table_arrays(other).lambda_tot == 100.0
+
+
+# Names with "/" and non-ASCII text; a row name may also be "", its id.
+_PLACE_TEXT = st.text(alphabet="aZ/\u00e9\u2192", min_size=1, max_size=4)
+
+
+@st.composite
+def _placed_tables(draw):
+    """Valid tables of one to three parts of one to three subparts each:
+    Distribution subparts and DirectLambda ones, which may be empty.  A
+    row with an int coverage passes only through the rule block."""
+    parts, n_rows = [], 0
+    for p in range(draw(st.integers(1, 3))):
+        subs = []
+        for s in range(draw(st.integers(1, 3))):
+            dist = draw(st.booleans())
+            n = draw(st.integers(1 if dist else 0, 3))
+            rows = []
+            for _ in range(n):
+                n_rows += 1
+                numbers = dict(fmd_fraction=1.0 / n) if dist else \
+                    dict(lambda_fm=draw(st.floats(1.0, 1e3)))
+                rows.append(FailureModeRow(
+                    f"R{n_rows}", draw(st.one_of(st.just(""), _PLACE_TEXT)),
+                    dc=draw(st.sampled_from((0.5, 0.9, 0, 1))), **numbers))
+            subs.append(Subpart(f"S{s}{draw(_PLACE_TEXT)}", draw(st.floats(1.0, 1e3)) if dist
+                                else None, None, tuple(rows)))
+        parts.append(Part(f"P{p}{draw(_PLACE_TEXT)}", tuple(subs)))
+    assume(n_rows > 0)
+    return FmedaTable(tuple(parts))
+
+
+@settings(settings.get_profile("fuzz"), max_examples=100)
+@given(_placed_tables())
+def test_the_walk_records_each_rows_place(table):
+    places = [(part.name, sub.name, row.id, row.name) for part in table.parts
+              for sub in part.subparts for row in sub.failure_modes]
+    arrays = table_arrays(table)
+    assert list(zip(arrays.parts, arrays.subparts, arrays.ids, arrays.names)) == places
+    assert all(type(column) is tuple for column in (arrays.parts, arrays.subparts,
+                                                    arrays.names))
+    report = analyze(table).rows
+    assert [(r["part"], r["subpart"], r["failure_mode"], r["name"]) for r in report] == places
 
 
 @pytest.mark.parametrize("suffix", [".csv", ".json"])

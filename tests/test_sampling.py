@@ -11,7 +11,7 @@ from fmeda_uq import (
     margin_to_sigma,
     sample_size,
 )
-from fmeda_uq.model import iter_rows, table_arrays
+from fmeda_uq.model import table_arrays
 from conftest import make_table
 
 # Exact rational cut-offs matching the published 5-digit table.
@@ -132,4 +132,4 @@ def test_table_arrays_fills_faultsim_sigma():
     assert sigma_dc[1] == 0.02               # explicit value wins
     assert sigma_dc[2] == 0.0                # expert row untouched
     # original table untouched (immutability)
-    assert [r.sigma_dc for _, _, r in iter_rows(table)] == [0.0, 0.02, 0.0]
+    assert [r.sigma_dc for r in table.parts[0].subparts[0].failure_modes] == [0.0, 0.02, 0.0]

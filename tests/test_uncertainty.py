@@ -12,7 +12,7 @@ from fmeda_uq import (EXPERT_JUDGMENT, DcSource, FailureModeRow, FmedaTable,
                       FmedaValidationError, Part, PropagationMode, Subpart, analyze,
                       confidence_interval, margin_to_sigma)
 from fmeda_uq.metrics import FAIL, PASS_FRAGILE, PASS_ROBUST
-from fmeda_uq.model import iter_rows, table_arrays
+from fmeda_uq.model import table_arrays
 from fmeda_uq.uncertainty import _propagate
 from conftest import make_table, random_table, two_fm_table
 
@@ -157,8 +157,8 @@ def test_power_of_two_scaling_changes_no_bit(table, k):
     # is inf (never nan: a zero sigma times an infinite partial is 0).
     factor = 2.0 ** k
     scaled = _scaled(table, factor)
-    subnormal = any(0.0 < c < 2.0 ** -1022 for _, _, row in iter_rows(table)
-                    for c in (row.dc, row.dc_latent))
+    subnormal = any(0.0 < c < 2.0 ** -1022 for part in table.parts for sub in part.subparts
+                    for row in sub.failure_modes for c in (row.dc, row.dc_latent))
     for target in _TARGETS:
         for mode in PropagationMode:
             outcomes = []
